@@ -2,7 +2,8 @@
 
 Every library error derives from :class:`RaySymError`.  Errors raised inside
 the reconstruction pipeline carry a ``stage`` attribute naming the pipeline
-stage that failed.
+stage that failed and, once the basis images were accepted, their
+``basis_gram_defect``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ class RaySymError(Exception):
 
     #: Name of the pipeline stage that raised, when applicable.
     stage: str | None = None
+
+    #: Gram defect of the basis images, when a stage after map_basis raised.
+    basis_gram_defect: float | None = None
 
     def __str__(self) -> str:
         base = super().__str__()

@@ -34,16 +34,14 @@ class Tolerances:
     """Numerical tolerances used across the reconstruction pipeline.
 
     orth_tol bounds transition probabilities that still count as orthogonal,
-    recon_tol bounds reconstruction residuals (scales, classification, gauge),
-    phase_tol bounds the imaginary part left after phase fixing.
+    recon_tol bounds reconstruction residuals (scales, classification, gauge).
     """
 
     orth_tol: float = 1e-9
     recon_tol: float = 1e-8
-    phase_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("orth_tol", "recon_tol", "phase_tol"):
+        for name in ("orth_tol", "recon_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1e-2:
                 raise ValueError(f"{name} must lie strictly between 0 and 1e-2, got {value}")

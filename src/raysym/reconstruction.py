@@ -4,8 +4,9 @@ The pipeline turns a black-box ray map into an explicit operator in four
 stages, each consuming only oracle answers:
 
 1. ``map_basis`` sends every coordinate axis ray through the oracle and
-   checks that the images form an orthonormal, complete system (this is the
-   isomorphism statement made executable).
+   checks, from the Gram matrix of the images alone, that they form an
+   orthonormal, complete system (this is the isomorphism statement made
+   executable).
 2. ``slice_coordinates`` probes the oracle with rays generated by
    e_1 + z e_i and reads off the i-th coordinate of the image on the affine
    slice where the first coordinate equals 1.  Orthogonality preservation
@@ -81,22 +82,23 @@ class AutomorphismKind(enum.Enum):
 class BasisImages:
     """Images of the coordinate-axis rays, stored as matrix columns.
 
-    ``raw_reps`` holds the canonical representatives exactly as returned by
-    the oracle; ``columns`` holds the working copies whose phases get fixed.
+    ``columns`` starts as the canonical representatives returned by the
+    oracle; fix_phases returns a copy with the probe phases absorbed.
+    ``gram_defect`` is the max-norm deviation of the images' Gram matrix from
+    the identity, measured once by map_basis and carried along unchanged.
     """
 
     dim: int
     columns: np.ndarray
-    raw_reps: np.ndarray
+    gram_defect: float
 
     def __post_init__(self):
-        for name in ("columns", "raw_reps"):
-            m = np.asarray(getattr(self, name), dtype=np.complex128)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"{name} must have shape ({self.dim}, {self.dim})")
-            m = m.copy()
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+        m = np.asarray(self.columns, dtype=np.complex128)
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"columns must have shape ({self.dim}, {self.dim})")
+        m = m.copy()
+        m.flags.writeable = False
+        object.__setattr__(self, "columns", m)
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,13 @@ class ReconstructionResult:
     scale is 1 within recon_tol, which is exactly the regime where the oracle
     preserves transition probabilities; otherwise the operator columns are
     still the phase-fixed image axes but the result is diagnostic-only.
-    ``cross_residual`` is None unless the cross-axis diagnostic ran
-    (requested and dim >= 3).
+    ``basis`` holds those phase-fixed axes with the Gram defect map_basis
+    measured, ready for probe_automorphism.  ``cross_residual`` is None
+    unless the cross-axis diagnostic ran (requested and dim >= 3).
     """
 
     operator: SymmetryOperator
+    basis: BasisImages
     scales: np.ndarray
     kind: AutomorphismKind
     probe_log: tuple[ProbeRecord, ...]
@@ -147,13 +151,14 @@ class ReconstructionResult:
 
 
 @contextmanager
-def _stage(name: str):
-    """Annotate pipeline errors with the stage that raised them."""
+def _stage(name: str, gram_defect: float | None = None):
+    """Annotate pipeline errors with the stage that raised them and the basis Gram defect."""
     try:
         yield
     except RaySymError as err:
         if err.stage is None:
             err.stage = name
+            err.basis_gram_defect = gram_defect
         raise
 
 
@@ -166,10 +171,14 @@ def _axis_ray(dim: int, i: int) -> Ray:
 def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> BasisImages:
     """Send every coordinate-axis ray through the oracle and validate the images.
 
-    The images must be pairwise orthogonal within tol.orth_tol (else
-    ImagesNotOrthogonal, carrying the offending pair) and must form a
-    complete system: Gram matrix equal to the identity within 1e-8 and full
-    rank (else IncompleteImage).
+    Both checks read the one Gram matrix G of the image representatives.
+    Since u(i, j) = |G[i, j]|^2 / (G[i, i] G[j, j]), the images must be
+    pairwise orthogonal within tol.orth_tol (else ImagesNotOrthogonal,
+    carrying the first offending pair in row-major order).  They must also
+    form a complete system: G equal to the identity within COMPLETENESS_TOL
+    (else IncompleteImage).  No separate rank test is needed, because that
+    bound puts every eigenvalue of G within dim * COMPLETENESS_TOL of 1, so
+    the images span the target space.
     """
     if dim < 2:
         raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
@@ -177,20 +186,18 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
         raise DimensionMismatch(
             f"oracle maps dimension {oracle.dim_in} to {oracle.dim_out}, expected {dim} to {dim}"
         )
-    images = [oracle.image(_axis_ray(dim, i)) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            u = ray_function(images[i], images[j])
-            if u > tol.orth_tol:
-                raise ImagesNotOrthogonal(i, j, u)
-    reps = np.column_stack([img.rep for img in images])
+    reps = np.column_stack([oracle.image(_axis_ray(dim, i)).rep for i in range(dim)])
     gram = reps.conj().T @ reps
+    norms = gram.diagonal().real
+    u = np.minimum((gram.real**2 + gram.imag**2) / np.outer(norms, norms), 1.0)
+    overlaps = np.argwhere(np.triu(u > tol.orth_tol, k=1))
+    if overlaps.size:
+        i, j = (int(k) for k in overlaps[0])
+        raise ImagesNotOrthogonal(i, j, float(u[i, j]))
     gram_defect = float(np.max(np.abs(gram - np.eye(dim))))
     if gram_defect > COMPLETENESS_TOL:
         raise IncompleteImage(f"basis-image Gram matrix deviates from identity by {gram_defect:.3e}")
-    if np.linalg.matrix_rank(reps) < dim:
-        raise IncompleteImage("basis images do not span the target space")
-    return BasisImages(dim=dim, columns=reps, raw_reps=reps)
+    return BasisImages(dim=dim, columns=reps, gram_defect=gram_defect)
 
 
 def slice_coordinates(
@@ -256,7 +263,7 @@ def fix_phases(
             raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
         columns[:, i] *= c / r
         scales[i] = r
-    return BasisImages(dim=dim, columns=columns, raw_reps=basis.raw_reps), scales
+    return BasisImages(dim=dim, columns=columns, gram_defect=basis.gram_defect), scales
 
 
 def classify_automorphism(
@@ -351,23 +358,24 @@ def reconstruct(
     Uses exactly dim + (dim - 1) + 1 oracle calls; the optional cross-axis
     diagnostic (dim >= 3 only, skipped silently at dim 2 where there is a
     single coordinate function) costs extra probes.  Stage errors propagate
-    with the stage name attached.
+    with the stage name attached and, when raised after map_basis, with the
+    basis Gram defect as ``basis_gram_defect``.
     """
     if dim < 2:
         raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
     with _stage("map_basis"):
         basis = map_basis(oracle, dim, tol)
     probe_log: list[ProbeRecord] = []
-    with _stage("fix_phases"):
+    with _stage("fix_phases", basis.gram_defect):
         fixed, scales = fix_phases(oracle, basis, tol, probe_log=probe_log)
-    with _stage("classify_automorphism"):
+    with _stage("classify_automorphism", basis.gram_defect):
         kind = classify_automorphism(oracle, fixed, scales, tol, probe_log=probe_log)
     classification_probe = probe_log[-1]
     f_val = classification_probe.coordinate / scales[1]
     classification_residual = min(abs(f_val - 1j), abs(f_val + 1j))
     cross_residual: float | None = None
     if cross_check and dim >= 3:
-        with _stage("cross_consistency"):
+        with _stage("cross_consistency", basis.gram_defect):
             cross_residual = _cross_consistency(oracle, fixed, scales, tol, probe_log)
     max_scale_deviation = float(np.max(np.abs(scales - 1.0)))
     operator = SymmetryOperator(
@@ -376,6 +384,7 @@ def reconstruct(
     )
     return ReconstructionResult(
         operator=operator,
+        basis=fixed,
         scales=scales,
         kind=kind,
         probe_log=tuple(probe_log),

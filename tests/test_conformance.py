@@ -3,11 +3,18 @@ import pytest
 
 from raysym import (
     CHECK_NAMES,
+    COMPLETENESS_TOL,
+    ImagesNotOrthogonal,
+    RayMapOracle,
+    RaySymError,
     SymmetryOperator,
+    Tolerances,
+    check_orthogonality_preservation,
     check_ray_function_invariance,
     check_round_trip,
     general_induced_map,
     induced_map,
+    map_basis,
     random_unitary,
     reconstruct,
     run_full_conformance,
@@ -43,6 +50,13 @@ class TestRayFunctionInvariance:
         oracle = induced_map(SymmetryOperator(np.eye(2)))
         with pytest.raises(ValueError):
             check_ray_function_invariance(oracle, trials=0, seed=1)
+
+    def test_is_the_u_drift_of_the_preservation_sample(self):
+        oracle = general_induced_map(np.diag([1.0, 2.0, 1.0]))
+        entry = check_ray_function_invariance(oracle, trials=50, seed=4)
+        pres = check_orthogonality_preservation(oracle, trials=50, seed=4)
+        assert entry.worst_residual == pres.max_u_violation
+        assert (entry.trials, entry.seed) == (50, 4)
 
 
 class TestRoundTrip:
@@ -116,6 +130,73 @@ class TestRunFullConformance:
         assert report.error is not None
         assert "map_basis" in report.error
         assert report.entry("scales-unit").worst_residual == float("inf")
+
+    def test_both_hypothesis_entries_share_one_sample(self):
+        op = SymmetryOperator(np.diag([1.0, 2.0, 1.0]))
+        report = run_full_conformance(op, seed=9, invariance_trials=40)
+        pres = check_orthogonality_preservation(induced_map(op), trials=40, seed=9)
+        orth = report.entry("orthogonality-preservation")
+        drift = report.entry("ray-function-invariance")
+        assert orth.worst_residual == pres.max_orth_violation
+        assert drift.worst_residual == pres.max_u_violation
+        assert orth.seed == drift.seed == 9
+        assert report.entry("reproduction").seed == 11
+
+    def test_oracle_calls_at_dimension_8(self, monkeypatch):
+        calls = [0]
+        image = RayMapOracle.image
+
+        def counted(self, ray):
+            calls[0] += 1
+            return image(self, ray)
+
+        monkeypatch.setattr(RayMapOracle, "image", counted)
+        report = run_full_conformance(SymmetryOperator(random_unitary(8, seed=8)), seed=3)
+        assert report.overall
+        # 4 per preservation trial, 2 * dim to reconstruct, 12 + 2 * 78 probes, 100 reproductions
+        assert calls[0] == 4 * 200 + 2 * 8 + 168 + 100 == 1084
+
+    def test_later_stage_failure_keeps_the_basis_entry(self):
+        # axis rays map to axis rays (Gram defect 0), the unit probe on axis 2 vanishes
+        report = run_full_conformance(SymmetryOperator(np.diag([1.0, 1e-10, 1.0])), seed=1)
+        entry = report.entry("basis-completeness")
+        assert entry.passed
+        assert entry.worst_residual == 0.0
+        assert report.error.startswith("[stage fix_phases]")
+        assert report.entry("scales-unit").worst_residual == float("inf")
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            np.eye(3) + 1e-6 * np.eye(3, k=1),
+            perturbed_unitary(3, seed=8, amount=0.1),
+            perturbed_unitary(5, seed=2, amount=1e-6),
+        ],
+    )
+    def test_basis_completeness_fails_whenever_map_basis_raises(self, matrix):
+        dim = matrix.shape[0]
+        with pytest.raises(RaySymError) as info:
+            map_basis(general_induced_map(matrix), dim)
+        report = run_full_conformance(SymmetryOperator(matrix), seed=2, invariance_trials=20)
+        entry = report.entry("basis-completeness")
+        assert not entry.passed
+        assert report.error.startswith("[stage map_basis]")
+        if isinstance(info.value, ImagesNotOrthogonal):
+            assert entry.worst_residual == info.value.u_value
+        else:
+            assert entry.worst_residual == float("inf")
+
+    def test_overlap_below_the_completeness_bound_still_fails(self):
+        tol = Tolerances(orth_tol=1e-12)
+        matrix = perturbed_unitary(5, seed=2, amount=1e-6)
+        with pytest.raises(ImagesNotOrthogonal) as info:
+            map_basis(general_induced_map(matrix), 5, tol)
+        assert info.value.u_value < COMPLETENESS_TOL
+        report = run_full_conformance(SymmetryOperator(matrix), seed=2, tol=tol, invariance_trials=20)
+        entry = report.entry("basis-completeness")
+        assert not entry.passed
+        assert entry.worst_residual == info.value.u_value
 
     def test_report_is_deterministic(self):
         op = SymmetryOperator(random_unitary(4, seed=2), antiunitary=True)

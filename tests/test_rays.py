@@ -199,9 +199,8 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.orth_tol == 1e-9
         assert tol.recon_tol == 1e-8
-        assert tol.phase_tol == 1e-9
 
-    @pytest.mark.parametrize("bad", [{"orth_tol": 0.0}, {"recon_tol": -1e-9}, {"phase_tol": 0.5}])
+    @pytest.mark.parametrize("bad", [{"orth_tol": 0.0}, {"recon_tol": -1e-9}, {"recon_tol": 0.5}])
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
             Tolerances(**bad)

@@ -4,6 +4,7 @@ import pytest
 from raysym import (
     AutomorphismKind,
     CrossTalk,
+    DEFAULT_TOLERANCES,
     DegenerateProbe,
     DimensionMismatch,
     ImagesNotOrthogonal,
@@ -12,6 +13,7 @@ from raysym import (
     RayMapOracle,
     SliceDegenerate,
     SymmetryOperator,
+    Tolerances,
     apply_symmetry,
     canonical_ray,
     classify_automorphism,
@@ -50,6 +52,32 @@ def counting_oracle(oracle):
     return RayMapOracle(oracle.dim_in, oracle.dim_out, fn, label="counted"), counter
 
 
+def reference_first_overlap(oracle, dim, tol):
+    """First (i, j, u) in row-major order with u > tol.orth_tol, by the pairwise loop."""
+    images = [oracle.image(canonical_ray(axis_vector(dim, i))) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            u = ray_function(images[i], images[j])
+            if u > tol.orth_tol:
+                return i, j, u
+    return None
+
+
+def reported_overlap(oracle, dim, tol):
+    try:
+        map_basis(oracle, dim, tol)
+    except ImagesNotOrthogonal as err:
+        return err.i, err.j, err.u_value
+    except IncompleteImage:
+        pass
+    return None
+
+
+def ginibre(dim, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+
+
 def probe_tampering_oracle(dim, tamper):
     """Identity on axis rays; applies ``tamper`` to representatives of mixed rays."""
 
@@ -65,18 +93,17 @@ def probe_tampering_oracle(dim, tamper):
 class TestMapBasis:
     def test_identity_images_are_the_axes(self):
         basis = map_basis(identity_oracle(3), 3)
-        assert np.allclose(basis.raw_reps, np.eye(3), atol=1e-15)
-        assert np.allclose(basis.columns, basis.raw_reps)
+        assert np.allclose(basis.columns, np.eye(3), atol=1e-15)
 
     def test_swap_permutes_the_axes(self):
         basis = map_basis(induced_map(SymmetryOperator(SWAP)), 2)
-        assert np.allclose(basis.raw_reps, SWAP, atol=1e-15)
+        assert np.allclose(basis.columns, SWAP, atol=1e-15)
 
     def test_diagonal_stretch_keeps_axes_orthogonal(self):
         # axis rays map to axis rays, so the hypothesis violation of
         # diag(1,2,1) is invisible at this stage and surfaces later
         basis = map_basis(general_induced_map(np.diag([1.0, 2.0, 1.0])), 3)
-        assert np.allclose(basis.raw_reps, np.eye(3), atol=1e-15)
+        assert np.allclose(basis.columns, np.eye(3), atol=1e-15)
 
     def test_shear_violates_image_orthogonality(self):
         oracle = general_induced_map(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -92,6 +119,38 @@ class TestMapBasis:
         m[0, 1] = 1e-6
         with pytest.raises(IncompleteImage):
             map_basis(general_induced_map(m), 3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 40])
+    @pytest.mark.parametrize("amount", [None, 1e-2, 1e-3])
+    def test_first_overlap_matches_the_pairwise_loop(self, dim, amount):
+        # amount None is a Ginibre matrix, otherwise U + amount * Ginibre
+        for seed in range(4):
+            g = ginibre(dim, seed)
+            m = g if amount is None else random_unitary(dim, seed) + amount * g
+            oracle = general_induced_map(m)
+            want = reference_first_overlap(oracle, dim, DEFAULT_TOLERANCES)
+            got = reported_overlap(oracle, dim, DEFAULT_TOLERANCES)
+            assert want is not None and got[:2] == want[:2]
+            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 40])
+    @pytest.mark.parametrize(
+        "amount, tol", [(1e-4, DEFAULT_TOLERANCES), (3e-5, DEFAULT_TOLERANCES),
+                        (1e-6, Tolerances(orth_tol=1e-12))],
+    )
+    def test_small_overlaps_agree_within_summation_rounding(self, dim, amount, tol):
+        # G[i, j] sums dim products of unit-vector entries, so two summation
+        # orders agree within dim * eps there and 2 * dim * eps * sqrt(u) in u
+        eps = np.finfo(float).eps
+        for seed in range(4):
+            oracle = general_induced_map(random_unitary(dim, seed) + amount * ginibre(dim, seed))
+            want = reference_first_overlap(oracle, dim, tol)
+            got = reported_overlap(oracle, dim, tol)
+            if want is None:
+                assert got is None
+                continue
+            assert got[:2] == want[:2]
+            assert abs(got[2] - want[2]) <= 4 * dim * eps * np.sqrt(want[2])
 
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
@@ -331,6 +390,20 @@ class TestReconstruct:
         with pytest.raises(ImagesNotOrthogonal) as info:
             reconstruct(oracle, 2)
         assert info.value.stage == "map_basis"
+        assert info.value.basis_gram_defect is None
+
+    def test_later_stage_errors_carry_the_basis_gram_defect(self):
+        oracle = general_induced_map(np.diag([1.0, 1e-10, 1.0]))
+        with pytest.raises(DegenerateProbe) as info:
+            reconstruct(oracle, 3)
+        assert info.value.stage == "fix_phases"
+        assert info.value.basis_gram_defect == 0.0
+
+    def test_result_carries_the_phase_fixed_basis(self):
+        oracle = induced_map(SymmetryOperator(random_unitary(4, seed=12)))
+        result = reconstruct(oracle, 4)
+        assert np.array_equal(result.basis.columns, result.operator.matrix)
+        assert result.basis.gram_defect <= 1e-14
 
     def test_deterministic(self):
         oracle = induced_map(SymmetryOperator(random_unitary(6, seed=55), antiunitary=True))
