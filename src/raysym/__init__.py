@@ -51,7 +51,6 @@ from .rays import (
     ray_function,
 )
 from .reconstruction import (
-    COMPLETENESS_TOL,
     DEFAULT_PROBE_GRID,
     AutomorphismKind,
     BasisImages,
@@ -76,7 +75,6 @@ __all__ = [
     "AutomorphismKind",
     "BasisImages",
     "CHECK_NAMES",
-    "COMPLETENESS_TOL",
     "CheckResult",
     "ConformanceReport",
     "CrossTalk",

@@ -279,7 +279,7 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol-recon", type=float, default=1e-8, metavar="X",
-        help="reconstruction residual tolerance (default 1e-8)",
+        help="reconstruction residual and basis Gram-defect tolerance (default 1e-8)",
     )
 
 

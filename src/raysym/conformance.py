@@ -26,7 +26,6 @@ from .oracles import (
 )
 from .rays import DEFAULT_TOLERANCES, Tolerances
 from .reconstruction import (
-    COMPLETENESS_TOL,
     DEFAULT_PROBE_GRID,
     AutomorphismKind,
     ReconstructionResult,
@@ -181,7 +180,7 @@ def run_full_conformance(
     entries.append(
         CheckResult(
             name="basis-completeness",
-            passed=basis_accepted and basis_defect <= COMPLETENESS_TOL,
+            passed=basis_accepted and basis_defect <= tol.recon_tol,
             worst_residual=float(basis_defect),
             trials=0,
             seed=seed,

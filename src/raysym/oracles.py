@@ -30,9 +30,6 @@ from .rays import (
 #: Condition number above which a matrix does not induce an invertible ray map.
 MAX_CONDITION = 1e12
 
-#: Unitarity defect accepted for operators tagged unitary-valid.
-UNITARY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetryOperator:
@@ -40,7 +37,7 @@ class SymmetryOperator:
 
     Acts on vectors as x -> U x, or x -> U conj(x) when antiunitary.  The
     matrix is stored read-only; the type itself does not require unitarity
-    (diagnostic operators are first-class), see :meth:`is_unitary`.
+    (diagnostic operators are first-class), see :meth:`unitarity_defect`.
     """
 
     matrix: np.ndarray
@@ -65,9 +62,6 @@ class SymmetryOperator:
         """Max-norm deviation of U^dagger U from the identity."""
         gram = self.matrix.conj().T @ self.matrix
         return float(np.max(np.abs(gram - np.eye(self.dim))))
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        return self.unitarity_defect() <= tol
 
 
 class RayMapOracle:

@@ -2,9 +2,11 @@
 
 A ray is a one-dimensional subspace of C^n, stored here as a canonical unit
 representative: the vector is normalized and rotated so that its first
-component of significant modulus is real and positive.  With that convention
-two vectors generate the same ray exactly when their canonical representatives
-agree componentwise.
+component of significant modulus is real and positive.  ``Ray(v)`` and its
+alias ``canonical_ray(v)`` canonicalize any nonzero finite vector this way,
+at any scale, so every Ray is canonical by construction.  With that
+convention two vectors generate the same ray exactly when their canonical
+representatives agree componentwise.
 
 The transition probability between two rays r, s with generators e, f is
 
@@ -16,6 +18,7 @@ Orthogonality of rays means u(r, s) = 0 up to tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,8 @@ class Tolerances:
     """Numerical tolerances used across the reconstruction pipeline.
 
     orth_tol bounds transition probabilities that still count as orthogonal,
-    recon_tol bounds reconstruction residuals (scales, classification, gauge).
+    recon_tol bounds reconstruction residuals (basis Gram defect, scales,
+    classification, gauge).
     """
 
     orth_tol: float = 1e-9
@@ -53,24 +57,42 @@ DEFAULT_TOLERANCES = Tolerances()
 class Ray:
     """Canonical unit representative of a one-dimensional subspace of C^n.
 
-    Construct rays with :func:`canonical_ray`; the constructor only checks
-    that the supplied representative already satisfies the canonical form.
+    ``Ray(v)`` canonicalizes any nonzero finite 1-d vector ``v``: it
+    normalizes to unit norm, then rotates the global phase so the first
+    component of modulus > PIVOT_TOL becomes real and positive.  The result
+    is invariant (within 1e-12) under scaling of ``v`` by any nonzero complex
+    number, and canonicalization is idempotent at the same tolerance.
+
+    Raises ValueError for input that is not a nonempty finite 1-d vector, and
+    ZeroVector when ||v|| <= ZERO_NORM_TOL.
     """
 
     __slots__ = ("_rep",)
 
-    def __init__(self, rep: np.ndarray):
-        rep = np.asarray(rep, dtype=np.complex128)
-        if rep.ndim != 1 or rep.size == 0:
-            raise ValueError("ray representative must be a nonempty 1-d vector")
-        norm = np.linalg.norm(rep)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"ray representative is not unit norm (norm {norm!r})")
-        pivot = _pivot_index(rep)
+    def __init__(self, v: np.ndarray):
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError("expected a nonempty 1-d vector")
+        parts = np.ascontiguousarray(v).view(np.float64)
+        top = float(np.abs(parts).max())
+        if not math.isfinite(top):
+            raise ValueError("vector components must be finite")
+        # Scaling every real and imaginary part by the exact power of two that
+        # brings the largest into [0.5, 1) keeps the norm from overflowing or
+        # underflowing; in range it changes no bit (nor zero sign) of v / ||v||.
+        # The clamp keeps the factor finite for subnormal input, a zero vector.
+        scale = 2.0 ** -max(math.frexp(top)[1], -1022)
+        w = (parts * scale).view(np.complex128)
+        norm = np.linalg.norm(w)
+        if norm <= ZERO_NORM_TOL * scale:
+            raise ZeroVector(f"cannot canonicalize a vector of norm {norm / scale!r}")
+        rep = w / norm
+        # A unit vector has a component of modulus >= 1/sqrt(n) > PIVOT_TOL.
+        pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
         entry = rep[pivot]
-        if not (entry.real > 0.0 and abs(entry.imag) <= PIVOT_TOL):
-            raise ValueError("ray representative does not satisfy the canonical phase convention")
-        rep = rep.copy()
+        rep = rep * (entry.conjugate() / abs(entry))
+        # Exact by construction; removes the rounding-level imaginary residue.
+        rep[pivot] = abs(rep[pivot])
         rep.flags.writeable = False
         self._rep = rep
 
@@ -93,44 +115,9 @@ class Ray:
         return f"Ray({np.array2string(self._rep, precision=6, suppress_small=True)})"
 
 
-def _pivot_index(unit_rep: np.ndarray) -> int:
-    """First index whose modulus exceeds PIVOT_TOL.
-
-    A unit vector of dimension n has a component of modulus >= 1/sqrt(n), so
-    the scan cannot fail for any representable dimension.
-    """
-    moduli = np.abs(unit_rep)
-    above = np.nonzero(moduli > PIVOT_TOL)[0]
-    if above.size == 0:
-        raise ZeroVector("no component of the unit representative exceeds the pivot threshold")
-    return int(above[0])
-
-
 def canonical_ray(v: np.ndarray) -> Ray:
-    """Canonicalize a nonzero vector into the ray it generates.
-
-    Normalizes to unit norm, then rotates the global phase so the first
-    component of modulus > PIVOT_TOL becomes real and positive.  The result is
-    invariant (within 1e-12) under scaling of ``v`` by any nonzero complex
-    number, and the map is idempotent at the same tolerance.
-
-    Raises ZeroVector when ||v|| <= 1e-12.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    norm = np.linalg.norm(v)
-    if norm <= ZERO_NORM_TOL:
-        raise ZeroVector(f"cannot canonicalize a vector of norm {norm!r}")
-    rep = v / norm
-    pivot = _pivot_index(rep)
-    entry = rep[pivot]
-    rep = rep * (entry.conjugate() / abs(entry))
-    # Exact by construction; removes the rounding-level imaginary residue.
-    rep[pivot] = abs(rep[pivot])
-    return Ray(rep)
+    """Canonicalize a nonzero finite vector into the ray it generates: ``Ray(v)``."""
+    return Ray(v)
 
 
 def ray_function(r: Ray, s: Ray) -> float:
@@ -171,10 +158,7 @@ def sample_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_ray(dim: int, rng: np.random.Generator) -> Ray:
     """Haar-uniform random ray."""
-    while True:
-        v = sample_state(dim, rng)
-        if np.linalg.norm(v) > ZERO_NORM_TOL:
-            return canonical_ray(v)
+    return canonical_ray(sample_state(dim, rng))
 
 
 def sample_orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[Ray, Ray]:

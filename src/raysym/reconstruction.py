@@ -48,9 +48,6 @@ from .errors import (
 from .oracles import RayMapOracle, SymmetryOperator
 from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_ray, ray_function, sample_ray
 
-#: Max-norm tolerance for the Gram matrix of the basis images against the identity.
-COMPLETENESS_TOL = 1e-8
-
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
     0.0 + 0.0j,
@@ -175,10 +172,10 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
     Since u(i, j) = |G[i, j]|^2 / (G[i, i] G[j, j]), the images must be
     pairwise orthogonal within tol.orth_tol (else ImagesNotOrthogonal,
     carrying the first offending pair in row-major order).  They must also
-    form a complete system: G equal to the identity within COMPLETENESS_TOL
+    form a complete system: G equal to the identity within tol.recon_tol
     (else IncompleteImage).  No separate rank test is needed, because that
-    bound puts every eigenvalue of G within dim * COMPLETENESS_TOL of 1, so
-    the images span the target space.
+    bound puts every eigenvalue of G within dim * tol.recon_tol of 1, so the
+    images span the target space.
     """
     if dim < 2:
         raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
@@ -195,7 +192,7 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
         i, j = (int(k) for k in overlaps[0])
         raise ImagesNotOrthogonal(i, j, float(u[i, j]))
     gram_defect = float(np.max(np.abs(gram - np.eye(dim))))
-    if gram_defect > COMPLETENESS_TOL:
+    if gram_defect > tol.recon_tol:
         raise IncompleteImage(f"basis-image Gram matrix deviates from identity by {gram_defect:.3e}")
     return BasisImages(dim=dim, columns=reps, gram_defect=gram_defect)
 
@@ -212,8 +209,9 @@ def slice_coordinates(
     Expands the image representative w in the basis columns, b_j = <col_j, w>.
     The source ray is not orthogonal to the first axis, so b_1 must not vanish
     (else SliceDegenerate); orthogonality preservation confines the image to
-    the plane of axes 1 and i, so every other coefficient must be noise-level
-    (else CrossTalk).  Returns b_i / b_1.
+    the plane of axes 1 and i, so every other coefficient must stay within
+    tol.orth_tol of zero, w being a unit vector (else CrossTalk).  Returns
+    b_i / b_1.
     """
     dim = basis.dim
     if not 1 <= i < dim:
@@ -229,11 +227,10 @@ def slice_coordinates(
             f"image of the probe on axis {i} is orthogonal to the reference axis "
             f"(|b_1| = {abs(b[0]):.3e})"
         )
-    leak_bound = tol.orth_tol * float(np.linalg.norm(w))
     for j in range(dim):
         if j in (0, i):
             continue
-        if abs(b[j]) > leak_bound:
+        if abs(b[j]) > tol.orth_tol:
             raise CrossTalk(i, j, float(abs(b[j])))
     return complex(b[i] / b[0])
 
@@ -361,8 +358,6 @@ def reconstruct(
     with the stage name attached and, when raised after map_basis, with the
     basis Gram defect as ``basis_gram_defect``.
     """
-    if dim < 2:
-        raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
     with _stage("map_basis"):
         basis = map_basis(oracle, dim, tol)
     probe_log: list[ProbeRecord] = []

@@ -197,6 +197,16 @@ class TestConformanceCommand:
         failing = {row[0] for row in grab(out, "check") if row[1] == "fail"}
         assert "orthogonality-preservation" in failing or "ray-function-invariance" in failing
 
+    def test_tol_recon_bounds_the_basis_gram_defect(self, capsys, tmp_path):
+        path = write_operator_file(tmp_path / "s.json", np.eye(3) + 1e-6 * np.eye(3, k=1), "general")
+        statuses = []
+        for flags in ([], ["--tol-recon", "1e-4"]):
+            code, out, _ = run_cli(capsys, "conformance", path, "--trials", "20", *flags)
+            assert code == 1
+            entry = next(row for row in grab(out, "check") if row[0] == "basis-completeness")
+            statuses.append(entry[1])
+        assert statuses == ["fail", "pass"]
+
     def test_trials_flag_is_recorded(self, capsys, identity_file):
         code, out, _ = run_cli(capsys, "conformance", identity_file, "--trials", "25")
         assert code == 0

@@ -3,7 +3,7 @@ import pytest
 
 from raysym import (
     CHECK_NAMES,
-    COMPLETENESS_TOL,
+    DEFAULT_TOLERANCES,
     ImagesNotOrthogonal,
     RayMapOracle,
     RaySymError,
@@ -187,12 +187,22 @@ class TestRunFullConformance:
         else:
             assert entry.worst_residual == float("inf")
 
+    def test_recon_tol_bounds_the_basis_gram_defect(self):
+        op = SymmetryOperator(np.eye(3) + 1e-6 * np.eye(3, k=1))
+        strict = run_full_conformance(op, seed=2, invariance_trials=20)
+        assert strict.entry("basis-completeness").worst_residual == float("inf")
+        loose = run_full_conformance(op, seed=2, tol=Tolerances(recon_tol=1e-4), invariance_trials=20)
+        entry = loose.entry("basis-completeness")
+        assert entry.passed
+        assert entry.worst_residual == pytest.approx(1e-6, rel=1e-6)
+        assert loose.error.startswith("[stage fix_phases]")
+
     def test_overlap_below_the_completeness_bound_still_fails(self):
         tol = Tolerances(orth_tol=1e-12)
         matrix = perturbed_unitary(5, seed=2, amount=1e-6)
         with pytest.raises(ImagesNotOrthogonal) as info:
             map_basis(general_induced_map(matrix), 5, tol)
-        assert info.value.u_value < COMPLETENESS_TOL
+        assert info.value.u_value < DEFAULT_TOLERANCES.recon_tol
         report = run_full_conformance(SymmetryOperator(matrix), seed=2, tol=tol, invariance_trials=20)
         entry = report.entry("basis-completeness")
         assert not entry.passed

@@ -24,12 +24,10 @@ class TestSymmetryOperator:
     def test_unitarity_defect_of_unitary(self):
         op = SymmetryOperator(random_unitary(6, seed=1))
         assert op.unitarity_defect() <= 1e-13
-        assert op.is_unitary()
 
     def test_unitarity_defect_of_scaled_matrix(self):
         op = SymmetryOperator(2.0 * np.eye(3))
         assert op.unitarity_defect() == pytest.approx(3.0)
-        assert not op.is_unitary()
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -87,15 +89,53 @@ class TestCanonicalRay:
             v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
             assert abs(np.linalg.norm(canonical_ray(v).rep) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "scale", [1e-11, 1e-6, 1.0, 1e6, 1e100, 1e154, 1e155, 1e200 * (0.6 - 0.8j), 1e300]
+    )
+    def test_scale_safe(self, scale):
+        v = random_state(5, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = canonical_ray(scale * v)
+        assert r.almost_equals(canonical_ray(v), tol=1e-12)
+
+    def test_components_near_the_largest_double(self):
+        v = np.array([1.7e308 + 1.7e308j, -1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = canonical_ray(v)
+        assert r.almost_equals(canonical_ray(np.array([1.7 + 1.7j, -1.0, 0.0])), tol=1e-12)
+
 
 class TestRayConstructor:
-    def test_rejects_non_unit_representative(self):
-        with pytest.raises(ValueError):
-            Ray(np.array([2.0, 0.0], dtype=complex))
+    @pytest.mark.parametrize(
+        "v", [[2.0, 0.0], [1.0j, 0.0], [0.0, -3.0 + 4.0j, 1.0], [1e-9, 1e-3j, -5.0]]
+    )
+    def test_canonicalizes_like_canonical_ray(self, v):
+        v = np.array(v, dtype=complex)
+        a, b = Ray(v).rep, canonical_ray(v).rep
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert a[np.argmax(np.abs(a) > 1e-9)].imag == 0.0
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-15
 
-    def test_rejects_non_canonical_phase(self):
-        with pytest.raises(ValueError):
-            Ray(np.array([1.0j, 0.0]))
+    def test_rejects_zero_nonfinite_and_non_vector_input(self):
+        with pytest.raises(ZeroVector):
+            Ray(np.zeros(3, dtype=complex))
+        for bad in (np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.eye(2), np.array([])):
+            with pytest.raises(ValueError):
+                Ray(bad)
+
+    def test_idempotent(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            r = Ray(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            assert Ray(r.rep).almost_equals(r, tol=1e-12)
+
+    def test_does_not_alias_its_input(self):
+        v = np.array([1.0, 0.0], dtype=complex)
+        r = Ray(v)
+        v[0] = 5.0
+        assert r.rep[0] == 1.0
 
     def test_representative_is_read_only(self):
         r = canonical_ray(np.array([1.0, 1.0j]))
