@@ -10,9 +10,10 @@ Operators are described by JSON files::
       "conjugate_first": false           # optional, kind "general" only
     }
 
-Every matrix entry is an explicit [re, im] pair, which keeps the format
-locale-free and round-trip exact.  Kinds "unitary" and "antiunitary" are
-validated at load time (unitarity defect at most 1e-8).
+Every matrix entry is an explicit [re, im] pair of finite JSON numbers within
+double range, which keeps the format locale-free and round-trip exact.
+Kinds "unitary" and "antiunitary" are validated at load time (unitarity
+defect at most 1e-8).
 
 Commands print one record per line, tab-delimited, with floats rendered to
 17 significant digits so output is byte-stable and parseable.
@@ -27,7 +28,10 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .conformance import ConformanceReport, run_full_conformance
 from .errors import OperatorFileError, RaySymError
@@ -48,6 +52,8 @@ from .reconstruction import (
 LOAD_UNITARY_TOL = 1e-8
 
 _KINDS = ("unitary", "antiunitary", "general")
+
+_NUMBER_TYPES = {int, float}
 
 _KIND_LABEL = {
     AutomorphismKind.IDENTITY: "identity-automorphism",
@@ -72,9 +78,54 @@ def _bool(value: bool) -> str:
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OperatorFileError(f"{field}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise OperatorFileError(
+            f"{field}: out of double range, got an integer of {len(str(abs(value)))} digits"
+        ) from None
+    if not math.isfinite(number):
         raise OperatorFileError(f"{field}: must be finite, got {value!r}")
-    return float(value)
+    return number
+
+
+def _scan_entries(rows: list, dim: int) -> list[list[complex]]:
+    """Parse the matrix rows entry by entry, naming the first faulty field in row-major order."""
+    matrix = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise OperatorFileError(f"matrix: row {i + 1} must have {dim} entries")
+        entries = []
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise OperatorFileError(
+                    f"matrix: entry ({i + 1}, {j + 1}) must be an [re, im] pair"
+                )
+            re = _require_number(entry[0], f"matrix: entry ({i + 1}, {j + 1}) re")
+            im = _require_number(entry[1], f"matrix: entry ({i + 1}, {j + 1}) im")
+            entries.append(complex(re, im))
+        matrix.append(entries)
+    return matrix
+
+
+def _parse_matrix(rows, dim: int) -> np.ndarray | list[list[complex]]:
+    """The ``matrix`` field as a (dim, dim) complex matrix, bit for bit as written.
+
+    A well-formed field is read whole: one type scan of the numbers of each
+    row (JSON integers and floats only), one float64 conversion with a shape
+    check, one finiteness test.  Anything else goes to the per-entry scan,
+    which raises OperatorFileError naming the first faulty row or entry.
+    """
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise OperatorFileError(f"matrix: expected {dim} rows")
+    try:
+        if all(set(map(type, chain.from_iterable(row))) <= _NUMBER_TYPES for row in rows):
+            pairs = np.array(rows, dtype=np.float64)
+            if pairs.shape == (dim, dim, 2) and np.isfinite(pairs).all():
+                return pairs.view(np.complex128).reshape(dim, dim)
+    except (TypeError, ValueError, OverflowError):
+        pass  # not iterable pairs, ragged rows, or an integer beyond double range
+    return _scan_entries(rows, dim)
 
 
 def load_operator_file(path: str) -> SymmetryOperator:
@@ -90,6 +141,9 @@ def load_operator_file(path: str) -> SymmetryOperator:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise OperatorFileError(f"input: not valid JSON: {err}") from err
+    except (ValueError, RecursionError) as err:
+        # an integer beyond Python's digit limit, or nesting beyond its recursion limit
+        raise OperatorFileError(f"input: cannot read JSON: {err}") from err
     if not isinstance(data, dict):
         raise OperatorFileError("input: top level must be an object")
 
@@ -120,24 +174,7 @@ def load_operator_file(path: str) -> SymmetryOperator:
                 f"conjugate_first: expected a boolean, got {conjugate_first!r}"
             )
 
-    rows = data["matrix"]
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise OperatorFileError(f"matrix: expected {dim} rows")
-    matrix = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise OperatorFileError(f"matrix: row {i + 1} must have {dim} entries")
-        entries = []
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise OperatorFileError(
-                    f"matrix: entry ({i + 1}, {j + 1}) must be an [re, im] pair"
-                )
-            re = _require_number(entry[0], f"matrix: entry ({i + 1}, {j + 1}) re")
-            im = _require_number(entry[1], f"matrix: entry ({i + 1}, {j + 1}) im")
-            entries.append(complex(re, im))
-        matrix.append(entries)
-
+    matrix = _parse_matrix(data["matrix"], dim)
     antiunitary = kind == "antiunitary" or (kind == "general" and conjugate_first)
     op = SymmetryOperator(matrix=matrix, antiunitary=antiunitary)
     if kind in ("unitary", "antiunitary"):
@@ -185,12 +222,17 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
         f"max-scale-deviation\t{_fmt(result.max_scale_deviation)}",
         f"classification-residual\t{_fmt(result.classification_residual)}",
     ]
-    for i, scale in enumerate(result.scales):
-        lines.append(f"scale\t{i + 1}\t{_fmt(float(scale))}")
+    # Python floats straight from the arrays, one row at a time; + 0.0 turns
+    # -0.0 into 0.0, as _fmt does.
+    scales = (result.scales + 0.0).tolist()
+    lines += [f"scale\t{i}\t{s:.17g}" for i, s in enumerate(scales, start=1)]
+    re_part = op.matrix.real + 0.0
+    im_part = op.matrix.imag + 0.0
     for i in range(op.dim):
-        for j in range(op.dim):
-            entry = op.matrix[i, j]
-            lines.append(f"matrix\t{i + 1}\t{j + 1}\t{_fmt(entry.real)}\t{_fmt(entry.imag)}")
+        lines += [
+            f"matrix\t{i + 1}\t{j}\t{re:.17g}\t{im:.17g}"
+            for j, (re, im) in enumerate(zip(re_part[i].tolist(), im_part[i].tolist()), start=1)
+        ]
     return lines
 
 

@@ -174,5 +174,5 @@ def sample_orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[Ray, Ray
     while True:
         t = sample_state(dim, rng)
         t = t - np.vdot(r.rep, t) * r.rep
-        if np.linalg.norm(t) > 1e-6:
+        if np.vdot(t, t).real > 1e-12:
             return r, canonical_ray(t)

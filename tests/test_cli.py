@@ -1,15 +1,177 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from raysym import random_unitary, reconstruct, induced_map, SymmetryOperator
-from raysym.cli import UsageError, load_operator_file, main, parse_samples
+from raysym import (
+    AutomorphismKind,
+    BasisImages,
+    OperatorFileError,
+    ReconstructionResult,
+    SymmetryOperator,
+    induced_map,
+    random_unitary,
+    reconstruct,
+)
+from raysym.cli import (
+    UsageError,
+    load_operator_file,
+    main,
+    parse_samples,
+    render_reconstruction,
+)
 
 from conftest import write_operator_file
 
 DIAG_121 = np.diag([1.0, 2.0, 1.0])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Malformed dim-2 ``matrix`` fields, as JSON text, with the full error message.
+#: When a field has several faults, the first in row-major order is named.
+MALFORMED_MATRICES = [
+    ("true", "[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) re: expected a number, got True"),
+    ("null", "[[[1, 0], [0, null]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 2) im: expected a number, got None"),
+    ("string", '[[[1, 0], [0, 0]], [["x", 0], [1, 0]]]',
+     "matrix: entry (2, 1) re: expected a number, got 'x'"),
+    ("nan", "[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]",
+     "matrix: entry (2, 2) re: must be finite, got nan"),
+    ("infinity", "[[[1, Infinity], [0, 0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) im: must be finite, got inf"),
+    ("minus-infinity", "[[[1, 0], [0, 0]], [[0, -Infinity], [1, 0]]]",
+     "matrix: entry (2, 1) im: must be finite, got -inf"),
+    ("float-overflow", "[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) re: must be finite, got inf"),
+    ("huge-integer", "[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) re: out of double range, got an integer of 401 digits"),
+    ("huge-negative-integer", "[[[1, 0], [0, -2" + "0" * 308 + "]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 2) im: out of double range, got an integer of 309 digits"),
+    ("one-element-pair", "[[[1, 0], [0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 2) must be an [re, im] pair"),
+    ("three-element-pair", "[[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]]",
+     "matrix: entry (2, 2) must be an [re, im] pair"),
+    ("bare-number", "[[[1, 0], [0, 0]], [0, [1, 0]]]",
+     "matrix: entry (2, 1) must be an [re, im] pair"),
+    ("nested-list", "[[[1, [0]], [0, 0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) im: expected a number, got [0]"),
+    ("short-row", "[[[1, 0], [0, 0]], [[0, 0]]]",
+     "matrix: row 2 must have 2 entries"),
+    ("non-list-row", '[{"re": 1, "im": 0}, [[0, 0], [1, 0]]]',
+     "matrix: row 1 must have 2 entries"),
+    ("too-few-rows", "[[[1, 0], [0, 0]]]",
+     "matrix: expected 2 rows"),
+    ("two-faults", "[[[1, 0], [NaN, true]], [[null, 0], [1, 0]]]",
+     "matrix: entry (1, 2) re: must be finite, got nan"),
+    ("fault-before-short-row", "[[[1, 0], [0, null]], [[0, 0]]]",
+     "matrix: entry (1, 2) im: expected a number, got None"),
+]
+
+#: Valid JSON that Python's parser refuses: an integer past its digit limit,
+#: and arrays nested past its recursion limit.
+BEYOND_DIGIT_LIMIT = "[[[1" + "0" * 5000 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"
+BEYOND_NESTING_LIMIT = "[[[1, " + "[" * 100000 + "]" * 100000 + "], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+def write_matrix_text(path, matrix_text, dim=2, kind="general"):
+    path.write_text(f'{{"dim": {dim}, "kind": "{kind}", "matrix": {matrix_text}}}')
+    return str(path)
+
+
+def reference_parse(rows, dim):
+    """The per-entry parse the loader used before whole-array reads (``math.isfinite``
+    raises OverflowError on integers beyond double range)."""
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise OperatorFileError(f"matrix: expected {dim} rows")
+    matrix = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise OperatorFileError(f"matrix: row {i + 1} must have {dim} entries")
+        entries = []
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise OperatorFileError(
+                    f"matrix: entry ({i + 1}, {j + 1}) must be an [re, im] pair"
+                )
+            parts = []
+            for value, part in zip(entry, ("re", "im")):
+                field = f"matrix: entry ({i + 1}, {j + 1}) {part}"
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise OperatorFileError(f"{field}: expected a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise OperatorFileError(f"{field}: must be finite, got {value!r}")
+                parts.append(float(value))
+            entries.append(complex(*parts))
+        matrix.append(entries)
+    return np.array(matrix, dtype=np.complex128)
+
+
+def reference_fmt(x):
+    if x == 0.0:
+        x = 0.0
+    return f"{x:.17g}"
+
+
+def reference_render_tail(result):
+    """The per-entry scale and matrix lines render_reconstruction printed before."""
+    op = result.operator
+    lines = [f"scale\t{i + 1}\t{reference_fmt(float(s))}" for i, s in enumerate(result.scales)]
+    for i in range(op.dim):
+        for j in range(op.dim):
+            entry = op.matrix[i, j]
+            lines.append(
+                f"matrix\t{i + 1}\t{j + 1}\t{reference_fmt(entry.real)}\t{reference_fmt(entry.imag)}"
+            )
+    return lines
+
+
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.sampled_from([2**53 + 1, 3**40, -(10**300), 10**308]),
+)
+JSON_JUNK = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.floats(),
+    st.sampled_from([10**309, -(10**400), 2**1024]),
+    st.lists(JSON_NUMBERS, max_size=3),
+    st.dictionaries(st.text(max_size=1), JSON_NUMBERS, max_size=2),
+)
+
+
+@st.composite
+def matrix_fields(draw):
+    """A dim and a ``matrix`` field: well formed, then with up to two leaves,
+    entries or rows replaced by arbitrary JSON values."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    pair = st.lists(JSON_NUMBERS, min_size=2, max_size=2)
+    row = st.lists(pair, min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=dim - 1))
+        j = draw(st.integers(min_value=0, max_value=dim - 1))
+        junk = draw(JSON_JUNK)
+        where = draw(st.sampled_from(["leaf", "entry", "row"]))
+        row_ok = isinstance(rows[i], list) and len(rows[i]) == dim
+        if where == "leaf" and row_ok and isinstance(rows[i][j], list) and len(rows[i][j]) == 2:
+            rows[i][j][draw(st.integers(min_value=0, max_value=1))] = junk
+        elif where == "entry" and row_ok:
+            rows[i][j] = junk
+        else:
+            rows[i] = junk
+    return dim, rows
 
 
 @pytest.fixture
@@ -82,6 +244,50 @@ class TestLoadOperatorFile:
             load_operator_file(str(path))
         assert named_field in str(info.value)
 
+    @pytest.mark.parametrize(
+        "matrix_text, message", [case[1:] for case in MALFORMED_MATRICES],
+        ids=[case[0] for case in MALFORMED_MATRICES],
+    )
+    def test_malformed_matrix_messages(self, tmp_path, matrix_text, message):
+        path = write_matrix_text(tmp_path / "bad.json", matrix_text)
+        with pytest.raises(OperatorFileError) as info:
+            load_operator_file(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "matrix_text", [BEYOND_DIGIT_LIMIT, BEYOND_NESTING_LIMIT], ids=["digits", "nesting"]
+    )
+    def test_json_beyond_the_parser_limits_is_rejected(self, tmp_path, matrix_text):
+        path = write_matrix_text(tmp_path / "bad.json", matrix_text)
+        with pytest.raises(OperatorFileError, match="^input: cannot read JSON: "):
+            load_operator_file(path)
+
+    @given(field=matrix_fields())
+    def test_matches_the_per_entry_parse(self, tmp_path_factory, field):
+        dim, rows = field
+        path = tmp_path_factory.mktemp("prop") / "m.json"
+        path.write_text(json.dumps({"dim": dim, "kind": "general", "matrix": rows}))
+        rows = json.loads(path.read_text())["matrix"]
+        try:
+            want = reference_parse(rows, dim)
+        except OperatorFileError as err:
+            with pytest.raises(OperatorFileError) as info:
+                load_operator_file(str(path))
+            assert str(info.value) == str(err)
+        except OverflowError:
+            with pytest.raises(OperatorFileError, match="out of double range"):
+                load_operator_file(str(path))
+        else:
+            got = load_operator_file(str(path)).matrix
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_keeps_every_bit_of_special_values(self, tmp_path):
+        text = "[[[-0.0, 5e-324], [1e300, -1e-310]], [[2, -0.0], [9007199254740993, 0]]]"
+        op = load_operator_file(write_matrix_text(tmp_path / "m.json", text))
+        want = reference_parse(json.loads(text), 2)
+        assert op.matrix.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert math.copysign(1.0, op.matrix[0, 0].real) == -1.0
+
     def test_non_unitary_matrix_declared_unitary_is_rejected(self, tmp_path):
         from raysym import OperatorFileError
 
@@ -143,6 +349,38 @@ class TestReconstructCommand:
         for i, j, re, im in grab(out, "matrix"):
             parsed[int(i) - 1, int(j) - 1] = complex(float(re), float(im))
         assert np.array_equal(parsed, expected)
+
+    def test_render_matches_the_per_entry_loop(self):
+        m = np.empty((3, 3), dtype=np.complex128)
+        m.real = [[-0.0, 5e-324, 1e300], [2.0, -0.0, 1.0], [0.1, -7.0, 123456789.0]]
+        m.imag = [[0.0, -0.0, 3.0], [-1e300, -0.0, 1e-310], [0.2, 0.0, -0.0]]
+        assert np.signbit(m[1, 1].real) and np.signbit(m[1, 1].imag)
+        result = ReconstructionResult(
+            operator=SymmetryOperator(m),
+            basis=BasisImages(dim=3, columns=m, gram_defect=0.0),
+            scales=np.array([1.0, -0.0, 5e-324]),
+            kind=AutomorphismKind.IDENTITY,
+            probe_log=(),
+            max_scale_deviation=1.0,
+            classification_residual=-0.0,
+            unitary_valid=False,
+        )
+        lines = render_reconstruction(result)
+        assert lines[7:] == reference_render_tail(result)
+        assert "matrix\t1\t1\t0\t0" in lines
+        assert "scale\t2\t0" in lines
+
+    def test_render_matches_the_per_entry_loop_on_a_reconstruction(self):
+        u = random_unitary(12, seed=4) * (1.0 + np.arange(12) / 12)
+        result = reconstruct(induced_map(SymmetryOperator(u)), 12)
+        assert render_reconstruction(result)[7:] == reference_render_tail(result)
+
+    def test_out_of_range_integer_exits_64(self, capsys, tmp_path):
+        text = next(case[1] for case in MALFORMED_MATRICES if case[0] == "huge-integer")
+        path = write_matrix_text(tmp_path / "big.json", text)
+        code, out, err = run_cli(capsys, "reconstruct", path)
+        assert (code, out) == (64, "")
+        assert err == "error: matrix: entry (1, 1) re: out of double range, got an integer of 401 digits\n"
 
     def test_pipeline_error_exits_1_and_names_the_stage(self, capsys, tmp_path):
         path = write_operator_file(tmp_path / "shear.json", SHEAR, "general")
@@ -285,3 +523,31 @@ class TestByteStability:
         code_b, out_b, _ = run_cli(capsys, command, path)
         assert code_a == code_b
         assert out_a.encode() == out_b.encode()
+
+
+class TestMalformedFilesInASubprocess:
+    """``python -m raysym`` on malformed files: exit 64 and one error line, never a traceback."""
+
+    def test_every_malformed_file_exits_64_with_one_error_line(self, tmp_path):
+        cases = [case[:2] for case in MALFORMED_MATRICES] + [
+            ("beyond-digit-limit", BEYOND_DIGIT_LIMIT),
+            ("beyond-nesting-limit", BEYOND_NESTING_LIMIT),
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def run(case):
+            name, matrix_text = case
+            path = write_matrix_text(tmp_path / f"{name}.json", matrix_text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "raysym", "reconstruct", path],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            lines = proc.stderr.splitlines()
+            ok = proc.returncode == 64 and proc.stdout == "" and len(lines) == 1
+            return None if ok and lines[0].startswith("error: ") else (name, proc.returncode, proc.stderr[-300:])
+
+        # Interpreter start-up dominates each run, so a few run at once.
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            failures = [f for f in pool.map(run, cases) if f is not None]
+        assert failures == []

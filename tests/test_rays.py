@@ -15,6 +15,7 @@ from raysym import (
     random_state,
     ray_function,
 )
+from raysym.rays import sample_orthogonal_pair, sample_ray
 
 from conftest import axis_vector
 
@@ -232,6 +233,51 @@ class TestRandomState:
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
             random_state(0, seed=1)
+
+
+def reference_orthogonal_pair(dim, rng):
+    """sample_orthogonal_pair as it was, with np.linalg.norm for the degeneracy test."""
+    r = sample_ray(dim, rng)
+    while True:
+        t = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+        t = t - np.vdot(r.rep, t) * r.rep
+        if np.linalg.norm(t) > 1e-6:
+            return r, canonical_ray(t)
+
+
+class ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns the scripted arrays in order."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, dim):
+        return self.arrays.pop(0)
+
+
+class TestSampleOrthogonalPair:
+    @pytest.mark.parametrize("dim", [2, 3, 7, 64])
+    def test_same_rays_and_draws_as_the_norm_test(self, dim):
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                (r, s), (r0, s0) = sample_orthogonal_pair(dim, rng_a), reference_orthogonal_pair(dim, rng_b)
+                assert r.rep.tobytes() == r0.rep.tobytes()
+                assert s.rep.tobytes() == s0.rep.tobytes()
+                assert ray_function(r, s) <= 1e-28
+            assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_degenerate_draw_is_redrawn(self):
+        # the second draw repeats the first ray's generator, so its projection vanishes
+        rng = np.random.default_rng(5)
+        re, im, fresh_re, fresh_im = (rng.standard_normal(3) for _ in range(4))
+        script = [re, im, re, im, fresh_re, fresh_im]
+        normals = ScriptedNormals(script)
+        r, s = sample_orthogonal_pair(3, normals)
+        assert normals.arrays == []
+        r0, s0 = reference_orthogonal_pair(3, ScriptedNormals(script))
+        assert s.rep.tobytes() == s0.rep.tobytes()
+        assert r.rep.tobytes() == r0.rep.tobytes()
 
 
 class TestTolerances:

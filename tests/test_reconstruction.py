@@ -29,6 +29,7 @@ from raysym import (
     slice_coordinates,
     verify_reproduction,
 )
+import raysym.reconstruction
 from raysym.rays import sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID, ProbeRecord
 
@@ -71,6 +72,61 @@ def reported_overlap(oracle, dim, tol):
     except IncompleteImage:
         pass
     return None
+
+
+def reference_slice_coordinates(oracle, basis, z, i, tol=DEFAULT_TOLERANCES):
+    """slice_coordinates as it was: a fresh conjugate transpose per probe, a loop over axes."""
+    dim = basis.dim
+    if not 1 <= i < dim:
+        raise ValueError(f"probe index must lie in [1, {dim - 1}], got {i}")
+    z = complex(z)
+    probe = np.zeros(dim, dtype=np.complex128)
+    probe[0] = 1.0
+    probe[i] = z
+    w = oracle.image(canonical_ray(probe)).rep
+    b = basis.columns.conj().T @ w
+    if abs(b[0]) <= tol.orth_tol:
+        raise SliceDegenerate(
+            f"image of the probe on axis {i} is orthogonal to the reference axis "
+            f"(|b_1| = {abs(b[0]):.3e})"
+        )
+    for j in range(dim):
+        if j in (0, i):
+            continue
+        if abs(b[j]) > tol.orth_tol:
+            raise CrossTalk(i, j, float(abs(b[j])))
+    return complex(b[i] / b[0])
+
+
+def leaking_oracle(dim, leaks):
+    """Identity on axis rays; adds ``leaks[j]`` to component j of every mixed ray."""
+
+    def tamper(rep):
+        out = rep.copy()
+        for j, amount in leaks.items():
+            out[j] += amount
+        return canonical_ray(out)
+
+    return probe_tampering_oracle(dim, tamper)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.uint64).tobytes()
+
+
+def outcome(oracle, dim, tol=DEFAULT_TOLERANCES):
+    """Bitwise fingerprint of a reconstruction, or the type, message and fields of its error."""
+    try:
+        r = reconstruct(oracle, dim, tol, cross_check=True)
+    except CrossTalk as err:
+        return ("CrossTalk", str(err), err.stage, err.index, err.leak_index, err.magnitude)
+    except Exception as err:
+        return (type(err).__name__, str(err), getattr(err, "stage", None))
+    log = [(rec.index, rec.z, rec.coordinate) for rec in r.probe_log]
+    return (
+        bits(r.operator.matrix), r.scales.tobytes(), bits([c for _, _, c in log]),
+        [(k, z) for k, z, _ in log], r.kind, r.cross_residual,
+    )
 
 
 def ginibre(dim, seed):
@@ -215,6 +271,59 @@ class TestSliceCoordinates:
         with pytest.raises(CrossTalk) as info:
             slice_coordinates(oracle, basis, 1.0, 1)
         assert info.value.leak_index == 2
+
+    @pytest.mark.parametrize(
+        "leaks",
+        [
+            {2: 0.3, 4: 0.9, 5: 1e-3},          # several leaks: the lowest axis is named
+            {4: 2e-9, 5: 0.5},                   # just above orth_tol on a low axis
+            {2: 7e-10, 4: 3e-9},                 # a near-threshold leak below orth_tol is skipped
+            {2: 3e-10, 3: 4e-10, 5: 6e-10},      # every leak below orth_tol: no CrossTalk
+        ],
+    )
+    def test_cross_talk_matches_the_axis_loop(self, leaks):
+        oracle = leaking_oracle(6, leaks)
+        basis = map_basis(oracle, 6)
+        for i in range(1, 6):
+            try:
+                want = reference_slice_coordinates(oracle, basis, 0.4 - 0.3j, i)
+            except CrossTalk as err:
+                with pytest.raises(CrossTalk) as info:
+                    slice_coordinates(oracle, basis, 0.4 - 0.3j, i)
+                assert str(info.value) == str(err)
+                assert (info.value.index, info.value.leak_index) == (err.index, err.leak_index)
+                assert info.value.magnitude == err.magnitude
+            else:
+                assert slice_coordinates(oracle, basis, 0.4 - 0.3j, i) == want
+
+    def test_reported_magnitude_is_the_scalar_abs_of_the_axis_loop(self):
+        # the array abs differs from the scalar abs in the last bit for about a
+        # third of random complex values; the reported magnitude must not
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            axes = rng.choice(np.arange(2, 8), size=3, replace=False)
+            leaks = {int(j): complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-6, -1) for j in axes}
+            oracle = leaking_oracle(8, leaks)
+            basis = map_basis(oracle, 8)
+            with pytest.raises(CrossTalk) as want:
+                reference_slice_coordinates(oracle, basis, 0.8 + 0.1j, 1)
+            with pytest.raises(CrossTalk) as got:
+                slice_coordinates(oracle, basis, 0.8 + 0.1j, 1)
+            assert got.value.leak_index == want.value.leak_index == min(leaks)
+            assert got.value.magnitude == want.value.magnitude
+
+    def test_lowest_leaking_axis_is_named(self):
+        oracle = leaking_oracle(6, {2: 0.3, 4: 0.9, 5: 1e-3})
+        with pytest.raises(CrossTalk) as info:
+            reconstruct(oracle, 6)
+        assert (info.value.stage, info.value.index, info.value.leak_index) == ("fix_phases", 1, 2)
+
+    def test_adjoint_is_the_read_only_conjugate_transpose(self):
+        basis = map_basis(induced_map(SymmetryOperator(random_unitary(5, seed=3))), 5)
+        assert np.array_equal(basis.adjoint, basis.columns.conj().T)
+        assert not basis.adjoint.flags.writeable
+        with pytest.raises(ValueError):
+            basis.adjoint[0, 0] = 0.0
 
 
 class TestFixPhases:
@@ -420,6 +529,28 @@ class TestReconstruct:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError, match="reconstruction requires dimension at least 2"):
             reconstruct(identity_oracle(2), 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 33, 64])
+    def test_bitwise_equal_to_the_per_probe_conjugate_reference(self, monkeypatch, dim):
+        u = random_unitary(dim, seed=dim)
+        noise = ginibre(dim, dim)
+        oracles = [
+            induced_map(SymmetryOperator(u)),
+            induced_map(SymmetryOperator(u, antiunitary=True)),
+            general_induced_map(u * (1.0 + np.arange(dim) / dim)),
+            general_induced_map(u + 1e-9 * noise),
+            general_induced_map(noise),
+            leaking_oracle(dim, {dim - 1: 1e-3}) if dim >= 3 else identity_oracle(2),
+            # deterministic noise of size 1e-10, a function of the input ray
+            RayMapOracle(dim, dim, lambda r: canonical_ray(u @ r.rep + 1e-10 * np.sin(7e3 * r.rep.real)),
+                         label="noisy"),
+        ]
+        for k, oracle in enumerate(oracles):
+            got = outcome(oracle, dim)
+            with monkeypatch.context() as m:
+                m.setattr(raysym.reconstruction, "slice_coordinates", reference_slice_coordinates)
+                want = outcome(oracle, dim)
+            assert got == want, f"oracle {k}"
 
     def test_reconstructed_operator_preserves_transition_probabilities(self):
         op = SymmetryOperator(random_unitary(4, seed=83), antiunitary=True)
