@@ -286,6 +286,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     if args.trials < 1:
         raise UsageError("--trials: must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed: must be at least 0")
     report = run_full_conformance(
         op, seed=args.seed, tol=tol, invariance_trials=args.trials
     )

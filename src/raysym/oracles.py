@@ -21,10 +21,12 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
+    _vdots,
     canonical_ray,
-    ray_function,
-    sample_orthogonal_pair,
-    sample_ray,
+    canonical_rays,
+    ray_functions,
+    sample_state,
+    sample_state_blocks,
 )
 
 #: Condition number above which a matrix does not induce an invertible ray map.
@@ -148,6 +150,15 @@ def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> Ra
     return _matrix_oracle(m, conjugate_first, label=f"general[dim={m.shape[0]}]")
 
 
+def _orthogonal_state(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fresh random state projected off the unit vector r; degenerate draws are redrawn."""
+    while True:
+        t = sample_state(r.shape[0], rng)
+        t = t - np.vdot(r, t) * r
+        if np.vdot(t, t).real > 1e-12:
+            return t
+
+
 def check_orthogonality_preservation(
     oracle: RayMapOracle,
     trials: int,
@@ -156,29 +167,45 @@ def check_orthogonality_preservation(
 ) -> PreservationReport:
     """Sample evidence that the oracle preserves orthogonality and u-values.
 
-    Each trial draws one random orthogonal ray pair and records the transition
-    probability of the images, and one generic random pair and records how far
-    the image u-value drifts from the source u-value.  Both worst cases must
-    stay below tol.orth_tol for the report to pass.
+    Each trial draws one random orthogonal ray pair (r, s) and records the
+    transition probability of the images, and one generic random pair (a, b)
+    and records how far the image u-value drifts from the source u-value.
+    Both worst cases must stay below tol.orth_tol for the report to pass.
+    Requires dim_in >= 2.
+
+    Trials run in blocks of SAMPLE_BLOCK.  A block draws the generators of
+    r, t, a and b of each of its trials, in that order, with one normal draw
+    (``sample_state_blocks``).  s is t projected off r; when the projection
+    has |t|^2 <= 1e-12 a fresh t is drawn from the generator, after the
+    block's draw.  Each source ray is one ``oracle.image`` call, in trial
+    order and r, s, a, b within a trial, and the block is scored with
+    ``ray_functions``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
     dim = oracle.dim_in
+    if dim < 2:
+        raise ValueError("orthogonal pairs need dimension at least 2")
+    rng = np.random.default_rng(seed)
     max_orth = 0.0
     max_u = 0.0
-    for _ in range(trials):
-        r, s = sample_orthogonal_pair(dim, rng)
-        max_orth = max(max_orth, ray_function(oracle.image(r), oracle.image(s)))
-        a = sample_ray(dim, rng)
-        b = sample_ray(dim, rng)
-        drift = abs(ray_function(oracle.image(a), oracle.image(b)) - ray_function(a, b))
-        max_u = max(max_u, drift)
+    for v in sample_state_blocks(trials, 4, dim, rng):
+        r = canonical_rays(v[:, 0])
+        t = v[:, 1] - _vdots(r, v[:, 1])[:, None] * r
+        for j in np.flatnonzero(_vdots(t, t).real <= 1e-12):
+            t[j] = _orthogonal_state(r[j], rng)
+        sources = (r, canonical_rays(t), canonical_rays(v[:, 2]), canonical_rays(v[:, 3]))
+        images = np.array(
+            [[oracle.image(Ray._from_canonical(x[j])).rep for x in sources] for j in range(len(v))]
+        )
+        max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
+        drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(*sources[2:]))
+        max_u = max(max_u, float(drift.max()))
     passed = max_orth <= tol.orth_tol and max_u <= tol.orth_tol
     return PreservationReport(
         trials=trials,
-        max_u_violation=float(max_u),
-        max_orth_violation=float(max_orth),
+        max_u_violation=max_u,
+        max_orth_violation=max_orth,
         passed=bool(passed),
     )
 

@@ -6,7 +6,10 @@ component of significant modulus is real and positive.  ``Ray(v)`` and its
 alias ``canonical_ray(v)`` canonicalize any nonzero finite vector this way,
 at any scale, so every Ray is canonical by construction.  With that
 convention two vectors generate the same ray exactly when their canonical
-representatives agree componentwise.
+representatives agree componentwise.  ``canonical_rays`` applies the same
+recipe to every row of a (k, n) stack and ``ray_functions`` scores stacks
+row by row; the sampled checks use them to handle a block of trials per
+array operation.
 
 The transition probability between two rays r, s with generators e, f is
 
@@ -30,6 +33,10 @@ ZERO_NORM_TOL = 1e-12
 
 #: Modulus threshold for picking the phase-pivot component of a unit vector.
 PIVOT_TOL = 1e-9
+
+#: Trials per block of the sampled checks.  Bounds their working memory
+#: whatever the trial count.
+SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,13 @@ class Ray:
         rep.flags.writeable = False
         self._rep = rep
 
+    @classmethod
+    def _from_canonical(cls, rep: np.ndarray) -> "Ray":
+        """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
+        ray = cls.__new__(cls)
+        ray._rep = rep
+        return ray
+
     @property
     def rep(self) -> np.ndarray:
         """The canonical representative (read-only array)."""
@@ -120,6 +134,60 @@ def canonical_ray(v: np.ndarray) -> Ray:
     return Ray(v)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.dot`` of two (k, n) stacks.
+
+    The stacked matmul makes one BLAS dot per row, the call ``np.dot`` and
+    ``np.vdot`` make, so each entry is theirs on the two rows.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.vdot`` of two (k, n) stacks."""
+    return _dots(a.conj(), b)
+
+
+def canonical_rays(v: np.ndarray) -> np.ndarray:
+    """Canonical representatives of the rays generated by the rows of a (k, n) stack.
+
+    Row j of the read-only result is ``Ray(v[j]).rep``: the same power-of-two
+    prescale, norm (two real dots per row), pivot, phase rotation and pivot
+    modulus, one array operation per step for the whole stack.  Raises
+    ValueError for a stack that is not 2-d with nonempty finite rows, and
+    ZeroVector, naming the first such row's norm, when a row has
+    ||v[j]|| <= ZERO_NORM_TOL.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError("expected a 2-d stack of nonempty vectors")
+    parts = np.ascontiguousarray(v).view(np.float64)
+    top = np.abs(parts).max(axis=1)
+    if not np.isfinite(top).all():
+        raise ValueError("vector components must be finite")
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
+    w = (parts * scale[:, None]).view(np.complex128)
+    norm = np.sqrt(_dots(w.real, w.real) + _dots(w.imag, w.imag))  # as np.linalg.norm
+    zero = norm <= ZERO_NORM_TOL * scale
+    if zero.any():
+        j = int(zero.argmax())
+        raise ZeroVector(f"cannot canonicalize a vector of norm {norm[j] / scale[j]!r}")
+    rep = w / norm[:, None]
+    rows = np.arange(rep.shape[0])
+    pivot = (np.abs(rep) > PIVOT_TOL).argmax(axis=1)
+    entry = rep[rows, pivot]
+    # Each step mirrors Ray so that rows agree bit for bit: np.hypot is the
+    # modulus Ray's scalar abs() computes (np.abs of a complex array may
+    # differ in the last bit), and the product is out of place as in Ray (an
+    # in-place product of a 1 x 1 stack takes another numpy loop, which can
+    # round differently).
+    rep = rep * (entry.conj() / np.hypot(entry.real, entry.imag))[:, None]
+    entry = rep[rows, pivot]
+    rep[rows, pivot] = np.hypot(entry.real, entry.imag)
+    rep.flags.writeable = False
+    return rep
+
+
 def ray_function(r: Ray, s: Ray) -> float:
     """Transition probability u(r, s) between two rays.
 
@@ -133,6 +201,20 @@ def ray_function(r: Ray, s: Ray) -> float:
     num = float(ip.real) * float(ip.real) + float(ip.imag) * float(ip.imag)
     den = float(np.vdot(r.rep, r.rep).real) * float(np.vdot(s.rep, s.rep).real)
     return min(max(num / den, 0.0), 1.0)
+
+
+def ray_functions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise transition probabilities u(a[j], b[j]) of two (k, n) stacks.
+
+    Each entry is ``ray_function`` of the rays with generators a[j] and b[j],
+    clipped into [0, 1] the same way.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"rays have dimensions {a.shape[1]} and {b.shape[1]}")
+    ip = _vdots(a, b)
+    num = ip.real * ip.real + ip.imag * ip.imag
+    den = _vdots(a, a).real * _vdots(b, b).real
+    return np.clip(num / den, 0.0, 1.0)
 
 
 def is_orthogonal(r: Ray, s: Ray, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -161,18 +243,15 @@ def sample_ray(dim: int, rng: np.random.Generator) -> Ray:
     return canonical_ray(sample_state(dim, rng))
 
 
-def sample_orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[Ray, Ray]:
-    """A random ray and a random ray of its orthogonal complement.
+def sample_state_blocks(trials: int, per_trial: int, dim: int, rng: np.random.Generator):
+    """Yield the ``sample_state`` draws of ``trials`` trials, SAMPLE_BLOCK trials at a time.
 
-    The second ray is obtained by Gram-Schmidt projection of a fresh random
-    vector against the first; degenerate draws are rejected.  Requires
-    dim >= 2.
+    Each block is a (k, per_trial, dim) stack from one
+    ``rng.standard_normal((k, 2 * per_trial, dim))`` call: the normals that k
+    trials of ``per_trial`` consecutive ``sample_state`` calls draw, in the
+    same order, so entry [j, m] equals the m-th state of trial j.  A block is
+    drawn only when the previous one has been consumed.
     """
-    if dim < 2:
-        raise ValueError("orthogonal pairs need dimension at least 2")
-    r = sample_ray(dim, rng)
-    while True:
-        t = sample_state(dim, rng)
-        t = t - np.vdot(r.rep, t) * r.rep
-        if np.vdot(t, t).real > 1e-12:
-            return r, canonical_ray(t)
+    for start in range(0, trials, SAMPLE_BLOCK):
+        z = rng.standard_normal((min(SAMPLE_BLOCK, trials - start), 2 * per_trial, dim))
+        yield (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)

@@ -46,7 +46,8 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator
-from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_ray, ray_function, sample_ray
+from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_ray
+from .rays import canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -420,6 +421,11 @@ def verify_reproduction(
 
     Zero means the operator reproduces the ray map exactly; values at
     rounding level certify reproduction up to the global phase.
+
+    Trials run in blocks of SAMPLE_BLOCK: one normal draw gives the block's
+    source rays (``sample_state_blocks``), the operator maps the whole stack
+    (one matrix-vector product per row, as ``apply_symmetry``), and each
+    source is one ``oracle.image`` call, in trial order.
     """
     if op.dim != oracle.dim_in:
         raise DimensionMismatch(
@@ -429,10 +435,12 @@ def verify_reproduction(
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        s = sample_ray(op.dim, rng)
-        mapped = canonical_ray(apply_symmetry(op, s.rep))
-        worst = max(worst, 1.0 - ray_function(mapped, oracle.image(s)))
+    for v in sample_state_blocks(trials, 1, op.dim, rng):
+        sources = canonical_rays(v[:, 0])
+        x = np.conj(sources) if op.antiunitary else sources
+        mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
+        images = np.array([oracle.image(Ray._from_canonical(s)).rep for s in sources])
+        worst = max(worst, float((1.0 - ray_functions(mapped, images)).max()))
     return worst
 
 

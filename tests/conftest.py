@@ -1,7 +1,13 @@
 import json
+import os
 
-import numpy as np
-from hypothesis import settings
+# One BLAS thread, set before numpy loads BLAS: the suite's matrix-vector
+# products are small, and spare threads only contend with other processes.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")

@@ -456,6 +456,16 @@ class TestConformanceCommand:
         assert code == 64
         assert "--trials" in err
 
+    def test_negative_seed_exits_64(self, capsys, identity_file):
+        code, out, err = run_cli(capsys, "conformance", identity_file, "--seed", "-1")
+        assert (code, out) == (64, "")
+        assert err == "error: --seed: must be at least 0\n"
+
+    def test_seed_zero_is_accepted(self, capsys, identity_file):
+        code, out, _ = run_cli(capsys, "conformance", identity_file, "--seed", "0")
+        assert code == 0
+        assert grab(out, "seed") == [["0"]]
+
 
 class TestProbeCommand:
     def test_conjugation_rows(self, capsys, anti_identity_file):
@@ -526,21 +536,26 @@ class TestByteStability:
 
 
 class TestMalformedFilesInASubprocess:
-    """``python -m raysym`` on malformed files: exit 64 and one error line, never a traceback."""
+    """``python -m raysym`` on malformed files and flags: exit 64 and one error line, never a traceback."""
 
     def test_every_malformed_file_exits_64_with_one_error_line(self, tmp_path):
-        cases = [case[:2] for case in MALFORMED_MATRICES] + [
+        texts = [case[:2] for case in MALFORMED_MATRICES] + [
             ("beyond-digit-limit", BEYOND_DIGIT_LIMIT),
             ("beyond-nesting-limit", BEYOND_NESTING_LIMIT),
         ]
+        cases = [
+            (name, ["reconstruct", write_matrix_text(tmp_path / f"{name}.json", text)])
+            for name, text in texts
+        ]
+        identity = write_operator_file(tmp_path / "identity.json", np.eye(2), "unitary")
+        cases.append(("negative-seed", ["conformance", identity, "--seed", "-1"]))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
         def run(case):
-            name, matrix_text = case
-            path = write_matrix_text(tmp_path / f"{name}.json", matrix_text)
+            name, argv = case
             proc = subprocess.run(
-                [sys.executable, "-m", "raysym", "reconstruct", path],
+                [sys.executable, "-m", "raysym", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             lines = proc.stderr.splitlines()

@@ -15,7 +15,14 @@ from raysym import (
     random_state,
     ray_function,
 )
-from raysym.rays import sample_orthogonal_pair, sample_ray
+from raysym.rays import (
+    PIVOT_TOL,
+    SAMPLE_BLOCK,
+    canonical_rays,
+    ray_functions,
+    sample_state,
+    sample_state_blocks,
+)
 
 from conftest import axis_vector
 
@@ -235,49 +242,161 @@ class TestRandomState:
             random_state(0, seed=1)
 
 
-def reference_orthogonal_pair(dim, rng):
-    """sample_orthogonal_pair as it was, with np.linalg.norm for the degeneracy test."""
-    r = sample_ray(dim, rng)
-    while True:
-        t = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
-        t = t - np.vdot(r.rep, t) * r.rep
-        if np.linalg.norm(t) > 1e-6:
-            return r, canonical_ray(t)
+def pivot(rep):
+    return int((np.abs(rep) > PIVOT_TOL).argmax())
 
 
-class ScriptedNormals:
-    """Stands in for a Generator: standard_normal returns the scripted arrays in order."""
+def stack_outcome(rows):
+    """Ray of each row, or the type and text of the first row Ray rejects."""
+    reps = []
+    for row in rows:
+        try:
+            reps.append(Ray(row).rep)
+        except (ValueError, ZeroVector) as err:
+            return type(err), str(err)
+    return np.array(reps), None
 
-    def __init__(self, arrays):
-        self.arrays = list(arrays)
 
-    def standard_normal(self, dim):
-        return self.arrays.pop(0)
+@st.composite
+def scaled_stacks(draw):
+    """(k, n) stacks, n in 1..64, at scales 1e-11..1e300, with zero and near-PIVOT_TOL parts.
+
+    The leading ``lead`` parts of a row have modulus within 1e-6 of PIVOT_TOL
+    after normalization, so the pivot lands on either side of the threshold;
+    a share of the remaining parts is zero, and a row with nothing else is a
+    zero row.
+    """
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        row[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+        lead = draw(st.integers(0, n))
+        phases = rng.choice([1.0, -1.0, 1j, -1j, np.exp(0.3j), 0.0], lead)
+        near = PIVOT_TOL * rng.uniform(1.0 - 1e-6, 1.0 + 1e-6, lead) * phases
+        row[:lead] = near * np.linalg.norm(row[lead:])
+        rows.append(row * 10.0 ** draw(st.floats(-11.0, 300.0)))
+    return np.array(rows)
 
 
-class TestSampleOrthogonalPair:
-    @pytest.mark.parametrize("dim", [2, 3, 7, 64])
-    def test_same_rays_and_draws_as_the_norm_test(self, dim):
-        for seed in range(20):
-            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(5):
-                (r, s), (r0, s0) = sample_orthogonal_pair(dim, rng_a), reference_orthogonal_pair(dim, rng_b)
-                assert r.rep.tobytes() == r0.rep.tobytes()
-                assert s.rep.tobytes() == s0.rep.tobytes()
-                assert ray_function(r, s) <= 1e-28
-            assert rng_a.standard_normal() == rng_b.standard_normal()
+class TestCanonicalRays:
+    @given(scaled_stacks())
+    def test_each_row_is_the_ray_of_that_row(self, v):
+        expected, error = stack_outcome(v)
+        if error is not None:
+            with pytest.raises(expected) as info:
+                canonical_rays(v)
+            assert type(info.value) is expected
+            assert str(info.value) == error
+            return
+        got = canonical_rays(v)
+        assert got.shape == v.shape
+        for row, ref in zip(got, expected):
+            assert pivot(row) == pivot(ref)
+            assert row[pivot(row)].imag == 0.0 and row[pivot(row)].real > 0.0
+            assert row.tobytes() == ref.tobytes()
 
-    def test_degenerate_draw_is_redrawn(self):
-        # the second draw repeats the first ray's generator, so its projection vanishes
-        rng = np.random.default_rng(5)
-        re, im, fresh_re, fresh_im = (rng.standard_normal(3) for _ in range(4))
-        script = [re, im, re, im, fresh_re, fresh_im]
-        normals = ScriptedNormals(script)
-        r, s = sample_orthogonal_pair(3, normals)
-        assert normals.arrays == []
-        r0, s0 = reference_orthogonal_pair(3, ScriptedNormals(script))
-        assert s.rep.tobytes() == s0.rep.tobytes()
-        assert r.rep.tobytes() == r0.rep.tobytes()
+    def test_random_rows_at_every_block_size(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 8, 64):
+            for k in (1, 5, SAMPLE_BLOCK):
+                v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+                got = canonical_rays(v)
+                for row, x in zip(got, v):
+                    assert row.tobytes() == Ray(x).rep.tobytes()
+
+    def test_result_is_read_only(self):
+        got = canonical_rays(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            got[0, 0] = 2.0
+
+    def test_input_is_not_modified(self):
+        v = random_state(4, seed=2)[None, :] * 3.0
+        before = v.copy()
+        canonical_rays(v)
+        assert np.array_equal(v, before)
+
+    def test_empty_stack(self):
+        assert canonical_rays(np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError):
+            canonical_rays(np.ones(shape, dtype=complex))
+
+    def test_nonfinite_row_rejected(self):
+        v = np.ones((3, 2), dtype=complex)
+        v[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            canonical_rays(v)
+
+    def test_first_zero_row_is_named(self):
+        v = np.ones((3, 2), dtype=complex)
+        v[1] = 1e-14
+        v[2] = 0.0
+        with pytest.raises(ZeroVector) as info:
+            canonical_rays(v)
+        with pytest.raises(ZeroVector) as ref:
+            Ray(v[1])
+        assert str(info.value) == str(ref.value)
+
+    def test_extreme_scales_raise_no_warning(self):
+        v = np.array([[1.7e308 + 1.7e308j, -1e308, 0.0], [5e-324, 0.0, 1e-300j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVector):
+                canonical_rays(v)
+            got = canonical_rays(v[:1])
+        assert got[0].tobytes() == Ray(v[0]).rep.tobytes()
+
+    def test_wrapped_row_is_a_ray(self):
+        v = random_state(5, seed=8)
+        row = canonical_rays(v[None, :])[0]
+        ray = Ray._from_canonical(row)
+        assert ray.rep is row
+        assert ray.dim == 5
+        assert ray.almost_equals(Ray(v), tol=1e-15)
+
+
+class TestRayFunctions:
+    def test_each_entry_is_the_ray_function_of_its_rows(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 64):
+            a = canonical_rays(rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)))
+            b = canonical_rays(rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)))
+            b = np.concatenate([b[:30], a[30:]])  # equal rows: u = 1 up to clipping
+            got = ray_functions(a, b)
+            ref = [ray_function(Ray._from_canonical(x), Ray._from_canonical(y)) for x, y in zip(a, b)]
+            assert got.tolist() == ref
+            assert ((0.0 <= got) & (got <= 1.0)).all()
+
+    def test_orthogonal_rows_score_zero(self):
+        a = canonical_rays(np.eye(3, dtype=complex))
+        assert np.array_equal(ray_functions(a, a[[1, 2, 0]]), np.zeros(3))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            ray_functions(np.ones((2, 2), dtype=complex), np.ones((2, 3), dtype=complex))
+
+
+class TestSampleStateBlocks:
+    def test_blocks_hold_the_per_trial_draws_in_order(self):
+        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+        blocks = list(sample_state_blocks(70, 4, 3, rng_a))
+        assert [b.shape for b in blocks] == [(32, 4, 3), (32, 4, 3), (6, 4, 3)]
+        states = np.concatenate(blocks).reshape(-1, 3)
+        for state in states:
+            assert np.array_equal(state, sample_state(3, rng_b))
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_each_block_is_drawn_when_asked_for(self):
+        rng = np.random.default_rng(0)
+        blocks = sample_state_blocks(40, 1, 2, rng)
+        next(blocks)
+        after_first = np.random.default_rng(0)
+        after_first.standard_normal((32, 2, 2))
+        assert rng.standard_normal() == after_first.standard_normal()
 
 
 class TestTolerances:
