@@ -13,8 +13,6 @@ executable form.
 from .conformance import (
     AUTOMORPHISM_LAW_TOL,
     CHECK_NAMES,
-    CheckResult,
-    ConformanceReport,
     check_ray_function_invariance,
     check_round_trip,
     run_full_conformance,
@@ -33,7 +31,8 @@ from .errors import (
     ZeroVector,
 )
 from .oracles import (
-    PreservationReport,
+    CheckResult,
+    ConformanceReport,
     RayMapOracle,
     SymmetryOperator,
     check_orthogonality_preservation,
@@ -46,8 +45,6 @@ from .rays import (
     Ray,
     Tolerances,
     canonical_ray,
-    is_orthogonal,
-    random_state,
     ray_function,
 )
 from .reconstruction import (
@@ -86,7 +83,6 @@ __all__ = [
     "IncompleteImage",
     "NotWignerLike",
     "OperatorFileError",
-    "PreservationReport",
     "ProbeRecord",
     "ProbeResult",
     "Ray",
@@ -108,10 +104,8 @@ __all__ = [
     "gauge_residual",
     "general_induced_map",
     "induced_map",
-    "is_orthogonal",
     "map_basis",
     "probe_automorphism",
-    "random_state",
     "random_unitary",
     "ray_function",
     "reconstruct",

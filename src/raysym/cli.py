@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformance import ConformanceReport, run_full_conformance
+from .conformance import run_full_conformance
 from .errors import OperatorFileError, RaySymError
-from .oracles import SymmetryOperator, induced_map
-from .rays import Tolerances
+from .oracles import ConformanceReport, SymmetryOperator, induced_map
+from .rays import DEFAULT_TOLERANCES, Tolerances
 from .reconstruction import (
     DEFAULT_PROBE_GRID,
     AutomorphismKind,
@@ -250,7 +250,7 @@ def render_conformance(report: ConformanceReport) -> list[str]:
         )
     if report.error is not None:
         lines.append(f"error\t{report.error}")
-    lines.append(f"overall\t{'pass' if report.overall else 'fail'}")
+    lines.append(f"overall\t{'pass' if report.passed else 'fail'}")
     return lines
 
 
@@ -292,7 +292,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         op, seed=args.seed, tol=tol, invariance_trials=args.trials
     )
     _emit(render_conformance(report))
-    return 0 if report.overall else 1
+    return 0 if report.passed else 1
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
@@ -318,12 +318,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol-orth", type=float, default=1e-9, metavar="X",
-        help="orthogonality tolerance on transition probabilities (default 1e-9)",
+        "--tol-orth", type=float, default=DEFAULT_TOLERANCES.orth_tol, metavar="X",
+        help="orthogonality tolerance on transition probabilities (default %(default)g)",
     )
     parser.add_argument(
-        "--tol-recon", type=float, default=1e-8, metavar="X",
-        help="reconstruction residual and basis Gram-defect tolerance (default 1e-8)",
+        "--tol-recon", type=float, default=DEFAULT_TOLERANCES.recon_tol, metavar="X",
+        help="reconstruction residual and basis Gram-defect tolerance (default %(default)g)",
     )
 
 

@@ -15,10 +15,10 @@ bad arguments) still propagate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ImagesNotOrthogonal, RaySymError
 from .oracles import (
+    CheckResult,
+    ConformanceReport,
     RayMapOracle,
     SymmetryOperator,
     check_orthogonality_preservation,
@@ -50,60 +50,6 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one named check; trials is 0 for deterministic checks."""
-
-    name: str
-    passed: bool
-    worst_residual: float
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class ConformanceReport:
-    """All check outcomes for one operator, in the declared order."""
-
-    dim: int
-    seed: int
-    entries: tuple[CheckResult, ...]
-    error: str | None = None
-
-    @property
-    def overall(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    def entry(self, name: str) -> CheckResult:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
-def _hypothesis_entries(
-    oracle: RayMapOracle, trials: int, seed: int, tol: Tolerances
-) -> tuple[CheckResult, CheckResult]:
-    """The orthogonality-preservation and ray-function-invariance entries of one sample."""
-    pres = check_orthogonality_preservation(oracle, trials, seed, tol)
-    return (
-        CheckResult(
-            name="orthogonality-preservation",
-            passed=pres.max_orth_violation <= tol.orth_tol,
-            worst_residual=pres.max_orth_violation,
-            trials=trials,
-            seed=seed,
-        ),
-        CheckResult(
-            name="ray-function-invariance",
-            passed=pres.max_u_violation <= tol.orth_tol,
-            worst_residual=pres.max_u_violation,
-            trials=trials,
-            seed=seed,
-        ),
-    )
-
-
 def check_ray_function_invariance(
     oracle: RayMapOracle,
     trials: int,
@@ -115,7 +61,8 @@ def check_ray_function_invariance(
     This is the u-drift half of check_orthogonality_preservation with the
     same arguments, so one sample serves both hypothesis checks.
     """
-    return _hypothesis_entries(oracle, trials, seed, tol)[1]
+    report = check_orthogonality_preservation(oracle, trials, seed, tol)
+    return report.entry("ray-function-invariance")
 
 
 def check_round_trip(
@@ -163,7 +110,7 @@ def run_full_conformance(
     if dim < 2:
         raise ValueError(f"conformance requires dimension at least 2, got {dim}")
     oracle = induced_map(true_op)
-    entries = list(_hypothesis_entries(oracle, invariance_trials, seed, tol))
+    entries = list(check_orthogonality_preservation(oracle, invariance_trials, seed, tol).entries)
 
     error: str | None = None
     recon: ReconstructionResult | None = None

@@ -7,6 +7,10 @@ matrices: a symmetry operator acts as x -> U x (linear) or x -> U conj(x)
 (antilinear), and a general invertible matrix induces a ray map with no
 preservation guarantees, used to exercise the hypothesis-violation
 diagnostics.
+
+The package's one result type for a check, a :class:`ConformanceReport` of
+:class:`CheckResult` entries, lives here: the sampled hypothesis check and
+the conformance suite both return it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .rays import (
 
 #: Condition number above which a matrix does not induce an invertible ray map.
 MAX_CONDITION = 1e12
+
+#: Squared norm at or below which a projected draw is degenerate and is redrawn.
+DEGENERATE_DRAW = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,46 +115,62 @@ class RayMapOracle:
 
 
 @dataclass(frozen=True)
-class PreservationReport:
-    """Sampled evidence for the orthogonality and transition-probability hypotheses."""
+class CheckResult:
+    """Outcome of one named check; trials is 0 for deterministic checks."""
 
-    trials: int
-    max_u_violation: float
-    max_orth_violation: float
+    name: str
     passed: bool
+    worst_residual: float
+    trials: int
+    seed: int
 
 
-def _matrix_oracle(matrix: np.ndarray, conjugate_first: bool, label: str) -> RayMapOracle:
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    cond = np.linalg.cond(matrix)
+@dataclass(frozen=True)
+class ConformanceReport:
+    """Check outcomes for one operator or oracle, in the declared order."""
+
+    dim: int
+    seed: int
+    entries: tuple[CheckResult, ...]
+    error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(entry.passed for entry in self.entries)
+
+    def entry(self, name: str) -> CheckResult:
+        for e in self.entries:
+            if e.name == name:
+                return e
+        raise KeyError(name)
+
+
+def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
+    m = op.matrix
+    cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond >= MAX_CONDITION:
         raise SingularMatrix(f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    m = np.array(matrix, dtype=np.complex128)
-    m.flags.writeable = False
 
-    if conjugate_first:
+    if op.antiunitary:
         def image_fn(ray: Ray) -> Ray:
             return canonical_ray(m @ np.conj(ray.rep))
     else:
         def image_fn(ray: Ray) -> Ray:
             return canonical_ray(m @ ray.rep)
 
-    return RayMapOracle(m.shape[0], m.shape[0], image_fn, label=label)
+    return RayMapOracle(op.dim, op.dim, image_fn, label=label)
 
 
 def induced_map(op: SymmetryOperator) -> RayMapOracle:
     """Ray map induced by a symmetry operator: ray(x) -> ray(U x) or ray(U conj(x))."""
     kind = "antilinear" if op.antiunitary else "linear"
-    return _matrix_oracle(op.matrix, op.antiunitary, label=f"{kind}[dim={op.dim}]")
+    return _matrix_oracle(op, label=f"{kind}[dim={op.dim}]")
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:
     """Ray map induced by an arbitrary invertible matrix; no preservation guarantees."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return _matrix_oracle(m, conjugate_first, label=f"general[dim={m.shape[0]}]")
+    op = SymmetryOperator(matrix, antiunitary=conjugate_first)
+    return _matrix_oracle(op, label=f"general[dim={op.dim}]")
 
 
 def _orthogonal_state(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -155,7 +178,7 @@ def _orthogonal_state(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     while True:
         t = sample_state(r.shape[0], rng)
         t = t - np.vdot(r, t) * r
-        if np.vdot(t, t).real > 1e-12:
+        if np.vdot(t, t).real > DEGENERATE_DRAW:
             return t
 
 
@@ -164,21 +187,22 @@ def check_orthogonality_preservation(
     trials: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> PreservationReport:
+) -> ConformanceReport:
     """Sample evidence that the oracle preserves orthogonality and u-values.
 
     Each trial draws one random orthogonal ray pair (r, s) and records the
     transition probability of the images, and one generic random pair (a, b)
     and records how far the image u-value drifts from the source u-value.
-    Both worst cases must stay below tol.orth_tol for the report to pass.
-    Requires dim_in >= 2.
+    The report holds two entries, ``orthogonality-preservation`` and
+    ``ray-function-invariance``, with those worst cases as residuals; each
+    passes when its residual is at most tol.orth_tol.  Requires dim_in >= 2.
 
     Trials run in blocks of SAMPLE_BLOCK.  A block draws the generators of
     r, t, a and b of each of its trials, in that order, with one normal draw
     (``sample_state_blocks``).  s is t projected off r; when the projection
-    has |t|^2 <= 1e-12 a fresh t is drawn from the generator, after the
-    block's draw.  Each source ray is one ``oracle.image`` call, in trial
-    order and r, s, a, b within a trial, and the block is scored with
+    has |t|^2 <= DEGENERATE_DRAW a fresh t is drawn from the generator,
+    after the block's draw.  Each source ray is one ``oracle.image`` call, in
+    trial order and r, s, a, b within a trial, and the block is scored with
     ``ray_functions``.
     """
     if trials < 1:
@@ -192,7 +216,7 @@ def check_orthogonality_preservation(
     for v in sample_state_blocks(trials, 4, dim, rng):
         r = canonical_rays(v[:, 0])
         t = v[:, 1] - _vdots(r, v[:, 1])[:, None] * r
-        for j in np.flatnonzero(_vdots(t, t).real <= 1e-12):
+        for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
             t[j] = _orthogonal_state(r[j], rng)
         sources = (r, canonical_rays(t), canonical_rays(v[:, 2]), canonical_rays(v[:, 3]))
         images = np.array(
@@ -201,13 +225,9 @@ def check_orthogonality_preservation(
         max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
         drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(*sources[2:]))
         max_u = max(max_u, float(drift.max()))
-    passed = max_orth <= tol.orth_tol and max_u <= tol.orth_tol
-    return PreservationReport(
-        trials=trials,
-        max_u_violation=max_u,
-        max_orth_violation=max_orth,
-        passed=bool(passed),
-    )
+    worst = (("orthogonality-preservation", max_orth), ("ray-function-invariance", max_u))
+    entries = tuple(CheckResult(name, x <= tol.orth_tol, x, trials, seed) for name, x in worst)
+    return ConformanceReport(dim=dim, seed=seed, entries=entries)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

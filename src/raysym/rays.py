@@ -4,12 +4,14 @@ A ray is a one-dimensional subspace of C^n, stored here as a canonical unit
 representative: the vector is normalized and rotated so that its first
 component of significant modulus is real and positive.  ``Ray(v)`` and its
 alias ``canonical_ray(v)`` canonicalize any nonzero finite vector this way,
-at any scale, so every Ray is canonical by construction.  With that
-convention two vectors generate the same ray exactly when their canonical
-representatives agree componentwise.  ``canonical_rays`` applies the same
-recipe to every row of a (k, n) stack and ``ray_functions`` scores stacks
-row by row; the sampled checks use them to handle a block of trials per
-array operation.
+at any scale, subnormal components included, so every Ray is canonical by
+construction; only a vector whose components are all exactly zero raises
+ZeroVector.  With that convention two vectors generate the same ray exactly
+when their canonical representatives agree componentwise.
+``canonical_rays`` applies the same recipe to every row of a (k, n) stack
+and ``ray_functions`` scores stacks row by row; the sampled checks use them
+to handle a block of trials per array operation.  ``ray_function`` scores
+one pair as a one-row stack.
 
 The transition probability between two rays r, s with generators e, f is
 
@@ -27,9 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
-
-#: Norm below which a vector is considered zero and cannot generate a ray.
-ZERO_NORM_TOL = 1e-12
 
 #: Modulus threshold for picking the phase-pivot component of a unit vector.
 PIVOT_TOL = 1e-9
@@ -71,7 +70,7 @@ class Ray:
     number, and canonicalization is idempotent at the same tolerance.
 
     Raises ValueError for input that is not a nonempty finite 1-d vector, and
-    ZeroVector when ||v|| <= ZERO_NORM_TOL.
+    ZeroVector when every component of ``v`` is exactly zero.
     """
 
     __slots__ = ("_rep",)
@@ -84,16 +83,15 @@ class Ray:
         top = float(np.abs(parts).max())
         if not math.isfinite(top):
             raise ValueError("vector components must be finite")
+        if top == 0.0:
+            raise ZeroVector("cannot canonicalize a vector of norm 0.0")
         # Scaling every real and imaginary part by the exact power of two that
         # brings the largest into [0.5, 1) keeps the norm from overflowing or
         # underflowing; in range it changes no bit (nor zero sign) of v / ||v||.
-        # The clamp keeps the factor finite for subnormal input, a zero vector.
+        # The clamp keeps the factor finite when the largest part is subnormal.
         scale = 2.0 ** -max(math.frexp(top)[1], -1022)
         w = (parts * scale).view(np.complex128)
-        norm = np.linalg.norm(w)
-        if norm <= ZERO_NORM_TOL * scale:
-            raise ZeroVector(f"cannot canonicalize a vector of norm {norm / scale!r}")
-        rep = w / norm
+        rep = w / np.linalg.norm(w)
         # A unit vector has a component of modulus >= 1/sqrt(n) > PIVOT_TOL.
         pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
         entry = rep[pivot]
@@ -155,8 +153,7 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     prescale, norm (two real dots per row), pivot, phase rotation and pivot
     modulus, one array operation per step for the whole stack.  Raises
     ValueError for a stack that is not 2-d with nonempty finite rows, and
-    ZeroVector, naming the first such row's norm, when a row has
-    ||v[j]|| <= ZERO_NORM_TOL.
+    ZeroVector, with Ray's message, when a row is exactly zero.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
@@ -165,13 +162,11 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     top = np.abs(parts).max(axis=1)
     if not np.isfinite(top).all():
         raise ValueError("vector components must be finite")
+    if (top == 0.0).any():
+        raise ZeroVector("cannot canonicalize a vector of norm 0.0")
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
     w = (parts * scale[:, None]).view(np.complex128)
     norm = np.sqrt(_dots(w.real, w.real) + _dots(w.imag, w.imag))  # as np.linalg.norm
-    zero = norm <= ZERO_NORM_TOL * scale
-    if zero.any():
-        j = int(zero.argmax())
-        raise ZeroVector(f"cannot canonicalize a vector of norm {norm[j] / scale[j]!r}")
     rep = w / norm[:, None]
     rows = np.arange(rep.shape[0])
     pivot = (np.abs(rep) > PIVOT_TOL).argmax(axis=1)
@@ -193,21 +188,17 @@ def ray_function(r: Ray, s: Ray) -> float:
 
     Symmetric in its arguments, independent of the representative choice, and
     clipped into [0, 1] to absorb last-bit rounding of the Cauchy-Schwarz
-    bound.
+    bound: the one row of ``ray_functions`` on the two representatives.
     """
-    if r.dim != s.dim:
-        raise DimensionMismatch(f"rays have dimensions {r.dim} and {s.dim}")
-    ip = np.vdot(r.rep, s.rep)
-    num = float(ip.real) * float(ip.real) + float(ip.imag) * float(ip.imag)
-    den = float(np.vdot(r.rep, r.rep).real) * float(np.vdot(s.rep, s.rep).real)
-    return min(max(num / den, 0.0), 1.0)
+    return float(ray_functions(r.rep[None], s.rep[None])[0])
 
 
 def ray_functions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise transition probabilities u(a[j], b[j]) of two (k, n) stacks.
 
-    Each entry is ``ray_function`` of the rays with generators a[j] and b[j],
-    clipped into [0, 1] the same way.
+    Entry j is u of the rays with generators a[j] and b[j], clipped into
+    [0, 1].  Each inner product is one BLAS dot per row, the call ``np.vdot``
+    makes, so an entry equals the scalar formula on those two rows bit for bit.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"rays have dimensions {a.shape[1]} and {b.shape[1]}")
@@ -215,22 +206,6 @@ def ray_functions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     num = ip.real * ip.real + ip.imag * ip.imag
     den = _vdots(a, a).real * _vdots(b, b).real
     return np.clip(num / den, 0.0, 1.0)
-
-
-def is_orthogonal(r: Ray, s: Ray, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True when the transition probability is below tol.orth_tol."""
-    return ray_function(r, s) <= tol.orth_tol
-
-
-def random_state(dim: int, seed: int) -> np.ndarray:
-    """Vector of i.i.d. standard complex normal components; deterministic per seed.
-
-    After canonicalization these generate Haar-uniform random rays.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    return sample_state(dim, rng)
 
 
 def sample_state(dim: int, rng: np.random.Generator) -> np.ndarray:

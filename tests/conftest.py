@@ -19,6 +19,18 @@ def axis_vector(dim, i):
     return v
 
 
+def reference_ray_function(r, s):
+    """u(r, s) by the scalar formula, one ``np.vdot`` per inner product.
+
+    The reference that ``raysym.ray_function`` and ``ray_functions`` must
+    match bit for bit.
+    """
+    ip = np.vdot(r.rep, s.rep)
+    num = float(ip.real) * float(ip.real) + float(ip.imag) * float(ip.imag)
+    den = float(np.vdot(r.rep, r.rep).real) * float(np.vdot(s.rep, s.rep).real)
+    return min(max(num / den, 0.0), 1.0)
+
+
 def matrix_pairs(matrix):
     m = np.asarray(matrix, dtype=np.complex128)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]

@@ -1,0 +1,64 @@
+import raysym
+
+PUBLIC_NAMES = [
+    "AUTOMORPHISM_LAW_TOL",
+    "AutomorphismKind",
+    "BasisImages",
+    "CHECK_NAMES",
+    "CheckResult",
+    "ConformanceReport",
+    "CrossTalk",
+    "DEFAULT_PROBE_GRID",
+    "DEFAULT_TOLERANCES",
+    "DegenerateProbe",
+    "DimensionMismatch",
+    "ImagesNotOrthogonal",
+    "IncompleteImage",
+    "NotWignerLike",
+    "OperatorFileError",
+    "ProbeRecord",
+    "ProbeResult",
+    "Ray",
+    "RayMapOracle",
+    "RaySymError",
+    "ReconstructionResult",
+    "SingularMatrix",
+    "SliceDegenerate",
+    "SymmetryOperator",
+    "Tolerances",
+    "ZeroVector",
+    "apply_symmetry",
+    "canonical_ray",
+    "check_orthogonality_preservation",
+    "check_ray_function_invariance",
+    "check_round_trip",
+    "classify_automorphism",
+    "fix_phases",
+    "gauge_residual",
+    "general_induced_map",
+    "induced_map",
+    "map_basis",
+    "probe_automorphism",
+    "random_unitary",
+    "ray_function",
+    "reconstruct",
+    "run_full_conformance",
+    "slice_coordinates",
+    "verify_reproduction",
+]
+
+
+def test_public_surface_is_pinned():
+    # Removing or adding a public name is an API change: update this list and the README with it.
+    assert len(PUBLIC_NAMES) == 44
+    assert sorted(raysym.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in raysym.__all__:
+        assert getattr(raysym, name) is not None, name
+
+
+def test_check_types_are_shared():
+    assert raysym.CheckResult is raysym.oracles.CheckResult is raysym.conformance.CheckResult
+    assert raysym.ConformanceReport is raysym.oracles.ConformanceReport

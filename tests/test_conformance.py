@@ -55,7 +55,7 @@ class TestRayFunctionInvariance:
         oracle = general_induced_map(np.diag([1.0, 2.0, 1.0]))
         entry = check_ray_function_invariance(oracle, trials=50, seed=4)
         pres = check_orthogonality_preservation(oracle, trials=50, seed=4)
-        assert entry.worst_residual == pres.max_u_violation
+        assert entry == pres.entry("ray-function-invariance")
         assert (entry.trials, entry.seed) == (50, 4)
 
 
@@ -97,21 +97,21 @@ class TestRoundTrip:
 class TestRunFullConformance:
     def test_identity_passes_everything(self):
         report = run_full_conformance(SymmetryOperator(np.eye(3)), seed=7)
-        assert report.overall
+        assert report.passed
         assert report.error is None
         assert tuple(e.name for e in report.entries) == CHECK_NAMES
 
     def test_haar_unitary_dim_16(self):
         report = run_full_conformance(SymmetryOperator(random_unitary(16, seed=42)), seed=42)
-        assert report.overall
+        assert report.passed
 
     def test_antiunitary_generator(self):
         op = SymmetryOperator(random_unitary(3, seed=9), antiunitary=True)
-        assert run_full_conformance(op, seed=5).overall
+        assert run_full_conformance(op, seed=5).passed
 
     def test_diagonal_stretch_fails_hypotheses_and_scales(self):
         report = run_full_conformance(SymmetryOperator(np.diag([1.0, 2.0, 1.0])), seed=7)
-        assert not report.overall
+        assert not report.passed
         assert not report.entry("orthogonality-preservation").passed
         assert not report.entry("ray-function-invariance").passed
         assert report.entry("basis-completeness").passed
@@ -124,7 +124,7 @@ class TestRunFullConformance:
     def test_perturbed_unitary_aborts_with_stage_note(self):
         op = SymmetryOperator(perturbed_unitary(4, seed=11, amount=0.1))
         report = run_full_conformance(op, seed=7)
-        assert not report.overall
+        assert not report.passed
         assert not report.entry("orthogonality-preservation").passed
         assert not report.entry("basis-completeness").passed
         assert report.error is not None
@@ -137,8 +137,7 @@ class TestRunFullConformance:
         pres = check_orthogonality_preservation(induced_map(op), trials=40, seed=9)
         orth = report.entry("orthogonality-preservation")
         drift = report.entry("ray-function-invariance")
-        assert orth.worst_residual == pres.max_orth_violation
-        assert drift.worst_residual == pres.max_u_violation
+        assert (orth, drift) == pres.entries
         assert orth.seed == drift.seed == 9
         assert report.entry("reproduction").seed == 11
 
@@ -152,7 +151,7 @@ class TestRunFullConformance:
 
         monkeypatch.setattr(RayMapOracle, "image", counted)
         report = run_full_conformance(SymmetryOperator(random_unitary(8, seed=8)), seed=3)
-        assert report.overall
+        assert report.passed
         # 4 per preservation trial, 2 * dim to reconstruct, 12 + 2 * 78 probes, 100 reproductions
         assert calls[0] == 4 * 200 + 2 * 8 + 168 + 100 == 1084
 
@@ -223,7 +222,7 @@ class TestRunFullConformance:
             u = random_unitary(dim, seed=300 * dim + 50 * int(antiunitary) + k)
             op = SymmetryOperator(u, antiunitary=antiunitary)
             report = run_full_conformance(op, seed=k, invariance_trials=50, reproduction_trials=30)
-            assert report.overall, (dim, antiunitary, k)
+            assert report.passed, (dim, antiunitary, k)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -240,7 +239,7 @@ class TestRunFullConformance:
             report.entry("ray-function-invariance"),
         ]
         assert any(not e.passed for e in hypothesis_entries)
-        assert not report.overall
+        assert not report.passed
 
     def test_entry_lookup_raises_on_unknown_name(self):
         report = run_full_conformance(SymmetryOperator(np.eye(2)), seed=1, invariance_trials=10)

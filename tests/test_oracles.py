@@ -132,22 +132,24 @@ class TestOrthogonalityPreservation:
     def test_unitary_oracle_passes(self):
         op = SymmetryOperator(random_unitary(6, seed=12))
         report = check_orthogonality_preservation(induced_map(op), trials=500, seed=3)
+        orth, drift = report.entries
         assert report.passed
-        assert report.max_orth_violation <= 1e-10
-        assert report.max_u_violation <= 1e-10
-        assert report.trials == 500
+        assert orth.name == "orthogonality-preservation" and orth.worst_residual <= 1e-10
+        assert drift.name == "ray-function-invariance" and drift.worst_residual <= 1e-10
+        assert orth.trials == drift.trials == 500
+        assert (report.dim, report.seed, report.error) == (6, 3, None)
 
     def test_antiunitary_oracle_passes(self):
         op = SymmetryOperator(random_unitary(4, seed=13), antiunitary=True)
         report = check_orthogonality_preservation(induced_map(op), trials=200, seed=3)
         assert report.passed
-        assert report.max_orth_violation <= 1e-10
+        assert report.entry("orthogonality-preservation").worst_residual <= 1e-10
 
     def test_diagonal_stretch_fails(self):
         oracle = general_induced_map(np.diag([1.0, 2.0, 1.0]))
         report = check_orthogonality_preservation(oracle, trials=200, seed=3)
         assert not report.passed
-        assert report.max_orth_violation > 1e-3
+        assert report.entry("orthogonality-preservation").worst_residual > 1e-3
 
     def test_diagonal_stretch_witness_pair(self):
         # diag(1,2,1) maps the orthogonal pair (1,1,0), (1,-1,0) to rays with

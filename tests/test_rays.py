@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from raysym import (
+    DEFAULT_TOLERANCES,
     DimensionMismatch,
     Ray,
     Tolerances,
     ZeroVector,
     canonical_ray,
-    is_orthogonal,
-    random_state,
     ray_function,
 )
 from raysym.rays import (
@@ -24,11 +23,15 @@ from raysym.rays import (
     sample_state_blocks,
 )
 
-from conftest import axis_vector
+from conftest import axis_vector, reference_ray_function
 
 
 def axis_ray(dim, i):
     return canonical_ray(axis_vector(dim, i))
+
+
+def random_state(dim, seed):
+    return sample_state(dim, np.random.default_rng(seed))
 
 
 class TestCanonicalRay:
@@ -54,7 +57,12 @@ class TestCanonicalRay:
         with pytest.raises(ZeroVector):
             canonical_ray(np.zeros(4, dtype=complex))
         with pytest.raises(ZeroVector):
-            canonical_ray(np.full(4, 1e-14, dtype=complex))
+            canonical_ray(np.array([-0.0, complex(0.0, -0.0)]))
+
+    @pytest.mark.parametrize("tiny", [1e-14, 5e-324])
+    def test_only_exact_zero_is_zero(self, tiny):
+        r = canonical_ray(np.full(4, tiny, dtype=complex))
+        assert r.almost_equals(canonical_ray(np.ones(4)), tol=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +106,8 @@ class TestCanonicalRay:
             assert abs(np.linalg.norm(canonical_ray(v).rep) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
-        "scale", [1e-11, 1e-6, 1.0, 1e6, 1e100, 1e154, 1e155, 1e200 * (0.6 - 0.8j), 1e300]
+        "scale",
+        [1e-300, 1e-150, 1e-11, 1e-6, 1.0, 1e6, 1e100, 1e154, 1e155, 1e200 * (0.6 - 0.8j), 1e300],
     )
     def test_scale_safe(self, scale):
         v = random_state(5, seed=23)
@@ -138,6 +147,19 @@ class TestRayConstructor:
         for _ in range(200):
             r = Ray(rng.standard_normal(6) + 1j * rng.standard_normal(6))
             assert Ray(r.rep).almost_equals(r, tol=1e-12)
+
+    def test_power_of_two_multiples_give_the_same_bits(self):
+        rng = np.random.default_rng(43)
+        exponents = (-1000, -300, -1, 0, 1, 300, 1000)
+        for _ in range(200):
+            dim = int(rng.integers(1, 9))
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            scaled = np.array([2.0**k * v for k in exponents])
+            for k, row in zip(exponents, scaled):
+                assert np.array_equal(row * 2.0**-k, v)  # each multiple is exact
+            expected = Ray(v).rep.tobytes()
+            assert all(Ray(row).rep.tobytes() == expected for row in scaled)
+            assert all(row.tobytes() == expected for row in canonical_rays(scaled))
 
     def test_does_not_alias_its_input(self):
         v = np.array([1.0, 0.0], dtype=complex)
@@ -199,47 +221,45 @@ class TestRayFunction:
             assert abs(u - ray_function(s, r)) <= 1e-15
 
 
-class TestIsOrthogonal:
+class TestOrthogonalityThreshold:
+    """Rays count as orthogonal when u is at most orth_tol."""
+
     def test_basis_rays(self):
-        assert is_orthogonal(axis_ray(2, 0), axis_ray(2, 1))
+        assert ray_function(axis_ray(2, 0), axis_ray(2, 1)) <= DEFAULT_TOLERANCES.orth_tol
 
     def test_overlapping_rays(self):
         r = canonical_ray(np.array([1.0, 1.0], dtype=complex))
-        assert not is_orthogonal(axis_ray(2, 0), r)
+        assert ray_function(axis_ray(2, 0), r) > DEFAULT_TOLERANCES.orth_tol
         assert ray_function(axis_ray(2, 0), r) == pytest.approx(0.5, abs=1e-14)
 
     def test_diagonal_pair(self):
         plus = canonical_ray(np.array([1.0, 1.0], dtype=complex))
         minus = canonical_ray(np.array([1.0, -1.0], dtype=complex))
-        assert is_orthogonal(plus, minus)
+        assert ray_function(plus, minus) <= DEFAULT_TOLERANCES.orth_tol
 
     def test_custom_tolerance(self):
         r = canonical_ray(np.array([1.0, 0.0], dtype=complex))
         s = canonical_ray(np.array([1e-4, 1.0], dtype=complex))
         loose = Tolerances(orth_tol=1e-3)
-        assert not is_orthogonal(r, s)
-        assert is_orthogonal(r, s, loose)
+        assert ray_function(r, s) > DEFAULT_TOLERANCES.orth_tol
+        assert ray_function(r, s) <= loose.orth_tol
 
 
-class TestRandomState:
+class TestSampleState:
     def test_deterministic_per_seed(self):
-        a = random_state(3, seed=0)
-        b = random_state(3, seed=0)
+        a = sample_state(3, np.random.default_rng(0))
+        b = sample_state(3, np.random.default_rng(0))
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = random_state(3, seed=0)
-        b = random_state(3, seed=1)
+        a = sample_state(3, np.random.default_rng(0))
+        b = sample_state(3, np.random.default_rng(1))
         assert np.max(np.abs(a - b)) > 0.0
 
     def test_single_component_is_nonzero(self):
-        v = random_state(1, seed=7)
+        v = sample_state(1, np.random.default_rng(7))
         assert v.shape == (1,)
         assert abs(v[0]) > 0.0
-
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            random_state(0, seed=1)
 
 
 def pivot(rep):
@@ -333,22 +353,26 @@ class TestCanonicalRays:
 
     def test_first_zero_row_is_named(self):
         v = np.ones((3, 2), dtype=complex)
-        v[1] = 1e-14
+        v[1] = 5e-324  # subnormal, still a ray
         v[2] = 0.0
         with pytest.raises(ZeroVector) as info:
             canonical_rays(v)
         with pytest.raises(ZeroVector) as ref:
-            Ray(v[1])
+            Ray(v[2])
         assert str(info.value) == str(ref.value)
+        assert canonical_rays(v[:2])[1].tobytes() == Ray(v[1]).rep.tobytes()
 
     def test_extreme_scales_raise_no_warning(self):
         v = np.array([[1.7e308 + 1.7e308j, -1e308, 0.0], [5e-324, 0.0, 1e-300j]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ZeroVector):
-                canonical_rays(v)
-            got = canonical_rays(v[:1])
-        assert got[0].tobytes() == Ray(v[0]).rep.tobytes()
+                canonical_rays(np.zeros((1, 3)))
+            got = canonical_rays(v)
+            expected = [Ray(row).rep for row in v]
+        for row, ref in zip(got, expected):
+            assert row.tobytes() == ref.tobytes()
+        np.testing.assert_allclose(expected[1], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_wrapped_row_is_a_ray(self):
         v = random_state(5, seed=8)
@@ -362,13 +386,15 @@ class TestCanonicalRays:
 class TestRayFunctions:
     def test_each_entry_is_the_ray_function_of_its_rows(self):
         rng = np.random.default_rng(12)
-        for n in (1, 2, 5, 64):
+        for n in (1, 2, 5, 64, 256):
             a = canonical_rays(rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)))
             b = canonical_rays(rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)))
             b = np.concatenate([b[:30], a[30:]])  # equal rows: u = 1 up to clipping
             got = ray_functions(a, b)
-            ref = [ray_function(Ray._from_canonical(x), Ray._from_canonical(y)) for x, y in zip(a, b)]
+            pairs = [(Ray._from_canonical(x), Ray._from_canonical(y)) for x, y in zip(a, b)]
+            ref = [reference_ray_function(x, y) for x, y in pairs]
             assert got.tolist() == ref
+            assert [ray_function(x, y) for x, y in pairs] == ref
             assert ((0.0 <= got) & (got <= 1.0)).all()
 
     def test_orthogonal_rows_score_zero(self):
