@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformance import run_full_conformance
+from .conformance import REPRODUCTION_TRIALS, run_full_conformance
 from .errors import OperatorFileError, RaySymError
 from .oracles import ConformanceReport, SymmetryOperator, induced_map
 from .rays import DEFAULT_TOLERANCES, Tolerances
@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conf.add_argument(
         "--trials", type=int, default=200,
-        help="ray-pair trials for each randomized check (default 200)",
+        help="ray-pair trials for the two hypothesis checks (default 200); "
+        f"reproduction always maps {REPRODUCTION_TRIALS} rays",
     )
     _add_tolerance_flags(p_conf)
     p_conf.set_defaults(func=cmd_conformance)

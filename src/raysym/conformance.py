@@ -38,6 +38,9 @@ from .reconstruction import (
 #: Residual bound for the pointwise automorphism-law checks.
 AUTOMORPHISM_LAW_TOL = 1e-10
 
+#: Random rays the reproduction check maps through operator and oracle.
+REPRODUCTION_TRIALS = 100
+
 #: Declared entry order of a full conformance report.
 CHECK_NAMES = (
     "orthogonality-preservation",
@@ -95,7 +98,6 @@ def run_full_conformance(
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
     invariance_trials: int = 200,
-    reproduction_trials: int = 100,
 ) -> ConformanceReport:
     """Run every check against the ray map induced by an operator.
 
@@ -103,7 +105,8 @@ def run_full_conformance(
     sample, and the basis images are mapped once, inside reconstruct.
     basis-completeness reads the Gram defect from the result, or from the
     error's ``basis_gram_defect`` when a stage after map_basis raised.  The
-    randomized checks use the seeds seed, seed and seed+2, so identical
+    hypothesis checks draw invariance_trials ray pairs from seed, and
+    reproduction draws REPRODUCTION_TRIALS rays from seed+2, so identical
     inputs reproduce the report exactly.
     """
     dim = true_op.dim
@@ -174,14 +177,14 @@ def run_full_conformance(
     )
     entries.append(check_round_trip(true_op, recon, tol))
     reproduction = verify_reproduction(
-        recon.operator, oracle, trials=reproduction_trials, seed=seed + 2
+        recon.operator, oracle, trials=REPRODUCTION_TRIALS, seed=seed + 2
     )
     entries.append(
         CheckResult(
             name="reproduction",
             passed=reproduction <= tol.recon_tol,
             worst_residual=reproduction,
-            trials=reproduction_trials,
+            trials=REPRODUCTION_TRIALS,
             seed=seed + 2,
         )
     )

@@ -26,7 +26,7 @@ class RaySymError(Exception):
 
 
 class ZeroVector(RaySymError):
-    """A vector with norm below the representability threshold cannot generate a ray."""
+    """A vector whose components are all exactly zero cannot generate a ray."""
 
 
 class DimensionMismatch(RaySymError):
@@ -55,7 +55,7 @@ class ImagesNotOrthogonal(RaySymError):
 
 
 class IncompleteImage(RaySymError):
-    """Basis-ray images do not span the target space (rank or Gram defect)."""
+    """Basis-ray images are not complete: their Gram matrix is beyond recon_tol of the identity."""
 
 
 class SliceDegenerate(RaySymError):

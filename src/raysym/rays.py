@@ -152,18 +152,18 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     Row j of the read-only result is ``Ray(v[j]).rep``: the same power-of-two
     prescale, norm (two real dots per row), pivot, phase rotation and pivot
     modulus, one array operation per step for the whole stack.  Raises
-    ValueError for a stack that is not 2-d with nonempty finite rows, and
-    ZeroVector, with Ray's message, when a row is exactly zero.
+    ValueError for a stack that is not 2-d with nonempty rows; at the first
+    row that is exactly zero or not finite, it raises what ``Ray`` raises for
+    that row.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected a 2-d stack of nonempty vectors")
     parts = np.ascontiguousarray(v).view(np.float64)
     top = np.abs(parts).max(axis=1)
-    if not np.isfinite(top).all():
-        raise ValueError("vector components must be finite")
-    if (top == 0.0).any():
-        raise ZeroVector("cannot canonicalize a vector of norm 0.0")
+    rejected = ~(np.isfinite(top) & (top > 0.0))
+    if rejected.any():
+        Ray(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
     w = (parts * scale[:, None]).view(np.complex128)
     norm = np.sqrt(_dots(w.real, w.real) + _dots(w.imag, w.imag))  # as np.linalg.norm

@@ -221,7 +221,7 @@ class TestRunFullConformance:
         for k in range(3):
             u = random_unitary(dim, seed=300 * dim + 50 * int(antiunitary) + k)
             op = SymmetryOperator(u, antiunitary=antiunitary)
-            report = run_full_conformance(op, seed=k, invariance_trials=50, reproduction_trials=30)
+            report = run_full_conformance(op, seed=k, invariance_trials=50)
             assert report.passed, (dim, antiunitary, k)
 
     @pytest.mark.parametrize(

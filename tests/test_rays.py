@@ -161,6 +161,12 @@ class TestRayConstructor:
             assert all(Ray(row).rep.tobytes() == expected for row in scaled)
             assert all(row.tobytes() == expected for row in canonical_rays(scaled))
 
+    def test_axis_rays_are_the_identity_rows(self):
+        # map_basis sends the identity rows to the oracle as they are.
+        for dim in range(1, 257):
+            eye = np.eye(dim, dtype=np.complex128)
+            assert all(Ray(e).rep.tobytes() == e.tobytes() for e in eye), dim
+
     def test_does_not_alias_its_input(self):
         v = np.array([1.0, 0.0], dtype=complex)
         r = Ray(v)
@@ -284,7 +290,8 @@ def scaled_stacks(draw):
     The leading ``lead`` parts of a row have modulus within 1e-6 of PIVOT_TOL
     after normalization, so the pivot lands on either side of the threshold;
     a share of the remaining parts is zero, and a row with nothing else is a
-    zero row.
+    zero row.  Some rows are made zero outright, and some get one nan or
+    infinite real or imaginary part, so the first rejected row can be either.
     """
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -296,7 +303,13 @@ def scaled_stacks(draw):
         phases = rng.choice([1.0, -1.0, 1j, -1j, np.exp(0.3j), 0.0], lead)
         near = PIVOT_TOL * rng.uniform(1.0 - 1e-6, 1.0 + 1e-6, lead) * phases
         row[:lead] = near * np.linalg.norm(row[lead:])
-        rows.append(row * 10.0 ** draw(st.floats(-11.0, 300.0)))
+        row = row * 10.0 ** draw(st.floats(-11.0, 300.0))
+        fault = draw(st.sampled_from([None] * 4 + ["zero", np.nan, np.inf, -np.inf]))
+        if fault == "zero":
+            row[:] = 0.0
+        elif fault is not None:
+            row[draw(st.integers(0, n - 1))] = complex(0.0, fault) if draw(st.booleans()) else fault
+        rows.append(row)
     return np.array(rows)
 
 
@@ -350,6 +363,25 @@ class TestCanonicalRays:
         v[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             canonical_rays(v)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0], [np.nan, 1]],
+            [[1, 0], [0, 0], [np.inf, 0]],
+            [[1, 0], [complex(0, -np.inf), 1], [0, 0]],
+            [[np.nan, 0], [0, 0]],
+        ],
+    )
+    def test_first_rejected_row_raises_as_ray_does(self, rows):
+        v = np.array(rows, dtype=complex)
+        first = next(j for j, row in enumerate(v) if not (np.isfinite(row).all() and row.any()))
+        with pytest.raises((ValueError, ZeroVector)) as ref:
+            Ray(v[first])
+        with pytest.raises(type(ref.value)) as info:
+            canonical_rays(v)
+        assert type(info.value) is type(ref.value)
+        assert str(info.value) == str(ref.value)
 
     def test_first_zero_row_is_named(self):
         v = np.ones((3, 2), dtype=complex)
