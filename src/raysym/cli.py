@@ -42,6 +42,7 @@ from .reconstruction import (
     AutomorphismKind,
     ProbeResult,
     ReconstructionResult,
+    _stage,
     fix_phases,
     map_basis,
     probe_automorphism,
@@ -304,8 +305,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise UsageError(f"--index: must be at most the operator dimension ({op.dim})")
     samples = parse_samples(args.samples) if args.samples else DEFAULT_PROBE_GRID
     oracle = induced_map(op)
-    basis = map_basis(oracle, op.dim, tol)
-    fixed, scales = fix_phases(oracle, basis, tol)
+    with _stage("map_basis"):
+        basis = map_basis(oracle, op.dim, tol)
+    with _stage("fix_phases", basis.gram_defect):
+        fixed, scales = fix_phases(oracle, basis, tol)
     probe = probe_automorphism(oracle, fixed, scales, samples, args.index - 1, tol)
     _emit(render_probe(probe, op.dim, float(scales[args.index - 1])))
     return 0

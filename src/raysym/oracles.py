@@ -78,7 +78,10 @@ class RayMapOracle:
 
     ``image_fn`` must be total on rays of dimension ``dim_in`` and return a
     canonical :class:`~raysym.rays.Ray` of dimension ``dim_out``.  Oracles
-    carry no state, so concurrent image calls are safe.
+    carry no state, so concurrent image calls are safe, and the same ray
+    always gets the same answer.  The library relies on that: it may ask a
+    repeated ray once and reuse the answer, as ``probe_automorphism`` does
+    for a repeated probe point.
     """
 
     __slots__ = ("dim_in", "dim_out", "_image_fn", "label")

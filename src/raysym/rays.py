@@ -76,11 +76,11 @@ class Ray:
     __slots__ = ("_rep",)
 
     def __init__(self, v: np.ndarray):
-        v = np.asarray(v, dtype=np.complex128)
+        v = np.asarray(v, dtype=np.complex128, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
-        parts = np.ascontiguousarray(v).view(np.float64)
-        top = float(np.abs(parts).max())
+        parts = v.view(np.float64)
+        top = float(np.maximum.reduce(np.abs(parts)))
         if not math.isfinite(top):
             raise ValueError("vector components must be finite")
         if top == 0.0:
@@ -90,15 +90,23 @@ class Ray:
         # underflowing; in range it changes no bit (nor zero sign) of v / ||v||.
         # The clamp keeps the factor finite when the largest part is subnormal.
         scale = 2.0 ** -max(math.frexp(top)[1], -1022)
-        w = (parts * scale).view(np.complex128)
-        rep = w / np.linalg.norm(w)
+        if scale != 1.0:
+            parts = parts * scale
+        re, im = parts[0::2], parts[1::2]
+        # The norm is what np.linalg.norm computes: two strided real dots.
+        rep = parts.view(np.complex128) / math.sqrt(re.dot(re) + im.dot(im))
         # A unit vector has a component of modulus >= 1/sqrt(n) > PIVOT_TOL.
-        pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
-        entry = rep[pivot]
-        rep = rep * (entry.conjugate() / abs(entry))
+        # The scalar abs may differ from the array abs in the last bit, so
+        # only a first modulus well above PIVOT_TOL skips the scan.
+        modulus = abs(rep[0])
+        pivot = 0
+        if not modulus > 2.0 * PIVOT_TOL:
+            pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
+            modulus = abs(rep[pivot])
+        rep = rep * (rep[pivot].conjugate() / modulus)
         # Exact by construction; removes the rounding-level imaginary residue.
         rep[pivot] = abs(rep[pivot])
-        rep.flags.writeable = False
+        rep.setflags(write=False)
         self._rep = rep
 
     @classmethod

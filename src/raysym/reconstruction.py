@@ -31,6 +31,7 @@ result is flagged diagnostic-only and records how far the scales deviate.
 from __future__ import annotations
 
 import enum
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -200,6 +201,11 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
     return BasisImages(dim=dim, columns=reps, gram_defect=gram_defect)
 
 
+def _check_probe_index(dim: int, i: int) -> None:
+    if not 1 <= i < dim:
+        raise ValueError(f"probe index must lie in [1, {dim - 1}], got {i}")
+
+
 def slice_coordinates(
     oracle: RayMapOracle,
     basis: BasisImages,
@@ -218,8 +224,7 @@ def slice_coordinates(
     Returns b_i / b_1.
     """
     dim = basis.dim
-    if not 1 <= i < dim:
-        raise ValueError(f"probe index must lie in [1, {dim - 1}], got {i}")
+    _check_probe_index(dim, i)
     z = complex(z)
     probe = np.zeros(dim, dtype=np.complex128)
     probe[0] = 1.0
@@ -305,15 +310,24 @@ def probe_automorphism(
     """Pointwise probe of the coordinate automorphism with law residuals.
 
     Evaluates f(z) = slice coordinate / r_i at every sample, then for every
-    unordered sample pair (a, b) probes a+b and a*b afresh and records the
-    worst additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity
-    residual |f(ab) - f(a) f(b)|.  Pointwise probing documents the laws but
-    cannot by itself certify the global preservation hypotheses.
+    unordered sample pair (a, b) at a+b and a*b, and records the worst
+    additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity residual
+    |f(ab) - f(a) f(b)|.  Oracles are deterministic, so each point is
+    probed once, at its first occurrence in that order; points are told
+    apart by their exact bits, so 0.0 and -0.0 are two points.  Pointwise
+    probing documents the laws but cannot by itself certify the global
+    preservation hypotheses.
     """
+    _check_probe_index(fixed_basis.dim, i)
     r = float(scales[i])
+    answers: dict[bytes, complex] = {}
 
     def f(z: complex) -> complex:
-        return slice_coordinates(oracle, fixed_basis, z, i, tol) / r
+        z = complex(z)
+        key = struct.pack("dd", z.real, z.imag)
+        if key not in answers:
+            answers[key] = slice_coordinates(oracle, fixed_basis, z, i, tol) / r
+        return answers[key]
 
     values = tuple((complex(z), f(z)) for z in samples)
     add_res = 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 # One BLAS thread, set before numpy loads BLAS: the suite's matrix-vector
@@ -7,7 +8,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
+
+from raysym import RayMapOracle, ZeroVector  # noqa: E402
+from raysym.rays import PIVOT_TOL  # noqa: E402
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -17,6 +22,20 @@ def axis_vector(dim, i):
     v = np.zeros(dim, dtype=np.complex128)
     v[i] = 1.0
     return v
+
+
+@pytest.fixture
+def image_calls(monkeypatch):
+    """Count every ``RayMapOracle.image`` call of the test; a one-item list."""
+    calls = [0]
+    image = RayMapOracle.image
+
+    def counted(self, ray):
+        calls[0] += 1
+        return image(self, ray)
+
+    monkeypatch.setattr(RayMapOracle, "image", counted)
+    return calls
 
 
 def reference_ray_function(r, s):
@@ -29,6 +48,32 @@ def reference_ray_function(r, s):
     num = float(ip.real) * float(ip.real) + float(ip.imag) * float(ip.imag)
     den = float(np.vdot(r.rep, r.rep).real) * float(np.vdot(s.rep, s.rep).real)
     return min(max(num / den, 0.0), 1.0)
+
+
+def reference_ray_rep(v):
+    """``Ray(v).rep`` by the canonicalization recipe as first written.
+
+    One numpy call per step: the wrapped ``max`` and ``np.linalg.norm``, and
+    the pivot always found by scanning the whole vector.  ``Ray`` must return
+    these bytes, or raise the same error type with the same message.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a nonempty 1-d vector")
+    parts = np.ascontiguousarray(v).view(np.float64)
+    top = float(np.abs(parts).max())
+    if not math.isfinite(top):
+        raise ValueError("vector components must be finite")
+    if top == 0.0:
+        raise ZeroVector("cannot canonicalize a vector of norm 0.0")
+    scale = 2.0 ** -max(math.frexp(top)[1], -1022)
+    w = (parts * scale).view(np.complex128)
+    rep = w / np.linalg.norm(w)
+    pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
+    entry = rep[pivot]
+    rep = rep * (entry.conjugate() / abs(entry))
+    rep[pivot] = abs(rep[pivot])
+    return rep
 
 
 def matrix_pairs(matrix):

@@ -492,6 +492,13 @@ class TestProbeCommand:
         for z_re, z_im, f_re, f_im in (tuple(map(float, row)) for row in grab(out, "probe")):
             assert (f_re, f_im) == pytest.approx((z_re, z_im), abs=1e-10)
 
+    def test_rays_asked_at_dimension_4(self, capsys, tmp_path, image_calls):
+        path = write_operator_file(tmp_path / "u.json", random_unitary(4, seed=5), "unitary")
+        code, _, _ = run_cli(capsys, "probe", path)
+        assert code == 0
+        # 4 axis rays, 3 unit probes, the 123 bitwise-distinct points of the default grid's 168
+        assert image_calls[0] == 4 + 3 + 123 == 130
+
     def test_index_below_two_exits_64(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "probe", identity_file, "--index", "1")
         assert code == 64

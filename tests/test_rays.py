@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raysym import (
@@ -23,7 +23,7 @@ from raysym.rays import (
     sample_state_blocks,
 )
 
-from conftest import axis_vector, reference_ray_function
+from conftest import axis_vector, reference_ray_function, reference_ray_rep
 
 
 def axis_ray(dim, i):
@@ -124,7 +124,51 @@ class TestCanonicalRay:
         assert r.almost_equals(canonical_ray(np.array([1.7 + 1.7j, -1.0, 0.0])), tol=1e-12)
 
 
+@st.composite
+def ray_inputs(draw):
+    """1-d inputs for Ray: n in 1..300, complex or real, contiguous or strided, at 2**-1000..2**1000.
+
+    The leading ``lead`` components have modulus in [0.5, 4] * PIVOT_TOL after
+    normalization, so the pivot falls on either side of PIVOT_TOL and of the
+    2 * PIVOT_TOL a first component needs to skip the scan.  A share of the
+    rest is exactly zero; some vectors are zero outright, and some get one
+    nan or infinite real or imaginary part.
+    """
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    v = rng.standard_normal(n) + (0.0 if real else 1j * rng.standard_normal(n))
+    v[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+    lead = draw(st.integers(0, min(n - 1, 3)))
+    phases = rng.choice([1.0, -1.0] if real else [1.0, -1.0, 1j, np.exp(2.1j)], lead)
+    v[:lead] = PIVOT_TOL * rng.uniform(0.5, 4.0, lead) * phases * np.linalg.norm(v[lead:])
+    v = v * 2.0 ** draw(st.integers(-1000, 1000))
+    fault = draw(st.sampled_from([None] * 12 + ["zero", np.nan, np.inf, -np.inf]))
+    if fault == "zero":
+        v[:] = 0.0
+    elif fault is not None:
+        v[draw(st.integers(0, n - 1))] = fault if real or draw(st.booleans()) else complex(0.0, fault)
+    if draw(st.booleans()):
+        strided = np.zeros(2 * n, dtype=v.dtype)
+        strided[::2] = v
+        v = strided[::2]
+    return v
+
+
 class TestRayConstructor:
+    @settings(max_examples=300)
+    @given(ray_inputs())
+    def test_matches_the_reference_recipe(self, v):
+        try:
+            want = reference_ray_rep(v)
+        except (ValueError, ZeroVector) as err:
+            with pytest.raises(type(err)) as info:
+                Ray(v)
+            assert type(info.value) is type(err)
+            assert str(info.value) == str(err)
+            return
+        assert Ray(v).rep.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "v", [[2.0, 0.0], [1.0j, 0.0], [0.0, -3.0 + 4.0j, 1.0], [1e-9, 1e-3j, -5.0]]
     )

@@ -10,6 +10,7 @@ from raysym import (
     ImagesNotOrthogonal,
     IncompleteImage,
     NotWignerLike,
+    ProbeResult,
     RayMapOracle,
     SliceDegenerate,
     SymmetryOperator,
@@ -44,14 +45,14 @@ def identity_oracle(dim, antiunitary=False):
 
 
 def counting_oracle(oracle):
-    """Wrap an oracle so image calls are counted; returns (oracle, counter)."""
-    counter = [0]
+    """Wrap an oracle so the bytes of every ray asked are logged; returns (oracle, log)."""
+    log = []
 
     def fn(ray):
-        counter[0] += 1
+        log.append(ray.rep.tobytes())
         return oracle.image(ray)
 
-    return RayMapOracle(oracle.dim_in, oracle.dim_out, fn, label="counted"), counter
+    return RayMapOracle(oracle.dim_in, oracle.dim_out, fn, label="counted"), log
 
 
 def reference_first_overlap(oracle, dim, tol):
@@ -97,6 +98,34 @@ def reference_slice_coordinates(oracle, basis, z, i, tol=DEFAULT_TOLERANCES):
         if abs(b[j]) > tol.orth_tol:
             raise CrossTalk(i, j, float(abs(b[j])))
     return complex(b[i] / b[0])
+
+
+def reference_probe_automorphism(oracle, fixed_basis, scales, samples, i, tol=DEFAULT_TOLERANCES,
+                                 points=None):
+    """probe_automorphism as it was: a fresh probe for every point, repeats included.
+
+    Appends each point it probes, in order, to ``points`` when given.
+    """
+    r = float(scales[i])
+
+    def f(z):
+        if points is not None:
+            points.append(complex(z))
+        return slice_coordinates(oracle, fixed_basis, z, i, tol) / r
+
+    values = tuple((complex(z), f(z)) for z in samples)
+    add_res = 0.0
+    mult_res = 0.0
+    for k, (a, fa) in enumerate(values):
+        for b, fb in values[k:]:
+            add_res = max(add_res, abs(f(a + b) - (fa + fb)))
+            mult_res = max(mult_res, abs(f(a * b) - fa * fb))
+    return ProbeResult(
+        index=i,
+        values=values,
+        additivity_residual=add_res,
+        multiplicativity_residual=mult_res,
+    )
 
 
 def leaking_oracle(dim, leaks):
@@ -444,6 +473,97 @@ class TestProbeAutomorphism:
             assert required in DEFAULT_PROBE_GRID
 
 
+def probe_fingerprint(probe):
+    return (
+        probe.index, bits([z for z, _ in probe.values]), bits([f for _, f in probe.values]),
+        bits([probe.additivity_residual, probe.multiplicativity_residual]),
+    )
+
+
+def probe_outcome(oracle, fixed, scales, samples, i, probe):
+    """Fingerprint of ``probe``'s result, or of its CrossTalk, and the rays it asked."""
+    recorded, log = counting_oracle(oracle)
+    try:
+        result = probe_fingerprint(probe(recorded, fixed, scales, samples, i))
+    except CrossTalk as err:
+        result = ("CrossTalk", str(err), err.index, err.leak_index, err.magnitude)
+    return result, log
+
+
+def first_occurrences(points, rays):
+    """The entries of ``rays`` whose probe point, by its exact bits, was not probed before."""
+    seen = set()
+    kept = []
+    for z, ray in zip(points, rays):
+        if bits([z]) not in seen:
+            seen.add(bits([z]))
+            kept.append(ray)
+    return kept
+
+
+class TestProbeDeduplication:
+    """probe_automorphism against the loop that probed every point afresh."""
+
+    def assert_reference_minus_repeats(self, oracle, dim, samples, i):
+        fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
+        points = []
+        want, want_rays = probe_outcome(
+            oracle, fixed, scales, samples, i,
+            lambda *args: reference_probe_automorphism(*args, points=points),
+        )
+        got, got_rays = probe_outcome(oracle, fixed, scales, samples, i, probe_automorphism)
+        assert got == want
+        assert len(points) == len(want_rays)
+        assert got_rays == first_occurrences(points, want_rays)
+        return got, got_rays, want_rays
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("kind", ["unitary", "antiunitary", "noisy"])
+    @pytest.mark.parametrize("samples", [DEFAULT_PROBE_GRID, (1, 1, 0.0, -0.0)])
+    def test_same_result_each_point_asked_once(self, dim, kind, samples):
+        u = random_unitary(dim, seed=90 + dim)
+        if kind == "noisy":
+            oracle = RayMapOracle(
+                dim, dim, lambda r: canonical_ray(u @ r.rep + 1e-10 * np.sin(7e3 * r.rep.real)),
+                label="noisy",
+            )
+        else:
+            oracle = induced_map(SymmetryOperator(u, antiunitary=(kind == "antiunitary")))
+        for i in sorted({1, dim - 1}):
+            _, got_rays, want_rays = self.assert_reference_minus_repeats(oracle, dim, samples, i)
+            if samples is DEFAULT_PROBE_GRID:
+                assert (len(got_rays), len(want_rays)) == (123, 168)
+            else:
+                # 1 and 2, and the zeros 0j, -0.0 + 0j and -0j: signs tell points apart
+                assert (len(got_rays), len(want_rays)) == (5, 24)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_a_leak_raises_the_same_cross_talk_after_a_prefix_of_the_asks(self, dim):
+        # axis and unit probes pass; a probe point of modulus above 1.5 leaks onto axis 3
+        def fn(ray):
+            rep = ray.rep.copy()
+            if 0.0 < 1.5 * abs(rep[0]) < abs(rep[1]):
+                rep[2] += 1e-3
+            return canonical_ray(rep)
+
+        oracle = RayMapOracle(dim, dim, fn, label="leak-beyond-modulus-1.5")
+        got, got_rays, want_rays = self.assert_reference_minus_repeats(
+            oracle, dim, DEFAULT_PROBE_GRID, 1
+        )
+        assert got[0] == "CrossTalk" and got[2:4] == (1, 2)
+        assert len(got_rays) < len(want_rays) < 168
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_index_is_checked_before_the_scales_are_read(self, dim):
+        oracle = identity_oracle(dim)
+        fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
+        message = f"probe index must lie in [1, {dim - 1}], got "
+        for i, samples in ((dim, DEFAULT_PROBE_GRID), (0, ()), (-1, ())):
+            with pytest.raises(ValueError) as info:
+                probe_automorphism(oracle, fixed, scales, samples, i)
+            assert str(info.value) == message + str(i)
+
+
 class TestReconstruct:
     def test_identity(self):
         result = reconstruct(identity_oracle(3), 3)
@@ -475,9 +595,9 @@ class TestReconstruct:
 
     def test_probe_budget_is_two_n(self):
         base = induced_map(SymmetryOperator(random_unitary(4, seed=41)))
-        oracle, counter = counting_oracle(base)
+        oracle, asked = counting_oracle(base)
         reconstruct(oracle, 4)
-        assert counter[0] == 2 * 4
+        assert len(asked) == 2 * 4
 
     @pytest.mark.parametrize("dim", [3, 4, 8])
     def test_axis_dependent_conjugation_fails_the_sampled_checks(self, dim):
@@ -488,9 +608,9 @@ class TestReconstruct:
             rep[1] = np.conj(rep[1])
             return canonical_ray(rep)
 
-        oracle, counter = counting_oracle(RayMapOracle(dim, dim, fn, label="axis-conjugation"))
+        oracle, asked = counting_oracle(RayMapOracle(dim, dim, fn, label="axis-conjugation"))
         result = reconstruct(oracle, dim)
-        assert counter[0] == 2 * dim
+        assert len(asked) == 2 * dim
         assert result.kind is AutomorphismKind.CONJUGATION
         assert result.unitary_valid
         report = check_orthogonality_preservation(oracle, 200, seed=0)
