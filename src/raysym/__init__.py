@@ -51,7 +51,6 @@ from .reconstruction import (
     DEFAULT_PROBE_GRID,
     AutomorphismKind,
     BasisImages,
-    ProbeRecord,
     ProbeResult,
     ReconstructionResult,
     apply_symmetry,
@@ -83,7 +82,6 @@ __all__ = [
     "IncompleteImage",
     "NotWignerLike",
     "OperatorFileError",
-    "ProbeRecord",
     "ProbeResult",
     "Ray",
     "RayMapOracle",

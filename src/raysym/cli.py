@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ from .reconstruction import (
     AutomorphismKind,
     ProbeResult,
     ReconstructionResult,
-    _stage,
     fix_phases,
     map_basis,
     probe_automorphism,
@@ -199,10 +198,15 @@ def parse_samples(text: str) -> tuple[complex, ...]:
             value = complex(token.replace("i", "j"))
         except ValueError:
             raise UsageError(f"--samples: cannot parse {token!r} as a complex number") from None
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not np.isfinite(value):
             raise UsageError(f"--samples: {token!r} is not finite")
-        samples.append(value)
-    return tuple(samples)
+        samples.append((token, value))
+    # The probe also asks a + b and a * b for every pair, a sample with itself included.
+    for (s, a), (t, b) in combinations_with_replacement(samples, 2):
+        for op, value in (("+", a + b), ("*", a * b)):
+            if not np.isfinite(value):
+                raise UsageError(f"--samples: {s} {op} {t} is not finite")
+    return tuple(value for _, value in samples)
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -305,10 +309,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise UsageError(f"--index: must be at most the operator dimension ({op.dim})")
     samples = parse_samples(args.samples) if args.samples else DEFAULT_PROBE_GRID
     oracle = induced_map(op)
-    with _stage("map_basis"):
-        basis = map_basis(oracle, op.dim, tol)
-    with _stage("fix_phases", basis.gram_defect):
-        fixed, scales = fix_phases(oracle, basis, tol)
+    fixed, scales = fix_phases(oracle, map_basis(oracle, op.dim, tol), tol)
     probe = probe_automorphism(oracle, fixed, scales, samples, args.index - 1, tol)
     _emit(render_probe(probe, op.dim, float(scales[args.index - 1])))
     return 0

@@ -1,9 +1,9 @@
 """Exception hierarchy for ray-map reconstruction.
 
-Every library error derives from :class:`RaySymError`.  Errors raised inside
-the reconstruction pipeline carry a ``stage`` attribute naming the pipeline
-stage that failed and, once the basis images were accepted, their
-``basis_gram_defect``.
+Every library error derives from :class:`RaySymError`.  An error raised in
+map_basis, fix_phases or classify_automorphism, whoever called it, carries a
+``stage`` attribute naming that stage and, once the basis images were
+accepted, their ``basis_gram_defect``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ within tolerance the operator is unitary (or antiunitary), and it reproduces
 the oracle up to one global phase if the oracle meets the theorem's
 hypotheses, which these 2*dim probes alone cannot establish; otherwise the
 result is flagged diagnostic-only and records how far the scales deviate.
+
+Stages 1, 3 and 4 name themselves, whoever calls them: a RaySymError raised
+inside one carries the stage's name and, after map_basis, the basis Gram
+defect.  slice_coordinates and probe_automorphism name none of their errors.
 """
 
 from __future__ import annotations
@@ -105,15 +109,6 @@ class BasisImages:
 
 
 @dataclass(frozen=True)
-class ProbeRecord:
-    """One slice probe: axis index, probe coordinate z, returned slice coordinate."""
-
-    index: int
-    z: complex
-    coordinate: complex
-
-
-@dataclass(frozen=True)
 class ProbeResult:
     """Pointwise automorphism table with additivity/multiplicativity residuals."""
 
@@ -135,14 +130,14 @@ class ReconstructionResult:
     scale deviates, the operator columns are still the phase-fixed image axes
     but the result is diagnostic-only.  ``basis`` holds those phase-fixed
     axes with the Gram defect map_basis measured, ready for
-    probe_automorphism.
+    probe_automorphism.  ``classification_residual`` is the distance of the
+    probed f(i) to the i or -i that classify_automorphism accepted.
     """
 
     operator: SymmetryOperator
     basis: BasisImages
     scales: np.ndarray
     kind: AutomorphismKind
-    probe_log: tuple[ProbeRecord, ...]
     max_scale_deviation: float
     classification_residual: float
     unitary_valid: bool
@@ -180,24 +175,27 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
     """
     if dim < 2:
         raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
-    if oracle.dim_in != dim or oracle.dim_out != dim:
-        raise DimensionMismatch(
-            f"oracle maps dimension {oracle.dim_in} to {oracle.dim_out}, expected {dim} to {dim}"
-        )
-    # Each identity row is already the canonical representative of its axis ray.
-    axes = np.eye(dim, dtype=np.complex128)
-    axes.flags.writeable = False
-    reps = np.column_stack([oracle.image(Ray._from_canonical(e)).rep for e in axes])
-    gram = reps.conj().T @ reps
-    norms = gram.diagonal().real
-    u = np.minimum((gram.real**2 + gram.imag**2) / np.outer(norms, norms), 1.0)
-    overlaps = np.argwhere(np.triu(u > tol.orth_tol, k=1))
-    if overlaps.size:
-        i, j = (int(k) for k in overlaps[0])
-        raise ImagesNotOrthogonal(i, j, float(u[i, j]))
-    gram_defect = float(np.max(np.abs(gram - axes)))
-    if gram_defect > tol.recon_tol:
-        raise IncompleteImage(f"basis-image Gram matrix deviates from identity by {gram_defect:.3e}")
+    with _stage("map_basis"):
+        if oracle.dim_in != dim or oracle.dim_out != dim:
+            raise DimensionMismatch(
+                f"oracle maps dimension {oracle.dim_in} to {oracle.dim_out}, expected {dim} to {dim}"
+            )
+        # Each identity row is already the canonical representative of its axis ray.
+        axes = np.eye(dim, dtype=np.complex128)
+        axes.flags.writeable = False
+        reps = np.column_stack([oracle.image(Ray._from_canonical(e)).rep for e in axes])
+        gram = reps.conj().T @ reps
+        norms = gram.diagonal().real
+        u = np.minimum((gram.real**2 + gram.imag**2) / np.outer(norms, norms), 1.0)
+        overlaps = np.argwhere(np.triu(u > tol.orth_tol, k=1))
+        if overlaps.size:
+            i, j = (int(k) for k in overlaps[0])
+            raise ImagesNotOrthogonal(i, j, float(u[i, j]))
+        gram_defect = float(np.max(np.abs(gram - axes)))
+        if gram_defect > tol.recon_tol:
+            raise IncompleteImage(
+                f"basis-image Gram matrix deviates from identity by {gram_defect:.3e}"
+            )
     return BasisImages(dim=dim, columns=reps, gram_defect=gram_defect)
 
 
@@ -251,7 +249,6 @@ def fix_phases(
     oracle: RayMapOracle,
     basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    probe_log: list[ProbeRecord] | None = None,
 ) -> tuple[BasisImages, np.ndarray]:
     """Probe z = 1 on every axis and absorb the probe phases into the columns.
 
@@ -263,15 +260,14 @@ def fix_phases(
     dim = basis.dim
     columns = basis.columns.copy()
     scales = np.ones(dim)
-    for i in range(1, dim):
-        c = slice_coordinates(oracle, basis, 1.0, i, tol)
-        if probe_log is not None:
-            probe_log.append(ProbeRecord(index=i, z=1.0 + 0.0j, coordinate=c))
-        r = abs(c)
-        if r <= tol.orth_tol:
-            raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
-        columns[:, i] *= c / r
-        scales[i] = r
+    with _stage("fix_phases", basis.gram_defect):
+        for i in range(1, dim):
+            c = slice_coordinates(oracle, basis, 1.0, i, tol)
+            r = abs(c)
+            if r <= tol.orth_tol:
+                raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
+            columns[:, i] *= c / r
+            scales[i] = r
     return BasisImages(dim=dim, columns=columns, gram_defect=basis.gram_defect), scales
 
 
@@ -280,23 +276,21 @@ def classify_automorphism(
     fixed_basis: BasisImages,
     scales: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    probe_log: list[ProbeRecord] | None = None,
-) -> AutomorphismKind:
+) -> tuple[AutomorphismKind, float]:
     """Decide identity versus conjugation from a single probe of the imaginary unit.
 
     The normalized probe value f(i) must land on i or -i within
-    tol.recon_tol; anything else means the oracle is inconsistent with an
-    orthogonality-preserving map (NotWignerLike).
+    tol.recon_tol, and the kind is returned with that distance; anything
+    else means the oracle is inconsistent with an orthogonality-preserving
+    map (NotWignerLike).
     """
-    c = slice_coordinates(oracle, fixed_basis, 1j, 1, tol)
-    if probe_log is not None:
-        probe_log.append(ProbeRecord(index=1, z=1j, coordinate=c))
-    f_val = c / scales[1]
-    if abs(f_val - 1j) <= tol.recon_tol:
-        return AutomorphismKind.IDENTITY
-    if abs(f_val + 1j) <= tol.recon_tol:
-        return AutomorphismKind.CONJUGATION
-    raise NotWignerLike(f_val)
+    with _stage("classify_automorphism", fixed_basis.gram_defect):
+        f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / scales[1]
+        if abs(f_val - 1j) <= tol.recon_tol:
+            return AutomorphismKind.IDENTITY, float(abs(f_val - 1j))
+        if abs(f_val + 1j) <= tol.recon_tol:
+            return AutomorphismKind.CONJUGATION, float(abs(f_val + 1j))
+        raise NotWignerLike(f_val)
 
 
 def probe_automorphism(
@@ -351,20 +345,11 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Run the full pipeline: basis images, phase fixing, classification, assembly.
 
-    Uses exactly dim + (dim - 1) + 1 = 2*dim oracle calls.  Stage errors
-    propagate with the stage name attached and, when raised after map_basis,
-    with the basis Gram defect as ``basis_gram_defect``.
+    Uses exactly dim + (dim - 1) + 1 = 2*dim oracle calls.  Errors carry
+    the name of the stage that raised them.
     """
-    with _stage("map_basis"):
-        basis = map_basis(oracle, dim, tol)
-    probe_log: list[ProbeRecord] = []
-    with _stage("fix_phases", basis.gram_defect):
-        fixed, scales = fix_phases(oracle, basis, tol, probe_log=probe_log)
-    with _stage("classify_automorphism", basis.gram_defect):
-        kind = classify_automorphism(oracle, fixed, scales, tol, probe_log=probe_log)
-    classification_probe = probe_log[-1]
-    f_val = classification_probe.coordinate / scales[1]
-    classification_residual = min(abs(f_val - 1j), abs(f_val + 1j))
+    fixed, scales = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
+    kind, classification_residual = classify_automorphism(oracle, fixed, scales, tol)
     max_scale_deviation = float(np.max(np.abs(scales - 1.0)))
     operator = SymmetryOperator(
         matrix=fixed.columns,
@@ -375,9 +360,8 @@ def reconstruct(
         basis=fixed,
         scales=scales,
         kind=kind,
-        probe_log=tuple(probe_log),
         max_scale_deviation=max_scale_deviation,
-        classification_residual=float(classification_residual),
+        classification_residual=classification_residual,
         unitary_valid=max_scale_deviation <= tol.recon_tol,
     )
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import raysym
 
 PUBLIC_NAMES = [
@@ -16,7 +19,6 @@ PUBLIC_NAMES = [
     "IncompleteImage",
     "NotWignerLike",
     "OperatorFileError",
-    "ProbeRecord",
     "ProbeResult",
     "Ray",
     "RayMapOracle",
@@ -50,7 +52,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Removing or adding a public name is an API change: update this list and the README with it.
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(raysym.__all__) == PUBLIC_NAMES
 
 
@@ -62,3 +64,17 @@ def test_every_public_name_resolves():
 def test_check_types_are_shared():
     assert raysym.CheckResult is raysym.oracles.CheckResult is raysym.conformance.CheckResult
     assert raysym.ConformanceReport is raysym.oracles.ConformanceReport
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # The CLI drives the library through its public stages only.
+    tree = ast.parse((Path(raysym.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "raysym")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -317,6 +317,25 @@ class TestParseSamples:
         with pytest.raises(UsageError):
             parse_samples(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1e160,1e160", "1e160 * 1e160"),          # a self-pair, listed twice
+            ("1e200", "1e200 * 1e200"),                # a sample with itself
+            ("1e-5,1e308", "1e308 + 1e308"),
+            ("1e100,1e250", "1e100 * 1e250"),          # only the cross pair overflows
+            ("-1e308i,1", "-1e308i + -1e308i"),
+            ("1e300+1e300i", "1e300+1e300i * 1e300+1e300i"),  # real part inf - inf = nan
+        ],
+    )
+    def test_rejects_a_non_finite_pairwise_sum_or_product(self, text, message):
+        with pytest.raises(UsageError) as info:
+            parse_samples(text)
+        assert str(info.value) == f"--samples: {message} is not finite"
+
+    def test_accepts_extreme_samples_whose_pairs_stay_finite(self):
+        assert parse_samples("1e154,-1e154i,1e-300") == (1e154, -1e154j, 1e-300)
+
 
 class TestReconstructCommand:
     def test_identity(self, capsys, identity_file):
@@ -360,7 +379,6 @@ class TestReconstructCommand:
             basis=BasisImages(dim=3, columns=m, gram_defect=0.0),
             scales=np.array([1.0, -0.0, 5e-324]),
             kind=AutomorphismKind.IDENTITY,
-            probe_log=(),
             max_scale_deviation=1.0,
             classification_residual=-0.0,
             unitary_valid=False,
@@ -513,6 +531,14 @@ class TestProbeCommand:
         code, _, err = run_cli(capsys, "probe", identity_file, "--samples", "1,bogus")
         assert code == 64
         assert "--samples" in err
+
+    def test_overflowing_probe_point_exits_64(self, capsys, tmp_path):
+        path = write_operator_file(tmp_path / "id3.json", np.eye(3), "unitary")
+        code, out, err = run_cli(
+            capsys, "probe", path, "--samples", "1e160,1e160", "--tol-orth", "1e-300"
+        )
+        assert (code, out) == (64, "")
+        assert err == "error: --samples: 1e160 * 1e160 is not finite\n"
 
 
 class TestUsage:

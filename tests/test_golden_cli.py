@@ -52,6 +52,8 @@ def operator_files():
         "conjugate-first-3": op(random_unitary(3, seed=13), "general", conjugate_first=True),
         "scaled-unitary-3": op(u3 @ np.diag([1.0, 2.0, 0.5]), "general"),
         "not-unitary-3": op(not_unitary, "unitary"),
+        # passes map_basis and fix_phases; classify_automorphism rejects it
+        "near-shear-2": op([[1.0, 6e-9], [0.0, 1.0]], "general"),
     }
 
 
@@ -71,6 +73,7 @@ COMMANDS = [
       for f in ("unitary-3", "antiunitary-2", "ginibre-3", "scaled-unitary-3")],
     *[(f, ("probe", "{input}", *SAMPLES))
       for f in ("unitary-8", "antiunitary-8", "conjugate-first-3")],
+    *[("near-shear-2", (command, "{input}")) for command in ("reconstruct", "conformance", "probe")],
 ]
 
 

@@ -12,6 +12,7 @@ from raysym import (
     NotWignerLike,
     ProbeResult,
     RayMapOracle,
+    RaySymError,
     SliceDegenerate,
     SymmetryOperator,
     Tolerances,
@@ -33,11 +34,14 @@ from raysym import (
 )
 import raysym.reconstruction
 from raysym.rays import sample_ray
-from raysym.reconstruction import DEFAULT_PROBE_GRID, ProbeRecord
+from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import axis_vector
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+#: Passes map_basis (Gram defect 6e-9) and fix_phases, but f(i) misses i by 1.2e-8.
+NEAR_SHEAR = np.array([[1.0, 6e-9], [0.0, 1.0]])
 
 
 def identity_oracle(dim, antiunitary=False):
@@ -163,10 +167,8 @@ def outcome(oracle, dim, tol=DEFAULT_TOLERANCES):
         return ("CrossTalk", str(err), err.stage, err.index, err.leak_index, err.magnitude)
     except Exception as err:
         return (type(err).__name__, str(err), getattr(err, "stage", None))
-    log = [(rec.index, rec.z, rec.coordinate) for rec in r.probe_log]
     return (
-        bits(r.operator.matrix), r.scales.tobytes(), bits([c for _, _, c in log]),
-        [(k, z) for k, z, _ in log], r.kind,
+        bits(r.operator.matrix), r.scales.tobytes(), bits([r.classification_residual]), r.kind,
         [(p.index, bits([f for _, f in p.values]), p.additivity_residual,
           p.multiplicativity_residual) for p in probes],
     )
@@ -393,13 +395,12 @@ class TestFixPhases:
         _, scales = fix_phases(oracle, basis)
         np.testing.assert_allclose(scales, [1.0, 2.0, 1.0], atol=1e-12)
 
-    def test_probe_log_records_unit_probes(self):
-        oracle = identity_oracle(4)
+    def test_asks_one_unit_probe_per_axis(self):
+        oracle, asked = counting_oracle(identity_oracle(4))
         basis = map_basis(oracle, 4)
-        log = []
-        fix_phases(oracle, basis, probe_log=log)
-        assert [rec.index for rec in log] == [1, 2, 3]
-        assert all(rec.z == 1.0 + 0.0j for rec in log)
+        fix_phases(oracle, basis)
+        units = [canonical_ray(axis_vector(4, 0) + axis_vector(4, i)) for i in (1, 2, 3)]
+        assert asked[4:] == [ray.rep.tobytes() for ray in units]
 
     def test_degenerate_probe_detected(self):
         oracle = probe_tampering_oracle(
@@ -414,18 +415,18 @@ class TestClassifyAutomorphism:
     def test_identity_oracle(self):
         oracle = identity_oracle(3)
         fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed, scales) is AutomorphismKind.IDENTITY
+        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.IDENTITY
 
     def test_conjugation_oracle(self):
         oracle = identity_oracle(3, antiunitary=True)
         fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed, scales) is AutomorphismKind.CONJUGATION
+        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.CONJUGATION
 
     def test_unitary_composed_with_conjugation(self):
         op = SymmetryOperator(random_unitary(5, seed=31), antiunitary=True)
         oracle = induced_map(op)
         fixed, scales = fix_phases(oracle, map_basis(oracle, 5))
-        assert classify_automorphism(oracle, fixed, scales) is AutomorphismKind.CONJUGATION
+        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.CONJUGATION
 
     def test_modulus_map_is_not_wigner_like(self):
         oracle = probe_tampering_oracle(
@@ -434,6 +435,68 @@ class TestClassifyAutomorphism:
         fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
         with pytest.raises(NotWignerLike):
             classify_automorphism(oracle, fixed, scales)
+
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_residual_is_the_distance_to_the_nearer_of_i_and_minus_i(self, dim):
+        u = random_unitary(dim, seed=40 + dim)
+        noise = 1e-10 * ginibre(dim, dim)
+        for antiunitary in (False, True):
+            for m in (u, u + noise, u * (1.0 + np.arange(dim) / dim) + noise):
+                oracle = general_induced_map(m, conjugate_first=antiunitary)
+                fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
+                kind, residual = classify_automorphism(oracle, fixed, scales)
+                f = slice_coordinates(oracle, fixed, 1j, 1) / scales[1]
+                assert kind is (AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY)
+                assert type(residual) is float
+                assert residual == min(abs(f - 1j), abs(f + 1j))
+
+
+class TestStagesNameThemselves:
+    """Each stage called on its own names itself on its errors, exactly as under reconstruct."""
+
+    @staticmethod
+    def raised(call, *args):
+        with pytest.raises(RaySymError) as info:
+            call(*args)
+        return info.value
+
+    def test_map_basis(self):
+        oracle = general_induced_map(SHEAR)
+        err = self.raised(map_basis, oracle, 2)
+        assert isinstance(err, ImagesNotOrthogonal)
+        assert (err.stage, err.basis_gram_defect) == ("map_basis", None)
+        assert str(err) == str(self.raised(reconstruct, oracle, 2))
+
+    def test_fix_phases(self):
+        oracle = general_induced_map(np.diag([1.0, 1e-10, 1.0]))
+        err = self.raised(fix_phases, oracle, map_basis(oracle, 3))
+        assert isinstance(err, DegenerateProbe)
+        assert (err.stage, err.basis_gram_defect) == ("fix_phases", 0.0)
+        assert str(err) == str(self.raised(reconstruct, oracle, 3))
+
+    def test_fix_phases_names_its_slice_probe_errors(self):
+        oracle = leaking_oracle(4, {3: 0.2})
+        basis = map_basis(oracle, 4)
+        err = self.raised(fix_phases, oracle, basis)
+        assert isinstance(err, CrossTalk)
+        assert (err.stage, err.basis_gram_defect) == ("fix_phases", basis.gram_defect)
+
+    def test_classify_automorphism(self):
+        oracle = general_induced_map(NEAR_SHEAR)
+        fixed, scales = fix_phases(oracle, map_basis(oracle, 2))
+        err = self.raised(classify_automorphism, oracle, fixed, scales)
+        assert isinstance(err, NotWignerLike)
+        assert err.stage == "classify_automorphism"
+        assert err.basis_gram_defect == fixed.gram_defect > 0.0
+        assert str(err) == str(self.raised(reconstruct, oracle, 2))
+
+    def test_slice_probes_outside_a_stage_stay_unnamed(self):
+        oracle = leaking_oracle(4, {3: 0.2})
+        basis = map_basis(oracle, 4)
+        assert self.raised(slice_coordinates, oracle, basis, 1.0, 1).stage is None
+        scales = np.ones(4)
+        assert self.raised(probe_automorphism, oracle, basis, scales, (1.0,), 1).stage is None
 
 
 class TestProbeAutomorphism:
@@ -617,13 +680,13 @@ class TestReconstruct:
         assert [e.passed for e in report.entries] == [False, False]
         assert verify_reproduction(result.operator, oracle) > 0.5
 
-    def test_probe_log_contents(self):
-        result = reconstruct(identity_oracle(3), 3)
-        assert result.probe_log[:2] == (
-            ProbeRecord(index=1, z=1.0 + 0.0j, coordinate=result.probe_log[0].coordinate),
-            ProbeRecord(index=2, z=1.0 + 0.0j, coordinate=result.probe_log[1].coordinate),
+    def test_classification_residual_is_the_classifier_residual(self):
+        oracle = identity_oracle(3)
+        result = reconstruct(oracle, 3)
+        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
+        assert classify_automorphism(oracle, fixed, scales) == (
+            result.kind, result.classification_residual
         )
-        assert result.probe_log[-1].z == 1.0j
         assert result.classification_residual <= 1e-12
 
     def test_stage_annotation(self):
@@ -652,7 +715,7 @@ class TestReconstruct:
         b = reconstruct(oracle, 6)
         assert np.array_equal(a.operator.matrix, b.operator.matrix)
         assert np.array_equal(a.scales, b.scales)
-        assert a.probe_log == b.probe_log
+        assert a.classification_residual == b.classification_residual
         assert a.kind is b.kind
 
     def test_rejects_dimension_one(self):
