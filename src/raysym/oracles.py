@@ -25,6 +25,7 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
+    _stack_reps,
     _vdots,
     canonical_ray,
     canonical_rays,
@@ -77,7 +78,10 @@ class RayMapOracle:
     """Deterministic black-box map between ray sets.
 
     ``image_fn`` must be total on rays of dimension ``dim_in`` and return a
-    canonical :class:`~raysym.rays.Ray` of dimension ``dim_out``.  Oracles
+    :class:`~raysym.rays.Ray` of dimension ``dim_out``.  A ``Ray(v)`` answer
+    is validated when it is made and canonicalized on first use; where the
+    library collects a stack of answers (the sampled checks, ``map_basis``),
+    it canonicalizes them in one pass, with the same bits.  Oracles
     carry no state, so concurrent image calls are safe, and the same ray
     always gets the same answer.  The library relies on that: it may ask a
     repeated ray once and reuse the answer, as ``probe_automorphism`` does
@@ -205,8 +209,8 @@ def check_orthogonality_preservation(
     (``sample_state_blocks``).  s is t projected off r; when the projection
     has |t|^2 <= DEGENERATE_DRAW a fresh t is drawn from the generator,
     after the block's draw.  Each source ray is one ``oracle.image`` call, in
-    trial order and r, s, a, b within a trial, and the block is scored with
-    ``ray_functions``.
+    trial order and r, s, a, b within a trial; the block's answers are
+    canonicalized in one pass and scored with ``ray_functions``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -222,9 +226,8 @@ def check_orthogonality_preservation(
         for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
             t[j] = _orthogonal_state(r[j], rng)
         sources = (r, canonical_rays(t), canonical_rays(v[:, 2]), canonical_rays(v[:, 3]))
-        images = np.array(
-            [[oracle.image(Ray._from_canonical(x[j])).rep for x in sources] for j in range(len(v))]
-        )
+        answers = [oracle.image(Ray._from_canonical(x[j])) for j in range(len(v)) for x in sources]
+        images = _stack_reps(answers).reshape(len(v), 4, dim)
         max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
         drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(*sources[2:]))
         max_u = max(max_u, float(drift.max()))

@@ -3,15 +3,17 @@
 A ray is a one-dimensional subspace of C^n, stored here as a canonical unit
 representative: the vector is normalized and rotated so that its first
 component of significant modulus is real and positive.  ``Ray(v)`` and its
-alias ``canonical_ray(v)`` canonicalize any nonzero finite vector this way,
-at any scale, subnormal components included, so every Ray is canonical by
-construction; only a vector whose components are all exactly zero raises
-ZeroVector.  With that convention two vectors generate the same ray exactly
-when their canonical representatives agree componentwise.
+alias ``canonical_ray(v)`` accept any nonzero finite vector, at any scale,
+subnormal components included; only a vector whose components are all
+exactly zero raises ZeroVector.  ``Ray(v)`` validates ``v`` at once and keeps
+a private copy, and canonicalizes on first use of the representative, so
+every Ray reads as canonical.  With that convention two vectors generate the
+same ray exactly when their canonical representatives agree componentwise.
 ``canonical_rays`` applies the same recipe to every row of a (k, n) stack
 and ``ray_functions`` scores stacks row by row; the sampled checks use them
-to handle a block of trials per array operation.  ``ray_function`` scores
-one pair as a one-row stack.
+to handle a block of trials per array operation, and canonicalize a block's
+oracle answers in one such pass.  ``ray_function`` scores one pair as a
+one-row stack.
 
 The transition probability between two rays r, s with generators e, f is
 
@@ -63,20 +65,27 @@ DEFAULT_TOLERANCES = Tolerances()
 class Ray:
     """Canonical unit representative of a one-dimensional subspace of C^n.
 
-    ``Ray(v)`` canonicalizes any nonzero finite 1-d vector ``v``: it
-    normalizes to unit norm, then rotates the global phase so the first
-    component of modulus > PIVOT_TOL becomes real and positive.  The result
-    is invariant (within 1e-12) under scaling of ``v`` by any nonzero complex
-    number, and canonicalization is idempotent at the same tolerance.
+    ``Ray(v)`` accepts any nonzero finite 1-d vector ``v``.  The
+    representative ``rep`` is ``v`` normalized to unit norm, with the global
+    phase rotated so the first component of modulus > PIVOT_TOL is real and
+    positive.  It is invariant (within 1e-12) under scaling of ``v`` by any
+    nonzero complex number, and canonicalization is idempotent at the same
+    tolerance.
 
-    Raises ValueError for input that is not a nonempty finite 1-d vector, and
-    ZeroVector when every component of ``v`` is exactly zero.
+    ``Ray(v)`` validates at once: it raises ValueError for input that is not
+    a nonempty finite 1-d vector, and ZeroVector when every component of
+    ``v`` is exactly zero.  It keeps a private copy of ``v``, so changing
+    ``v`` afterwards changes nothing, and canonicalizes on first use of
+    ``rep`` (or of ``almost_equals`` or the repr); ``dim`` is known at once.
+    Where the library gathers a stack of oracle answers, it canonicalizes
+    the pending ones together with ``canonical_rays``, which gives the same
+    bits.  Concurrent reads of one Ray are safe and see the same bytes.
     """
 
-    __slots__ = ("_rep",)
+    __slots__ = ("_rep", "_pending")
 
     def __init__(self, v: np.ndarray):
-        v = np.asarray(v, dtype=np.complex128, order="C")
+        v = np.array(v, dtype=np.complex128, order="C")  # the private copy
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
         parts = v.view(np.float64)
@@ -91,48 +100,62 @@ class Ray:
         # The clamp keeps the factor finite when the largest part is subnormal.
         scale = 2.0 ** -max(math.frexp(top)[1], -1022)
         if scale != 1.0:
-            parts = parts * scale
-        re, im = parts[0::2], parts[1::2]
-        # The norm is what np.linalg.norm computes: two strided real dots.
-        rep = parts.view(np.complex128) / math.sqrt(re.dot(re) + im.dot(im))
-        # A unit vector has a component of modulus >= 1/sqrt(n) > PIVOT_TOL.
-        # The scalar abs may differ from the array abs in the last bit, so
-        # only a first modulus well above PIVOT_TOL skips the scan.
-        modulus = abs(rep[0])
-        pivot = 0
-        if not modulus > 2.0 * PIVOT_TOL:
-            pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
-            modulus = abs(rep[pivot])
-        rep = rep * (rep[pivot].conjugate() / modulus)
-        # Exact by construction; removes the rounding-level imaginary residue.
-        rep[pivot] = abs(rep[pivot])
-        rep.setflags(write=False)
-        self._rep = rep
+            parts *= scale
+        self._pending = v
+        self._rep = None
 
     @classmethod
     def _from_canonical(cls, rep: np.ndarray) -> "Ray":
         """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
         ray = cls.__new__(cls)
+        ray._pending = None
         ray._rep = rep
         return ray
 
     @property
     def rep(self) -> np.ndarray:
         """The canonical representative (read-only array)."""
-        return self._rep
+        # _pending is cleared only after _rep is set, so it is read first.
+        pending = self._pending
+        rep = self._rep
+        if rep is None:
+            rep = self._rep = _canonical_row(pending)
+            self._pending = None
+        return rep
 
     @property
     def dim(self) -> int:
-        return self._rep.shape[0]
+        pending = self._pending
+        return (self._rep if pending is None else pending).shape[0]
 
     def almost_equals(self, other: "Ray", tol: float = 1e-12) -> bool:
         """Componentwise agreement of the canonical representatives."""
         if self.dim != other.dim:
             return False
-        return bool(np.max(np.abs(self._rep - other._rep)) <= tol)
+        return bool(np.max(np.abs(self.rep - other.rep)) <= tol)
 
     def __repr__(self) -> str:
-        return f"Ray({np.array2string(self._rep, precision=6, suppress_small=True)})"
+        return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
+
+
+def _canonical_row(w: np.ndarray) -> np.ndarray:
+    """``Ray``'s deferred steps on its prescaled copy: norm, pivot, phase rotation."""
+    re, im = w.real, w.imag
+    # The norm is what np.linalg.norm computes: two strided real dots.
+    rep = w / math.sqrt(re.dot(re) + im.dot(im))
+    # A unit vector has a component of modulus >= 1/sqrt(n) > PIVOT_TOL.
+    # The scalar abs may differ from the array abs in the last bit, so
+    # only a first modulus well above PIVOT_TOL skips the scan.
+    modulus = abs(rep[0])
+    pivot = 0
+    if not modulus > 2.0 * PIVOT_TOL:
+        pivot = int((np.abs(rep) > PIVOT_TOL).argmax())
+        modulus = abs(rep[pivot])
+    rep = rep * (rep[pivot].conjugate() / modulus)
+    # Exact by construction; removes the rounding-level imaginary residue.
+    rep[pivot] = abs(rep[pivot])
+    rep.setflags(write=False)
+    return rep
 
 
 def canonical_ray(v: np.ndarray) -> Ray:
@@ -173,7 +196,11 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     if rejected.any():
         Ray(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
-    w = (parts * scale[:, None]).view(np.complex128)
+    return _canonical_rows((parts * scale[:, None]).view(np.complex128))
+
+
+def _canonical_rows(w: np.ndarray) -> np.ndarray:
+    """``canonical_rays`` after the prescale: norm, pivot and phase rotation of each row."""
     norm = np.sqrt(_dots(w.real, w.real) + _dots(w.imag, w.imag))  # as np.linalg.norm
     rep = w / norm[:, None]
     rows = np.arange(rep.shape[0])
@@ -189,6 +216,22 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     rep[rows, pivot] = np.hypot(entry.real, entry.imag)
     rep.flags.writeable = False
     return rep
+
+
+def _stack_reps(rays: list[Ray]) -> np.ndarray:
+    """The (k, n) stack of the rays' representatives: row j is ``rays[j].rep`` bit for bit.
+
+    The rays still pending are canonicalized together, in one
+    ``canonical_rays`` pass over their prescaled copies, and stay pending.
+    """
+    pending = [ray._pending for ray in rays]  # read before _rep, as in Ray.rep
+    stack = np.array([ray._rep if p is None else p for ray, p in zip(rays, pending)])
+    todo = [j for j, p in enumerate(pending) if p is not None]
+    if len(todo) == len(rays):
+        return _canonical_rows(stack)
+    if todo:
+        stack[todo] = _canonical_rows(stack[todo])
+    return stack
 
 
 def ray_function(r: Ray, s: Ray) -> float:

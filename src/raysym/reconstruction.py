@@ -53,7 +53,7 @@ from .errors import (
 )
 from .oracles import RayMapOracle, SymmetryOperator
 from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_ray
-from .rays import canonical_rays, ray_functions, sample_state_blocks
+from .rays import _stack_reps, canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -183,7 +183,8 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
         # Each identity row is already the canonical representative of its axis ray.
         axes = np.eye(dim, dtype=np.complex128)
         axes.flags.writeable = False
-        reps = np.column_stack([oracle.image(Ray._from_canonical(e)).rep for e in axes])
+        answers = [oracle.image(Ray._from_canonical(e)) for e in axes]
+        reps = np.ascontiguousarray(_stack_reps(answers).T)
         gram = reps.conj().T @ reps
         norms = gram.diagonal().real
         u = np.minimum((gram.real**2 + gram.imag**2) / np.outer(norms, norms), 1.0)
@@ -221,13 +222,23 @@ def slice_coordinates(
     being a unit vector (else CrossTalk, naming the lowest such axis).
     Returns b_i / b_1.
     """
-    dim = basis.dim
-    _check_probe_index(dim, i)
-    z = complex(z)
+    _check_probe_index(basis.dim, i)
+    return _slice_coordinate(oracle, basis, _probe_ray(basis.dim, complex(z), i), i, tol)
+
+
+def _probe_ray(dim: int, z: complex, i: int) -> Ray:
+    """The ray generated by e_1 + z e_i."""
     probe = np.zeros(dim, dtype=np.complex128)
     probe[0] = 1.0
     probe[i] = z
-    w = oracle.image(canonical_ray(probe)).rep
+    return canonical_ray(probe)
+
+
+def _slice_coordinate(
+    oracle: RayMapOracle, basis: BasisImages, source: Ray, i: int, tol: Tolerances
+) -> complex:
+    """``slice_coordinates`` once the probe ray has been made."""
+    w = oracle.image(source).rep
     b = basis.adjoint @ w
     if abs(b[0]) <= tol.orth_tol:
         raise SliceDegenerate(
@@ -306,22 +317,29 @@ def probe_automorphism(
     Evaluates f(z) = slice coordinate / r_i at every sample, then for every
     unordered sample pair (a, b) at a+b and a*b, and records the worst
     additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity residual
-    |f(ab) - f(a) f(b)|.  Oracles are deterministic, so each point is
-    probed once, at its first occurrence in that order; points are told
-    apart by their exact bits, so 0.0 and -0.0 are two points.  Pointwise
-    probing documents the laws but cannot by itself certify the global
-    preservation hypotheses.
+    |f(ab) - f(a) f(b)|.  Oracles are deterministic, so each probe ray is
+    asked once, at its first occurrence in that order: points whose probe
+    rays have the same canonical representative share one answer, as do
+    0.0 and -0.0.  A point met again, by its exact bits, reuses its answer
+    without making its ray again.  Pointwise probing documents the laws but
+    cannot by itself certify the global preservation hypotheses.
     """
-    _check_probe_index(fixed_basis.dim, i)
+    dim = fixed_basis.dim
+    _check_probe_index(dim, i)
     r = float(scales[i])
-    answers: dict[bytes, complex] = {}
+    by_point: dict[bytes, complex] = {}
+    by_ray: dict[bytes, complex] = {}
 
     def f(z: complex) -> complex:
         z = complex(z)
-        key = struct.pack("dd", z.real, z.imag)
-        if key not in answers:
-            answers[key] = slice_coordinates(oracle, fixed_basis, z, i, tol) / r
-        return answers[key]
+        point = struct.pack("dd", z.real, z.imag)
+        if point not in by_point:
+            source = _probe_ray(dim, z, i)
+            key = source.rep.tobytes()
+            if key not in by_ray:
+                by_ray[key] = _slice_coordinate(oracle, fixed_basis, source, i, tol) / r
+            by_point[point] = by_ray[key]
+        return by_point[point]
 
     values = tuple((complex(z), f(z)) for z in samples)
     add_res = 0.0
@@ -404,7 +422,7 @@ def verify_reproduction(
         sources = canonical_rays(v[:, 0])
         x = np.conj(sources) if op.antiunitary else sources
         mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
-        images = np.array([oracle.image(Ray._from_canonical(s)).rep for s in sources])
+        images = _stack_reps([oracle.image(Ray._from_canonical(s)) for s in sources])
         worst = max(worst, float((1.0 - ray_functions(mapped, images)).max()))
     return worst
 

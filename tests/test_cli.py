@@ -514,8 +514,8 @@ class TestProbeCommand:
         path = write_operator_file(tmp_path / "u.json", random_unitary(4, seed=5), "unitary")
         code, _, _ = run_cli(capsys, "probe", path)
         assert code == 0
-        # 4 axis rays, 3 unit probes, the 123 bitwise-distinct points of the default grid's 168
-        assert image_calls[0] == 4 + 3 + 123 == 130
+        # 4 axis rays, 3 unit probes, the 121 distinct probe rays of the default grid's 168 points
+        assert image_calls[0] == 4 + 3 + 121 == 128
 
     def test_index_below_two_exits_64(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "probe", identity_file, "--index", "1")

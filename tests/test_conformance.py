@@ -143,9 +143,9 @@ class TestRunFullConformance:
     def test_oracle_calls_at_dimension_8(self, image_calls):
         report = run_full_conformance(SymmetryOperator(random_unitary(8, seed=8)), seed=3)
         assert report.passed
-        # 4 per preservation trial, 2 * dim to reconstruct, the 123 bitwise-distinct
-        # points of the 12 + 2 * 78 probes, 100 reproductions
-        assert image_calls[0] == 4 * 200 + 2 * 8 + 123 + 100 == 1039
+        # 4 per preservation trial, 2 * dim to reconstruct, the 121 distinct probe
+        # rays of the 12 + 2 * 78 probes, 100 reproductions
+        assert image_calls[0] == 4 * 200 + 2 * 8 + 121 + 100 == 1037
 
     def test_later_stage_failure_keeps_the_basis_entry(self):
         # axis rays map to axis rays (Gram defect 0), the unit probe on axis 2 vanishes

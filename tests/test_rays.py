@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from raysym import (
 from raysym.rays import (
     PIVOT_TOL,
     SAMPLE_BLOCK,
+    _stack_reps,
     canonical_rays,
     ray_functions,
     sample_state,
@@ -216,6 +219,49 @@ class TestRayConstructor:
         r = Ray(v)
         v[0] = 5.0
         assert r.rep[0] == 1.0
+
+    @settings(max_examples=100)
+    @given(ray_inputs())
+    def test_input_changed_before_first_use_changes_nothing(self, v):
+        try:
+            want = reference_ray_rep(v)
+        except (ValueError, ZeroVector):
+            return
+        r = Ray(v)
+        v[:] = np.nan
+        assert r.dim == want.shape[0]
+        assert r.rep.tobytes() == want.tobytes()
+
+    def test_concurrent_first_reads_see_the_same_bytes(self):
+        # More threads than cores and a short switch interval, so reads of
+        # one pending ray interleave inside its first canonicalization.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(40):
+                v = random_state(64, seed=k) * 2.0 ** (25 * k - 500)
+                want = reference_ray_rep(v).tobytes()
+                ray = Ray(v)
+                barrier = threading.Barrier(4)
+                seen, errors = [], []
+
+                def read():
+                    try:
+                        barrier.wait(timeout=10)
+                        seen.append((ray.dim, ray.rep.tobytes()))
+                    except Exception as err:  # reported by the assertion below
+                        errors.append(err)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert seen == [(64, want)] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_representative_is_read_only(self):
         r = canonical_ray(np.array([1.0, 1.0j]))
@@ -457,6 +503,51 @@ class TestCanonicalRays:
         assert ray.rep is row
         assert ray.dim == 5
         assert ray.almost_equals(Ray(v), tol=1e-15)
+
+
+class TestStackReps:
+    """The stack helper the sampled checks and map_basis gather oracle answers with."""
+
+    @staticmethod
+    def vectors(dim, rng):
+        vs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(9)]
+        vs[1] = vs[1] * 2.0**1000
+        vs[2] = vs[2] * 2.0**-1000
+        vs[3] = vs[3] * 2.0**-1070  # subnormal parts
+        vs[4][0] = complex(-0.0, -0.0 if dim > 1 else -3.0)  # a signed zero before the pivot
+        vs[5] = np.where(rng.random(dim) < 0.5, complex(-0.0, 0.0), vs[5])
+        vs[5][-1] = complex(-2.0, -0.0)
+        vs[6] = vs[6].real + 0.0j  # real, with +0.0 imaginary parts
+        return vs
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_rows_are_the_reps_of_pending_read_and_wrapped_rays(self, dim):
+        rng = np.random.default_rng(45 + dim)
+        vs = self.vectors(dim, rng)
+        want = np.array([reference_ray_rep(v) for v in vs])
+
+        def pending():
+            return [Ray(v) for v in vs]
+
+        def read():
+            rays = pending()
+            for r in rays:
+                r.rep
+            return rays
+
+        def wrapped():
+            return [Ray._from_canonical(row) for row in canonical_rays(np.array(vs))]
+
+        def mixed():
+            styles = (pending(), read(), wrapped())
+            return [styles[j % 3][j] for j in range(len(vs))]
+
+        for make in (pending, read, wrapped, mixed):
+            rays = make()
+            got = _stack_reps(rays)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), make.__name__
+            assert got.tobytes() == np.array([r.rep for r in rays]).tobytes()
 
 
 class TestRayFunctions:

@@ -104,17 +104,11 @@ def reference_slice_coordinates(oracle, basis, z, i, tol=DEFAULT_TOLERANCES):
     return complex(b[i] / b[0])
 
 
-def reference_probe_automorphism(oracle, fixed_basis, scales, samples, i, tol=DEFAULT_TOLERANCES,
-                                 points=None):
-    """probe_automorphism as it was: a fresh probe for every point, repeats included.
-
-    Appends each point it probes, in order, to ``points`` when given.
-    """
+def reference_probe_automorphism(oracle, fixed_basis, scales, samples, i, tol=DEFAULT_TOLERANCES):
+    """probe_automorphism as it was: a fresh probe for every point, repeats included."""
     r = float(scales[i])
 
     def f(z):
-        if points is not None:
-            points.append(complex(z))
         return slice_coordinates(oracle, fixed_basis, z, i, tol) / r
 
     values = tuple((complex(z), f(z)) for z in samples)
@@ -553,31 +547,18 @@ def probe_outcome(oracle, fixed, scales, samples, i, probe):
     return result, log
 
 
-def first_occurrences(points, rays):
-    """The entries of ``rays`` whose probe point, by its exact bits, was not probed before."""
-    seen = set()
-    kept = []
-    for z, ray in zip(points, rays):
-        if bits([z]) not in seen:
-            seen.add(bits([z]))
-            kept.append(ray)
-    return kept
-
-
 class TestProbeDeduplication:
     """probe_automorphism against the loop that probed every point afresh."""
 
     def assert_reference_minus_repeats(self, oracle, dim, samples, i):
         fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
-        points = []
         want, want_rays = probe_outcome(
-            oracle, fixed, scales, samples, i,
-            lambda *args: reference_probe_automorphism(*args, points=points),
+            oracle, fixed, scales, samples, i, reference_probe_automorphism
         )
         got, got_rays = probe_outcome(oracle, fixed, scales, samples, i, probe_automorphism)
         assert got == want
-        assert len(points) == len(want_rays)
-        assert got_rays == first_occurrences(points, want_rays)
+        # each distinct ray of the reference's asks, once, in order of first occurrence
+        assert got_rays == list(dict.fromkeys(want_rays))
         return got, got_rays, want_rays
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -595,10 +576,13 @@ class TestProbeDeduplication:
         for i in sorted({1, dim - 1}):
             _, got_rays, want_rays = self.assert_reference_minus_repeats(oracle, dim, samples, i)
             if samples is DEFAULT_PROBE_GRID:
-                assert (len(got_rays), len(want_rays)) == (123, 168)
+                # 123 bitwise-distinct points, two of them signed-zero variants of
+                # another point that make the same canonical probe ray
+                assert (len(got_rays), len(want_rays)) == (121, 168)
             else:
-                # 1 and 2, and the zeros 0j, -0.0 + 0j and -0j: signs tell points apart
-                assert (len(got_rays), len(want_rays)) == (5, 24)
+                # 1 and 2, and the zeros 0j, -0.0 + 0j and -0j: the first two make
+                # the same probe ray, while -0j leaves a -0.0 in the canonical one
+                assert (len(got_rays), len(want_rays)) == (4, 24)
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_a_leak_raises_the_same_cross_talk_after_a_prefix_of_the_asks(self, dim):

@@ -222,6 +222,63 @@ class TestReproductionAgainstTheTrialLoop:
             assert_same_rays(new_asked, ref_asked)
 
 
+def answering(oracle, read):
+    """The oracle as a plain callable whose answers are pending ``Ray(v)`` or already read."""
+
+    def image(ray):
+        answer = oracle.image(ray)
+        if read:
+            answer.rep
+        else:
+            assert answer._rep is None  # canonicalized by nobody yet
+        return answer
+
+    return RayMapOracle(oracle.dim_in, oracle.dim_out, image, label=oracle.label)
+
+
+def buffer_oracle(u):
+    """``x -> u x`` as a plain callable that writes every answer into one buffer."""
+    out = np.empty(u.shape[0], dtype=np.complex128)
+
+    def image(ray):
+        np.matmul(u, ray.rep, out=out)
+        return canonical_ray(out)
+
+    return RayMapOracle(u.shape[0], u.shape[0], image, label="one-buffer")
+
+
+class TestAnswerStyles:
+    @pytest.mark.parametrize(
+        "kind, dim", [("unitary", 2), ("antiunitary", 3), ("ginibre", 8), ("noisy", 16), ("twist", 2)]
+    )
+    def test_pending_and_read_answers_match_the_trial_loops(self, kind, dim):
+        op, oracle = oracle_family(kind, dim, 7)
+        outcomes = []
+        for read in (False, True):
+            styled = answering(oracle, read)
+            new_oracle, new_asked = recording(styled)
+            ref_oracle, ref_asked = recording(styled)
+            got = check_orthogonality_preservation(new_oracle, 40, 3)
+            assert got == reference_preservation(ref_oracle, 40, 3)
+            worst = verify_reproduction(op, new_oracle, trials=40, seed=4)
+            assert worst == reference_reproduction(op, ref_oracle, trials=40, seed=4)
+            assert_same_rays(new_asked, ref_asked)
+            outcomes.append((got, worst, [x.tobytes() for x in new_asked]))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_an_oracle_reusing_one_buffer_reports_as_a_fresh_one(self, dim):
+        u = random_unitary(dim, 12 + dim)
+        op = SymmetryOperator(u)
+        fresh = RayMapOracle(dim, dim, lambda ray: canonical_ray(u @ ray.rep), label="fresh")
+        reports = [
+            (check_orthogonality_preservation(o, 40, 5), verify_reproduction(op, o, 40, 6))
+            for o in (fresh, buffer_oracle(u))
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][0].entries[0].worst_residual < 1e-12  # the map is a unitary's
+
+
 def identity_oracle(dim):
     return RayMapOracle(dim, dim, lambda ray: ray, label="identity")
 
