@@ -227,7 +227,7 @@ def check_orthogonality_preservation(
             t[j] = _orthogonal_state(r[j], rng)
         sources = (r, canonical_rays(t), canonical_rays(v[:, 2]), canonical_rays(v[:, 3]))
         answers = [oracle.image(Ray._from_canonical(x[j])) for j in range(len(v)) for x in sources]
-        images = _stack_reps(answers).reshape(len(v), 4, dim)
+        images = _stack_reps(answers).reshape(len(v), 4, oracle.dim_out)
         max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
         drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(*sources[2:]))
         max_u = max(max_u, float(drift.max()))

@@ -162,6 +162,22 @@ class TestPreservationAgainstTheTrialLoop:
             _, oracle = oracle_family(kind, dim, 0)
             assert not check_orthogonality_preservation(oracle, 64, 1).passed
 
+    @pytest.mark.parametrize("dim_in, dim_out", [(2, 3), (3, 5), (8, 9)])
+    @pytest.mark.parametrize("isometric", [True, False])
+    def test_maps_into_a_larger_space(self, dim_in, dim_out, isometric):
+        # An isometric embedding preserves u; the first columns of a
+        # Ginibre matrix do not.
+        m = ginibre(dim_out, dim_in)[:, :dim_in]
+        if isometric:
+            m = random_unitary(dim_out, dim_in)[:, :dim_in]
+        oracle = RayMapOracle(dim_in, dim_out, lambda ray: canonical_ray(m @ ray.rep))
+        new_oracle, new_asked = recording(oracle)
+        ref_oracle, ref_asked = recording(oracle)
+        got = check_orthogonality_preservation(new_oracle, 40, 2)
+        assert got == reference_preservation(ref_oracle, 40, 2)
+        assert got.passed == isometric
+        assert_same_rays(new_asked, ref_asked)
+
     def test_rejects_dimension_one(self):
         oracle = induced_map(SymmetryOperator(np.eye(1)))
         with pytest.raises(ValueError, match="dimension at least 2"):
