@@ -27,6 +27,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
 
 SAMPLES = ("--samples", "1,i,1+i", "--index", "3")
 SEEDED = ("--seed", "7", "--trials", "33")
+#: Repeated points and signed zeros on the last axis: pins which probe rays are shared.
+REPEATS = ("--samples", "0,-0,1,1")
 
 
 def operator_files():
@@ -73,6 +75,8 @@ COMMANDS = [
       for f in ("unitary-3", "antiunitary-2", "ginibre-3", "scaled-unitary-3")],
     *[(f, ("probe", "{input}", *SAMPLES))
       for f in ("unitary-8", "antiunitary-8", "conjugate-first-3")],
+    *[(f, ("probe", "{input}", *REPEATS, "--index", str(dim)))
+      for f, dim in (("unitary-8", 8), ("antiunitary-3", 3))],
     *[("near-shear-2", (command, "{input}")) for command in ("reconstruct", "conformance", "probe")],
 ]
 
