@@ -382,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 64
-    except OperatorFileError as err:
+    except (UsageError, OperatorFileError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 64
     except RaySymError as err:

@@ -83,9 +83,9 @@ class RayMapOracle:
     library collects a stack of answers (the sampled checks, ``map_basis``),
     it canonicalizes them in one pass, with the same bits.  Oracles
     carry no state, so concurrent image calls are safe, and the same ray
-    always gets the same answer.  The library relies on that: it may ask a
-    repeated ray once and reuse the answer, as ``probe_automorphism`` does
-    for a repeated probe point.
+    always gets the same answer.  The library relies on that: its slice
+    probes (``fix_phases``, ``probe_automorphism``) ask each distinct probe
+    ray once and reuse the answer.
     """
 
     __slots__ = ("dim_in", "dim_out", "_image_fn", "label")

@@ -20,6 +20,9 @@ stages, each consuming only oracle answers:
    pins |f(z)| = |z| and forces f to be the identity or complex conjugation,
    so the single probe decides which.
 
+Stages 2-4 and ``probe_automorphism`` share one probe path: a stage makes
+the rays of all its probe points in one pass and asks each distinct ray once.
+
 The assembled operator has the phase-fixed image axes as columns and the
 antiunitary flag set by the classification.  When every scale r_i is 1
 within tolerance the operator is unitary (or antiunitary), and it reproduces
@@ -35,9 +38,9 @@ defect.  slice_coordinates and probe_automorphism name none of their errors.
 from __future__ import annotations
 
 import enum
-import struct
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator
-from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_ray
+from .rays import DEFAULT_TOLERANCES, Ray, Tolerances
 from .rays import _stack_reps, canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
@@ -87,14 +90,11 @@ class BasisImages:
     oracle; fix_phases returns a copy with the probe phases absorbed.
     ``gram_defect`` is the max-norm deviation of the images' Gram matrix from
     the identity, measured once by map_basis and carried along unchanged.
-    ``adjoint`` is the conjugate transpose of ``columns``, computed once here
-    so that every slice probe reads its coefficients with one product.
     """
 
     dim: int
     columns: np.ndarray
     gram_defect: float
-    adjoint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.columns, dtype=np.complex128)
@@ -103,9 +103,6 @@ class BasisImages:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "columns", m)
-        conj = m.conj()
-        conj.flags.writeable = False
-        object.__setattr__(self, "adjoint", conj.T)
 
 
 @dataclass(frozen=True)
@@ -205,6 +202,42 @@ def _check_probe_index(dim: int, i: int) -> None:
         raise ValueError(f"probe index must lie in [1, {dim - 1}], got {i}")
 
 
+def _slice_probes(
+    oracle: RayMapOracle,
+    basis: BasisImages,
+    points: Sequence[complex],
+    axes: Sequence[int],
+    tol: Tolerances,
+) -> Iterator[complex]:
+    """``slice_coordinates`` at each point ``points[j]`` on axis ``axes[j]``, in order.
+
+    One ``canonical_rays`` pass makes every probe ray.  A ray is asked only at
+    its first occurrence on its axis, and scored as its answer arrives.
+    """
+    probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
+    probes[:, 0] = 1.0
+    probes[np.arange(len(points)), axes] = points
+    rows = canonical_rays(probes)
+    adjoint = basis.columns.conj().T
+    asked: dict[tuple[int, bytes], complex] = {}
+    for i, row in zip(axes, rows):
+        key = (i, row.tobytes())
+        if key not in asked:
+            b = adjoint @ oracle.image(Ray._from_canonical(row)).rep
+            if abs(b[0]) <= tol.orth_tol:
+                raise SliceDegenerate(
+                    f"image of the probe on axis {i} is orthogonal to the reference axis "
+                    f"(|b_1| = {abs(b[0]):.3e})"
+                )
+            # The array abs can differ from the scalar abs in the last bit, so it
+            # only preselects candidates; the scalar abs decides and is reported.
+            for j in np.flatnonzero(np.abs(b) > 0.5 * tol.orth_tol):
+                if j != 0 and j != i and abs(b[j]) > tol.orth_tol:
+                    raise CrossTalk(i, int(j), float(abs(b[j])))
+            asked[key] = complex(b[i] / b[0])
+        yield asked[key]
+
+
 def slice_coordinates(
     oracle: RayMapOracle,
     basis: BasisImages,
@@ -214,46 +247,15 @@ def slice_coordinates(
 ) -> complex:
     """Coordinate of the image of ray(e_1 + z e_i) on the slice x_1' = 1.
 
-    Expands the image representative w in the basis columns, b_j = <col_j, w>,
-    all at once as ``basis.adjoint @ w``.  The source ray is not orthogonal
-    to the first axis, so b_1 must not vanish (else SliceDegenerate);
-    orthogonality preservation confines the image to the plane of axes 1 and
-    i, so every other coefficient must stay within tol.orth_tol of zero, w
-    being a unit vector (else CrossTalk, naming the lowest such axis).
-    Returns b_i / b_1.
+    Expands the image representative w in the basis columns, b_j = <col_j, w>.
+    The source ray is not orthogonal to the first axis, so b_1 must not
+    vanish (else SliceDegenerate); orthogonality preservation confines the
+    image to the plane of axes 1 and i, so every other coefficient must stay
+    within tol.orth_tol of zero, w being a unit vector (else CrossTalk,
+    naming the lowest such axis).  Returns b_i / b_1.
     """
     _check_probe_index(basis.dim, i)
-    return _slice_coordinate(oracle, basis, _probe_ray(basis.dim, complex(z), i), i, tol)
-
-
-def _probe_ray(dim: int, z: complex, i: int) -> Ray:
-    """The ray generated by e_1 + z e_i."""
-    probe = np.zeros(dim, dtype=np.complex128)
-    probe[0] = 1.0
-    probe[i] = z
-    return canonical_ray(probe)
-
-
-def _slice_coordinate(
-    oracle: RayMapOracle, basis: BasisImages, source: Ray, i: int, tol: Tolerances
-) -> complex:
-    """``slice_coordinates`` once the probe ray has been made."""
-    w = oracle.image(source).rep
-    b = basis.adjoint @ w
-    if abs(b[0]) <= tol.orth_tol:
-        raise SliceDegenerate(
-            f"image of the probe on axis {i} is orthogonal to the reference axis "
-            f"(|b_1| = {abs(b[0]):.3e})"
-        )
-    # The array abs can differ from the scalar abs in the last bit, so it only
-    # preselects candidates; the scalar abs decides and is the one reported.
-    near = np.abs(b) > 0.5 * tol.orth_tol
-    near[0] = near[i] = False
-    for j in np.flatnonzero(near):
-        leak = float(abs(b[j]))
-        if leak > tol.orth_tol:
-            raise CrossTalk(i, int(j), leak)
-    return complex(b[i] / b[0])
+    return next(_slice_probes(oracle, basis, [complex(z)], [i], tol))
 
 
 def fix_phases(
@@ -271,9 +273,9 @@ def fix_phases(
     dim = basis.dim
     columns = basis.columns.copy()
     scales = np.ones(dim)
+    axes = range(1, dim)
     with _stage("fix_phases", basis.gram_defect):
-        for i in range(1, dim):
-            c = slice_coordinates(oracle, basis, 1.0, i, tol)
+        for i, c in zip(axes, _slice_probes(oracle, basis, [1.0] * (dim - 1), axes, tol)):
             r = abs(c)
             if r <= tol.orth_tol:
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
@@ -317,37 +319,28 @@ def probe_automorphism(
     Evaluates f(z) = slice coordinate / r_i at every sample, then for every
     unordered sample pair (a, b) at a+b and a*b, and records the worst
     additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity residual
-    |f(ab) - f(a) f(b)|.  Oracles are deterministic, so each probe ray is
-    asked once, at its first occurrence in that order: points whose probe
-    rays have the same canonical representative share one answer, as do
-    0.0 and -0.0.  A point met again, by its exact bits, reuses its answer
-    without making its ray again.  Pointwise probing documents the laws but
-    cannot by itself certify the global preservation hypotheses.
+    |f(ab) - f(a) f(b)|.  Every point must be finite (else ValueError, before
+    any ray is asked).  Oracles are deterministic, so each probe ray is asked
+    once, at its first occurrence in that order: points whose probe rays have
+    the same canonical representative share one answer, as do 0.0 and -0.0.
+    Pointwise probing documents the laws but cannot by itself certify the
+    global preservation hypotheses.
     """
-    dim = fixed_basis.dim
-    _check_probe_index(dim, i)
+    _check_probe_index(fixed_basis.dim, i)
     r = float(scales[i])
-    by_point: dict[bytes, complex] = {}
-    by_ray: dict[bytes, complex] = {}
-
-    def f(z: complex) -> complex:
-        z = complex(z)
-        point = struct.pack("dd", z.real, z.imag)
-        if point not in by_point:
-            source = _probe_ray(dim, z, i)
-            key = source.rep.tobytes()
-            if key not in by_ray:
-                by_ray[key] = _slice_coordinate(oracle, fixed_basis, source, i, tol) / r
-            by_point[point] = by_ray[key]
-        return by_point[point]
-
-    values = tuple((complex(z), f(z)) for z in samples)
-    add_res = 0.0
-    mult_res = 0.0
+    samples = [complex(z) for z in samples]
+    points = list(samples)
+    for k, a in enumerate(samples):
+        for b in samples[k:]:
+            points += (a + b, a * b)
+    f = [c / r for c in _slice_probes(oracle, fixed_basis, points, [i] * len(points), tol)]
+    values = tuple(zip(samples, f))
+    pairs = iter(f[len(samples):])
+    add_res = mult_res = 0.0
     for k, (a, fa) in enumerate(values):
         for b, fb in values[k:]:
-            add_res = max(add_res, abs(f(a + b) - (fa + fb)))
-            mult_res = max(mult_res, abs(f(a * b) - fa * fb))
+            add_res = max(add_res, abs(next(pairs) - (fa + fb)))
+            mult_res = max(mult_res, abs(next(pairs) - fa * fb))
     return ProbeResult(
         index=i,
         values=values,
@@ -410,10 +403,8 @@ def verify_reproduction(
     (one matrix-vector product per row, as ``apply_symmetry``), and each
     source is one ``oracle.image`` call, in trial order.
     """
-    if op.dim != oracle.dim_in:
-        raise DimensionMismatch(
-            f"operator dimension {op.dim} does not match oracle input dimension {oracle.dim_in}"
-        )
+    if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
+        raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
