@@ -25,6 +25,7 @@ conformance, 2 diagnostic-only reconstruction, 64 malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -377,10 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, OperatorFileError) as err:
         sys.stderr.write(f"error: {err}\n")

@@ -15,6 +15,7 @@ the conformance suite both return it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,6 @@ from .rays import (
     Tolerances,
     _stack_reps,
     _vdots,
-    canonical_ray,
     canonical_rays,
     ray_functions,
     sample_state,
@@ -77,15 +77,20 @@ class SymmetryOperator:
 class RayMapOracle:
     """Deterministic black-box map between ray sets.
 
-    ``image_fn`` must be total on rays of dimension ``dim_in`` and return a
-    :class:`~raysym.rays.Ray` of dimension ``dim_out``.  A ``Ray(v)`` answer
-    is validated when it is made and canonicalized on first use; where the
-    library collects a stack of answers (the sampled checks, ``map_basis``),
-    it canonicalizes them in one pass, with the same bits.  Oracles
-    carry no state, so concurrent image calls are safe, and the same ray
-    always gets the same answer.  The library relies on that: its slice
-    probes (``fix_phases``, ``probe_automorphism``) ask each distinct probe
-    ray once and reuse the answer.
+    ``dim_in`` and ``dim_out`` must be positive integers of any integral
+    type (``operator.index``); anything else, a float included, raises
+    TypeError.  ``image_fn`` must be total on rays of dimension ``dim_in``
+    and return a :class:`~raysym.rays.Ray` of dimension ``dim_out``:
+    ``image`` raises TypeError, naming the oracle and the type it got, for
+    an answer that is not a Ray, and DimensionMismatch for a Ray of another
+    dimension.  A ``Ray(v)`` answer is validated when it is made and
+    canonicalized on first use; where the library collects a stack of
+    answers (the sampled checks, ``map_basis``), it canonicalizes them in
+    one pass, with the same bits.  Oracles carry no state, so concurrent
+    image calls are safe, and the same ray always gets the same answer.  The
+    library relies on that: its slice probes (``fix_phases``,
+    ``probe_automorphism``) ask each distinct probe ray once and reuse the
+    answer.
     """
 
     __slots__ = ("dim_in", "dim_out", "_image_fn", "label")
@@ -97,10 +102,9 @@ class RayMapOracle:
         image_fn: Callable[[Ray], Ray],
         label: str = "oracle",
     ):
-        if dim_in < 1 or dim_out < 1:
+        self.dim_in, self.dim_out = operator.index(dim_in), operator.index(dim_out)
+        if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("oracle dimensions must be positive")
-        self.dim_in = int(dim_in)
-        self.dim_out = int(dim_out)
         self._image_fn = image_fn
         self.label = label
 
@@ -111,6 +115,8 @@ class RayMapOracle:
                 f"oracle expects rays of dimension {self.dim_in}, got {ray.dim}"
             )
         out = self._image_fn(ray)
+        if not isinstance(out, Ray):
+            raise TypeError(f"{self!r} answered {type(out).__name__}, not a Ray")
         if out.dim != self.dim_out:
             raise DimensionMismatch(
                 f"oracle produced a ray of dimension {out.dim}, declared {self.dim_out}"
@@ -158,12 +164,14 @@ def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
     if not np.isfinite(cond) or cond >= MAX_CONDITION:
         raise SingularMatrix(f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
 
+    # ndarray.dot makes the one BLAS matrix-vector call that ``m @ x`` makes,
+    # with less dispatch around it.
     if op.antiunitary:
         def image_fn(ray: Ray) -> Ray:
-            return canonical_ray(m @ np.conj(ray.rep))
+            return Ray(m.dot(np.conj(ray.rep)))
     else:
         def image_fn(ray: Ray) -> Ray:
-            return canonical_ray(m @ ray.rep)
+            return Ray(m.dot(ray.rep))
 
     return RayMapOracle(op.dim, op.dim, image_fn, label=label)
 
@@ -208,9 +216,11 @@ def check_orthogonality_preservation(
     r, t, a and b of each of its trials, in that order, with one normal draw
     (``sample_state_blocks``).  s is t projected off r; when the projection
     has |t|^2 <= DEGENERATE_DRAW a fresh t is drawn from the generator,
-    after the block's draw.  Each source ray is one ``oracle.image`` call, in
-    trial order and r, s, a, b within a trial; the block's answers are
-    canonicalized in one pass and scored with ``ray_functions``.
+    after the block's draw.  The block's r, a and b are canonicalized in one
+    ``canonical_rays`` pass, its s in a second.  Each source ray is one
+    ``oracle.image`` call, in trial order and r, s, a, b within a trial; the
+    block's answers are canonicalized in one pass and scored with
+    ``ray_functions``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -221,15 +231,16 @@ def check_orthogonality_preservation(
     max_orth = 0.0
     max_u = 0.0
     for v in sample_state_blocks(trials, 4, dim, rng):
-        r = canonical_rays(v[:, 0])
+        k = len(v)
+        r, a, b = canonical_rays(np.concatenate((v[:, 0], v[:, 2], v[:, 3]))).reshape(3, k, dim)
         t = v[:, 1] - _vdots(r, v[:, 1])[:, None] * r
         for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
             t[j] = _orthogonal_state(r[j], rng)
-        sources = (r, canonical_rays(t), canonical_rays(v[:, 2]), canonical_rays(v[:, 3]))
-        answers = [oracle.image(Ray._from_canonical(x[j])) for j in range(len(v)) for x in sources]
-        images = _stack_reps(answers).reshape(len(v), 4, oracle.dim_out)
+        sources = (r, canonical_rays(t), a, b)
+        answers = [oracle.image(Ray._from_canonical(x[j])) for j in range(k) for x in sources]
+        images = _stack_reps(answers).reshape(k, 4, oracle.dim_out)
         max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
-        drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(*sources[2:]))
+        drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(a, b))
         max_u = max(max_u, float(drift.max()))
     worst = (("orthogonality-preservation", max_orth), ("ray-function-invariance", max_u))
     entries = tuple(CheckResult(name, x <= tol.orth_tol, x, trials, seed) for name, x in worst)

@@ -89,7 +89,9 @@ class Ray:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
         parts = v.view(np.float64)
-        top = float(np.maximum.reduce(np.abs(parts)))
+        # argmax stops at the first NaN, so a NaN part still reads as top.
+        mags = np.abs(parts)
+        top = float(mags[mags.argmax()])
         if not math.isfinite(top):
             raise ValueError("vector components must be finite")
         if top == 0.0:

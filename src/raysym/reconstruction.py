@@ -223,7 +223,7 @@ def _slice_probes(
     for i, row in zip(axes, rows):
         key = (i, row.tobytes())
         if key not in asked:
-            b = adjoint @ oracle.image(Ray._from_canonical(row)).rep
+            b = adjoint.dot(oracle.image(Ray._from_canonical(row)).rep)
             if abs(b[0]) <= tol.orth_tol:
                 raise SliceDegenerate(
                     f"image of the probe on axis {i} is orthogonal to the reference axis "
@@ -231,9 +231,13 @@ def _slice_probes(
                 )
             # The array abs can differ from the scalar abs in the last bit, so it
             # only preselects candidates; the scalar abs decides and is reported.
-            for j in np.flatnonzero(np.abs(b) > 0.5 * tol.orth_tol):
-                if j != 0 and j != i and abs(b[j]) > tol.orth_tol:
-                    raise CrossTalk(i, int(j), float(abs(b[j])))
+            # One masked maximum rules out every axis but 0 and i at once.
+            mags = np.abs(b)
+            mags[0] = mags[i] = 0.0
+            if mags[mags.argmax()] > 0.5 * tol.orth_tol:
+                for j in np.flatnonzero(mags > 0.5 * tol.orth_tol):
+                    if abs(b[j]) > tol.orth_tol:
+                        raise CrossTalk(i, int(j), float(abs(b[j])))
             asked[key] = complex(b[i] / b[0])
         yield asked[key]
 

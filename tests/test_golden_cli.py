@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from raysym import random_unitary
 from raysym.cli import main
@@ -114,10 +115,12 @@ def load_cases():
     return json.loads(GOLDEN.read_text())
 
 
-def test_replays_every_recorded_command_byte_for_byte(tmp_path):
+@pytest.mark.parametrize("order", [1, -1], ids=["recorded", "reversed"])
+def test_replays_every_recorded_command_byte_for_byte(tmp_path, order):
+    # main reuses one parser; both orders in one process show it carries no state.
     golden = load_cases()
     paths = write_operators(golden["operators"], tmp_path)
-    for case in golden["cases"]:
+    for case in golden["cases"][::order]:
         got = run(case["argv"], paths[case["operator"]])
         assert got == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from raysym import (
     DimensionMismatch,
+    Ray,
     RayMapOracle,
     SingularMatrix,
     SymmetryOperator,
@@ -12,6 +15,7 @@ from raysym import (
     induced_map,
     random_unitary,
     ray_function,
+    reconstruct,
 )
 from raysym.rays import sample_ray
 
@@ -126,6 +130,60 @@ class TestOracleInterface:
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(ValueError):
             RayMapOracle(0, 2, lambda r: r)
+
+    def test_rejects_non_integral_dimensions(self):
+        with pytest.raises(TypeError):
+            RayMapOracle(2.9, 3.7, lambda r: r)
+        with pytest.raises(TypeError):
+            RayMapOracle(2, 3.0, lambda r: r)
+        oracle = RayMapOracle(np.int64(2), np.uint8(3), lambda r: r)
+        assert (oracle.dim_in, oracle.dim_out) == (2, 3)
+        assert type(oracle.dim_in) is type(oracle.dim_out) is int
+
+
+#: Answers that are not rays: a bare vector, and no answer at all.
+NOT_RAYS = [
+    pytest.param(lambda r: r.rep * 2, "ndarray", id="vector"),
+    pytest.param(lambda r: None, "NoneType", id="none"),
+]
+
+
+class TestNonRayAnswer:
+    @staticmethod
+    def raises(oracle, type_name):
+        message = rf"^{re.escape(repr(oracle))} answered {type_name}, not a Ray$"
+        return pytest.raises(TypeError, match=message)
+
+    @pytest.mark.parametrize("image_fn, type_name", NOT_RAYS)
+    def test_image(self, image_fn, type_name):
+        oracle = RayMapOracle(2, 2, image_fn, label="bad")
+        with self.raises(oracle, type_name):
+            oracle.image(canonical_ray(axis_vector(2, 0)))
+
+    @pytest.mark.parametrize("image_fn, type_name", NOT_RAYS)
+    def test_reconstruct(self, image_fn, type_name):
+        oracle = RayMapOracle(2, 2, image_fn)
+        with self.raises(oracle, type_name):
+            reconstruct(oracle, 2)
+
+    @pytest.mark.parametrize("image_fn, type_name", NOT_RAYS)
+    def test_sampled_check(self, image_fn, type_name):
+        oracle = RayMapOracle(3, 3, image_fn)
+        with self.raises(oracle, type_name):
+            check_orthogonality_preservation(oracle, trials=5, seed=1)
+
+
+@pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 64, 256])
+def test_matrix_answers_are_the_rays_of_the_matmul(dim, antiunitary):
+    # Bit for bit Ray(m @ x), or Ray(m @ conj(x)), whatever numpy and BLAS compute with.
+    op = SymmetryOperator(random_unitary(dim, seed=dim), antiunitary=antiunitary)
+    oracle, m = induced_map(op), op.matrix
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(20):
+        r = sample_ray(dim, rng)
+        x = np.conj(r.rep) if antiunitary else r.rep
+        assert oracle.image(r).rep.tobytes() == Ray(m @ x).rep.tobytes()
 
 
 class TestOrthogonalityPreservation:
