@@ -79,6 +79,10 @@ COMMANDS = [
     *[(f, ("probe", "{input}", *REPEATS, "--index", str(dim)))
       for f, dim in (("unitary-8", 8), ("antiunitary-3", 3))],
     *[("near-shear-2", (command, "{input}")) for command in ("reconstruct", "conformance", "probe")],
+    # the automorphism-law probe fails after reconstruct succeeded: an error line with no stage
+    ("unitary-3", ("conformance", "{input}", "--tol-orth", "3e-16")),
+    # entries that a failed stage did not reach, at a nonzero seed
+    ("ginibre-3", ("conformance", "{input}", *SEEDED)),
 ]
 
 
