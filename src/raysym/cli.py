@@ -90,32 +90,27 @@ def _require_number(value, field: str) -> float:
     return number
 
 
-def _scan_entries(rows: list, dim: int) -> list[list[complex]]:
-    """Parse the matrix rows entry by entry, naming the first faulty field in row-major order."""
-    matrix = []
+def _raise_first_fault(rows: list, dim: int) -> None:
+    """Raise OperatorFileError naming the first faulty row or entry, in row-major order."""
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise OperatorFileError(f"matrix: row {i + 1} must have {dim} entries")
-        entries = []
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise OperatorFileError(
                     f"matrix: entry ({i + 1}, {j + 1}) must be an [re, im] pair"
                 )
-            re = _require_number(entry[0], f"matrix: entry ({i + 1}, {j + 1}) re")
-            im = _require_number(entry[1], f"matrix: entry ({i + 1}, {j + 1}) im")
-            entries.append(complex(re, im))
-        matrix.append(entries)
-    return matrix
+            _require_number(entry[0], f"matrix: entry ({i + 1}, {j + 1}) re")
+            _require_number(entry[1], f"matrix: entry ({i + 1}, {j + 1}) im")
 
 
-def _parse_matrix(rows, dim: int) -> np.ndarray | list[list[complex]]:
+def _parse_matrix(rows, dim: int) -> np.ndarray:
     """The ``matrix`` field as a (dim, dim) complex matrix, bit for bit as written.
 
     A well-formed field is read whole: one type scan of the numbers of each
     row (JSON integers and floats only), one float64 conversion with a shape
-    check, one finiteness test.  Anything else goes to the per-entry scan,
-    which raises OperatorFileError naming the first faulty row or entry.
+    check, one finiteness test.  Anything else has a faulty field, and the
+    per-entry scan raises OperatorFileError naming the first one.
     """
     if not isinstance(rows, list) or len(rows) != dim:
         raise OperatorFileError(f"matrix: expected {dim} rows")
@@ -126,7 +121,8 @@ def _parse_matrix(rows, dim: int) -> np.ndarray | list[list[complex]]:
                 return pairs.view(np.complex128).reshape(dim, dim)
     except (TypeError, ValueError, OverflowError):
         pass  # not iterable pairs, ragged rows, or an integer beyond double range
-    return _scan_entries(rows, dim)
+    _raise_first_fault(rows, dim)
+    raise AssertionError("matrix: the whole-array read refused a field with no fault")
 
 
 def load_operator_file(path: str) -> SymmetryOperator:
@@ -332,7 +328,9 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by later ones."""
     parser = _ArgumentParser(
         prog="raysym",
         description="Reconstruct unitary/antiunitary symmetry operators from ray maps.",
@@ -376,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p_probe)
     p_probe.set_defaults(func=cmd_probe)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call and reused by later ones."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,7 +26,6 @@ from .oracles import (
 )
 from .rays import DEFAULT_TOLERANCES, Tolerances
 from .reconstruction import (
-    DEFAULT_PROBE_GRID,
     AutomorphismKind,
     ReconstructionResult,
     gauge_residual,
@@ -68,6 +67,18 @@ def check_ray_function_invariance(
     return report.entry("ray-function-invariance")
 
 
+def _entry(
+    name: str, residual: float, bound: float, seed: int, reached: bool = True, trials: int = 0
+) -> CheckResult:
+    """The one verdict rule: a check passes when it was reached and its residual is within bound.
+
+    ``reached`` is False when there is nothing to judge: a failed stage never
+    ran the check, map_basis rejected the basis, or the kinds differ.
+    """
+    residual = float(residual)
+    return CheckResult(name, reached and residual <= bound, residual, trials, seed)
+
+
 def check_round_trip(
     true_op: SymmetryOperator,
     recon: ReconstructionResult,
@@ -80,17 +91,7 @@ def check_round_trip(
         )
     kind_matches = recon.operator.antiunitary == true_op.antiunitary
     residual = gauge_residual(recon.operator.matrix, true_op.matrix)
-    return CheckResult(
-        name="round-trip",
-        passed=kind_matches and residual <= tol.recon_tol,
-        worst_residual=residual,
-        trials=0,
-        seed=0,
-    )
-
-
-def _failed(name: str, seed: int) -> CheckResult:
-    return CheckResult(name=name, passed=False, worst_residual=float("inf"), trials=0, seed=seed)
+    return _entry("round-trip", residual, tol.recon_tol, 0, kind_matches)
 
 
 def run_full_conformance(
@@ -107,7 +108,9 @@ def run_full_conformance(
     error's ``basis_gram_defect`` when a stage after map_basis raised.  The
     hypothesis checks draw invariance_trials ray pairs from seed, and
     reproduction draws REPRODUCTION_TRIALS rays from seed+2, so identical
-    inputs reproduce the report exactly.
+    inputs reproduce the report exactly.  Entries come in CHECK_NAMES order;
+    one that a failed stage did not reach fails with residual inf, 0 trials
+    and the run's seed.  A reached round-trip reports seed 0.
     """
     dim = true_op.dim
     if dim < 2:
@@ -127,65 +130,23 @@ def run_full_conformance(
         if basis_defect is None:  # map_basis itself rejected the images
             basis_accepted = False
             basis_defect = err.u_value if isinstance(err, ImagesNotOrthogonal) else float("inf")
-    entries.append(
-        CheckResult(
-            name="basis-completeness",
-            passed=basis_accepted and basis_defect <= tol.recon_tol,
-            worst_residual=float(basis_defect),
-            trials=0,
-            seed=seed,
-        )
-    )
+    entries.append(_entry("basis-completeness", basis_defect, tol.recon_tol, seed, basis_accepted))
 
-    if recon is None:
-        entries.append(_failed("automorphism-laws", seed))
-        entries.append(_failed("scales-unit", seed))
-        entries.append(_failed("round-trip", seed))
-        entries.append(_failed("reproduction", seed))
-        return ConformanceReport(dim=dim, seed=seed, entries=tuple(entries), error=error)
+    if recon is not None:
+        try:
+            probe = probe_automorphism(oracle, recon.basis, recon.scales, tol=tol)
+            conj = recon.kind is AutomorphismKind.CONJUGATION
+            residuals = [probe.additivity_residual, probe.multiplicativity_residual]
+            residuals += [abs(f_z - (z.conjugate() if conj else z)) for z, f_z in probe.values]
+            entries.append(_entry("automorphism-laws", max(residuals), AUTOMORPHISM_LAW_TOL, seed))
+        except RaySymError as err:
+            error = str(err)
+        entries.append(_entry("scales-unit", recon.max_scale_deviation, tol.recon_tol, seed))
+        entries.append(check_round_trip(true_op, recon, tol))
+        trials = REPRODUCTION_TRIALS
+        worst = verify_reproduction(recon.operator, oracle, trials, seed + 2)
+        entries.append(_entry("reproduction", worst, tol.recon_tol, seed + 2, trials=trials))
 
-    try:
-        probe = probe_automorphism(oracle, recon.basis, recon.scales, DEFAULT_PROBE_GRID, 1, tol)
-        pointwise = 0.0
-        for z, f_z in probe.values:
-            expected = z if recon.kind is AutomorphismKind.IDENTITY else z.conjugate()
-            pointwise = max(pointwise, abs(f_z - expected))
-        law_residual = max(
-            probe.additivity_residual, probe.multiplicativity_residual, pointwise
-        )
-        entries.append(
-            CheckResult(
-                name="automorphism-laws",
-                passed=law_residual <= AUTOMORPHISM_LAW_TOL,
-                worst_residual=law_residual,
-                trials=0,
-                seed=seed,
-            )
-        )
-    except RaySymError as err:
-        error = str(err)
-        entries.append(_failed("automorphism-laws", seed))
-
-    entries.append(
-        CheckResult(
-            name="scales-unit",
-            passed=recon.max_scale_deviation <= tol.recon_tol,
-            worst_residual=recon.max_scale_deviation,
-            trials=0,
-            seed=seed,
-        )
-    )
-    entries.append(check_round_trip(true_op, recon, tol))
-    reproduction = verify_reproduction(
-        recon.operator, oracle, trials=REPRODUCTION_TRIALS, seed=seed + 2
-    )
-    entries.append(
-        CheckResult(
-            name="reproduction",
-            passed=reproduction <= tol.recon_tol,
-            worst_residual=reproduction,
-            trials=REPRODUCTION_TRIALS,
-            seed=seed + 2,
-        )
-    )
+    found = {entry.name: entry for entry in entries}
+    entries = [found.get(n) or _entry(n, float("inf"), 0.0, seed, False) for n in CHECK_NAMES]
     return ConformanceReport(dim=dim, seed=seed, entries=tuple(entries), error=error)

@@ -41,19 +41,28 @@ MAX_CONDITION = 1e12
 DEGENERATE_DRAW = 1e-12
 
 
+def _flag(value, name: str) -> bool:
+    """``value`` as a bool; only bool and numpy.bool_ are flags (a string is not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
+    return bool(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetryOperator:
     """An n x n complex matrix plus an antiunitary flag.
 
-    Acts on vectors as x -> U x, or x -> U conj(x) when antiunitary.  The
-    matrix is stored read-only; the type itself does not require unitarity
-    (diagnostic operators are first-class), see :meth:`unitarity_defect`.
+    Acts on vectors as x -> U x, or x -> U conj(x) when antiunitary, a bool
+    or numpy.bool_ (anything else raises TypeError).  The matrix is stored
+    read-only; the type itself does not require unitarity (diagnostic
+    operators are first-class), see :meth:`unitarity_defect`.
     """
 
     matrix: np.ndarray
     antiunitary: bool = False
 
     def __post_init__(self):
+        flag = _flag(self.antiunitary, "antiunitary")
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
@@ -62,7 +71,7 @@ class SymmetryOperator:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "antiunitary", bool(self.antiunitary))
+        object.__setattr__(self, "antiunitary", flag)
 
     @property
     def dim(self) -> int:
@@ -84,11 +93,15 @@ class RayMapOracle:
     ``image`` raises TypeError, naming the oracle and the type it got, for
     an answer that is not a Ray, and DimensionMismatch for a Ray of another
     dimension.  A ``Ray(v)`` answer is validated when it is made and
-    canonicalized on first use; where the library collects a stack of
-    answers (the sampled checks, ``map_basis``), it canonicalizes them in
-    one pass, with the same bits.  Oracles carry no state, so concurrent
-    image calls are safe, and the same ray always gets the same answer.  The
-    library relies on that: its slice probes (``fix_phases``,
+    canonicalized on first use.
+
+    The library asks in one place, the private methods below: one ``image``
+    call per ray, in order, with read-only rays.  The answers to a stack
+    (the sampled checks, ``map_basis``, ``verify_reproduction``) are
+    canonicalized in one pass, with the same bits; a lone slice probe reads
+    its answer's ``rep``.  Oracles carry no state, so concurrent image calls
+    are safe, and the same ray always gets the same answer.  The library
+    relies on that: its slice probes (``fix_phases``,
     ``probe_automorphism``) ask each distinct probe ray once and reuse the
     answer.
     """
@@ -122,6 +135,16 @@ class RayMapOracle:
                 f"oracle produced a ray of dimension {out.dim}, declared {self.dim_out}"
             )
         return out
+
+    def _images(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical (k, dim_out) stack of the answers to a canonical (k, dim_in) stack."""
+        rows = rows.view()
+        rows.flags.writeable = False  # the oracle never gets a ray it can write into
+        return _stack_reps([self.image(Ray._from_canonical(row)) for row in rows])
+
+    def _image_rep(self, row: np.ndarray) -> np.ndarray:
+        """The answer's ``rep`` for one read-only canonical row."""
+        return self.image(Ray._from_canonical(row)).rep
 
     def __repr__(self) -> str:
         return f"RayMapOracle({self.label}, {self.dim_in} -> {self.dim_out})"
@@ -184,7 +207,7 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:
     """Ray map induced by an arbitrary invertible matrix; no preservation guarantees."""
-    op = SymmetryOperator(matrix, antiunitary=conjugate_first)
+    op = SymmetryOperator(matrix, antiunitary=_flag(conjugate_first, "conjugate_first"))
     return _matrix_oracle(op, label=f"general[dim={op.dim}]")
 
 
@@ -216,11 +239,11 @@ def check_orthogonality_preservation(
     r, t, a and b of each of its trials, in that order, with one normal draw
     (``sample_state_blocks``).  s is t projected off r; when the projection
     has |t|^2 <= DEGENERATE_DRAW a fresh t is drawn from the generator,
-    after the block's draw.  The block's r, a and b are canonicalized in one
-    ``canonical_rays`` pass, its s in a second.  Each source ray is one
-    ``oracle.image`` call, in trial order and r, s, a, b within a trial; the
-    block's answers are canonicalized in one pass and scored with
-    ``ray_functions``.
+    after the block's draw.  The block's r is canonicalized to project t off
+    it; then the block's draw, s in place of t, is canonicalized in one
+    ``canonical_rays`` pass, which gives r the same bits again.  That stack
+    is asked as it stands, in trial order and r, s, a, b within a trial, and
+    its answers are scored with ``ray_functions``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -232,13 +255,14 @@ def check_orthogonality_preservation(
     max_u = 0.0
     for v in sample_state_blocks(trials, 4, dim, rng):
         k = len(v)
-        r, a, b = canonical_rays(np.concatenate((v[:, 0], v[:, 2], v[:, 3]))).reshape(3, k, dim)
-        t = v[:, 1] - _vdots(r, v[:, 1])[:, None] * r
+        r = canonical_rays(v[:, 0])
+        t = v[:, 1]  # a view: s takes t's place in the block's draw
+        t -= _vdots(r, t)[:, None] * r
         for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
             t[j] = _orthogonal_state(r[j], rng)
-        sources = (r, canonical_rays(t), a, b)
-        answers = [oracle.image(Ray._from_canonical(x[j])) for j in range(k) for x in sources]
-        images = _stack_reps(answers).reshape(k, 4, oracle.dim_out)
+        sources = canonical_rays(v.reshape(4 * k, dim))
+        images = oracle._images(sources).reshape(k, 4, oracle.dim_out)
+        a, b = sources[2::4], sources[3::4]
         max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
         drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(a, b))
         max_u = max(max_u, float(drift.max()))

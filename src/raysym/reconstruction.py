@@ -20,8 +20,10 @@ stages, each consuming only oracle answers:
    pins |f(z)| = |z| and forces f to be the identity or complex conjugation,
    so the single probe decides which.
 
-Stages 2-4 and ``probe_automorphism`` share one probe path: a stage makes
-the rays of all its probe points in one pass and asks each distinct ray once.
+Every stage asks through :class:`RayMapOracle`'s one ask path.  Stages 2-4
+and ``probe_automorphism`` share one probe path: a stage makes the rays of
+all its probe points in one pass, then asks each distinct ray once, one at a
+time, so a failing probe asks no ray after it.
 
 The assembled operator has the phase-fixed image axes as columns and the
 antiunitary flag set by the classification.  When every scale r_i is 1
@@ -55,8 +57,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator
-from .rays import DEFAULT_TOLERANCES, Ray, Tolerances
-from .rays import _stack_reps, canonical_rays, ray_functions, sample_state_blocks
+from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -179,9 +180,7 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
             )
         # Each identity row is already the canonical representative of its axis ray.
         axes = np.eye(dim, dtype=np.complex128)
-        axes.flags.writeable = False
-        answers = [oracle.image(Ray._from_canonical(e)) for e in axes]
-        reps = np.ascontiguousarray(_stack_reps(answers).T)
+        reps = np.ascontiguousarray(oracle._images(axes).T)
         gram = reps.conj().T @ reps
         norms = gram.diagonal().real
         u = np.minimum((gram.real**2 + gram.imag**2) / np.outer(norms, norms), 1.0)
@@ -223,7 +222,7 @@ def _slice_probes(
     for i, row in zip(axes, rows):
         key = (i, row.tobytes())
         if key not in asked:
-            b = adjoint.dot(oracle.image(Ray._from_canonical(row)).rep)
+            b = adjoint.dot(oracle._image_rep(row))
             if abs(b[0]) <= tol.orth_tol:
                 raise SliceDegenerate(
                     f"image of the probe on axis {i} is orthogonal to the reference axis "
@@ -404,8 +403,8 @@ def verify_reproduction(
 
     Trials run in blocks of SAMPLE_BLOCK: one normal draw gives the block's
     source rays (``sample_state_blocks``), the operator maps the whole stack
-    (one matrix-vector product per row, as ``apply_symmetry``), and each
-    source is one ``oracle.image`` call, in trial order.
+    (one matrix-vector product per row, as ``apply_symmetry``), and the
+    oracle is asked the block's sources as one stack, in trial order.
     """
     if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
         raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")
@@ -417,7 +416,7 @@ def verify_reproduction(
         sources = canonical_rays(v[:, 0])
         x = np.conj(sources) if op.antiunitary else sources
         mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
-        images = _stack_reps([oracle.image(Ray._from_canonical(s)) for s in sources])
+        images = oracle._images(sources)
         worst = max(worst, float((1.0 - ray_functions(mapped, images)).max()))
     return worst
 

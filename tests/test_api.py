@@ -66,15 +66,51 @@ def test_check_types_are_shared():
     assert raysym.ConformanceReport is raysym.oracles.ConformanceReport
 
 
-def test_cli_imports_no_private_name_from_the_package():
-    # The CLI drives the library through its public stages only.
-    tree = ast.parse((Path(raysym.__file__).parent / "cli.py").read_text(encoding="utf-8"))
-    private = [
+SOURCES = Path(raysym.__file__).parent
+
+
+def parse(module):
+    return ast.parse((SOURCES / module).read_text(encoding="utf-8"))
+
+
+def private_imports(module):
+    """(module, name) of every private name ``module`` imports from the package."""
+    return [
         (node.module, alias.name)
-        for node in ast.walk(tree)
+        for node in ast.walk(parse(module))
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "raysym")
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # The CLI drives the library through its public stages only.
+    assert private_imports("cli.py") == []
+
+
+def test_pipeline_modules_import_no_private_name_from_rays():
+    # They ask oracles through RayMapOracle, which alone handles canonical stacks of answers.
+    for module in ("reconstruction.py", "conformance.py"):
+        private = [name for source, name in private_imports(module) if source.endswith("rays")]
+        assert private == [], module
+
+
+def test_only_ray_map_oracle_calls_image():
+    # The library asks an oracle in one place: inside RayMapOracle's own methods.
+    inside, outside = [], []
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = parse(path.name)
+        owner = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "RayMapOracle"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "image":
+                where = f"{path.name}:{node.lineno}"
+                (inside if id(node) in owner else outside).append(where)
+    assert outside == []
+    assert inside and all(where.startswith("oracles.py:") for where in inside)

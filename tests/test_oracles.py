@@ -11,11 +11,15 @@ from raysym import (
     SymmetryOperator,
     canonical_ray,
     check_orthogonality_preservation,
+    fix_phases,
     general_induced_map,
     induced_map,
+    map_basis,
+    probe_automorphism,
     random_unitary,
     ray_function,
     reconstruct,
+    verify_reproduction,
 )
 from raysym.rays import sample_ray
 
@@ -47,6 +51,17 @@ class TestSymmetryOperator:
         op = SymmetryOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 3.0
+
+    @pytest.mark.parametrize("flag", ["false", "", 0, 1, 1.0, None, [True]])
+    def test_rejects_a_flag_that_is_not_a_bool(self, flag):
+        # bool("false") is True: a string flag must not make the operator antiunitary.
+        message = f"^antiunitary must be a bool, got {type(flag).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            SymmetryOperator(np.eye(2), antiunitary=flag)
+
+    @pytest.mark.parametrize("flag", [False, True, np.bool_(False), np.bool_(True)])
+    def test_accepts_bool_and_numpy_bool_flags(self, flag):
+        assert SymmetryOperator(np.eye(2), antiunitary=flag).antiunitary is bool(flag)
 
 
 class TestInducedMap:
@@ -110,6 +125,12 @@ class TestGeneralInducedMap:
         with pytest.raises(ValueError):
             general_induced_map(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_rejects_a_flag_that_is_not_a_bool(self, flag):
+        message = f"^conjugate_first must be a bool, got {type(flag).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            general_induced_map(np.eye(2), conjugate_first=flag)
+
 
 class TestOracleInterface:
     def test_image_is_deterministic(self):
@@ -171,6 +192,39 @@ class TestNonRayAnswer:
         oracle = RayMapOracle(3, 3, image_fn)
         with self.raises(oracle, type_name):
             check_orthogonality_preservation(oracle, trials=5, seed=1)
+
+
+def _writing_oracle(dim):
+    """An oracle that writes into the ray it is asked before it answers."""
+
+    def image_fn(ray):
+        ray.rep[-1] = 0.5
+        return ray
+
+    return RayMapOracle(dim, dim, image_fn, label="writer")
+
+
+#: Every place the library asks an oracle: (oracle, phase-fixed basis, scales) -> result.
+ASK_SITES = {
+    "map_basis": lambda oracle, fixed, scales: map_basis(oracle, 3),
+    "fix_phases": lambda oracle, fixed, scales: fix_phases(oracle, fixed),
+    "probe_automorphism": lambda oracle, fixed, scales: probe_automorphism(oracle, fixed, scales),
+    "check_orthogonality_preservation": (
+        lambda oracle, fixed, scales: check_orthogonality_preservation(oracle, trials=5, seed=1)
+    ),
+    "verify_reproduction": (
+        lambda oracle, fixed, scales: verify_reproduction(SymmetryOperator(np.eye(3)), oracle, 5)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ASK_SITES)
+def test_oracles_are_asked_read_only_rays(site):
+    # An oracle cannot change the source rays the library still reads after asking.
+    good = induced_map(SymmetryOperator(random_unitary(3, seed=21)))
+    fixed, scales = fix_phases(good, map_basis(good, 3))
+    with pytest.raises(ValueError, match="read-only"):
+        ASK_SITES[site](_writing_oracle(3), fixed, scales)
 
 
 @pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])
