@@ -15,6 +15,7 @@ the conformance suite both return it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -93,7 +94,8 @@ class RayMapOracle:
     ``image`` raises TypeError, naming the oracle and the type it got, for
     an answer that is not a Ray, and DimensionMismatch for a Ray of another
     dimension.  A ``Ray(v)`` answer is validated when it is made and
-    canonicalized on first use.
+    canonicalized on first use; a matrix oracle's answer is validated where
+    it is first canonicalized, with the errors ``Ray(v)`` raises.
 
     The library asks in one place, the private methods below: one ``image``
     call per ray, in order, with read-only rays.  The answers to a stack
@@ -182,19 +184,32 @@ class ConformanceReport:
 
 
 def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
+    """The ray map of ``op``, one matrix-vector product per ray.
+
+    The matrix is ``op.matrix`` scaled by the power of two that brings its
+    largest real or imaginary part into [0.5, 1), as ``Ray`` prescales.  It
+    induces the same map, and, once its condition is checked, its product
+    with a unit x is finite and nonzero at any scale of ``op.matrix``.  So
+    each product is the answer, unchecked and uncopied.  Where the scaled
+    entries and products stay normal, its ``rep`` is ``Ray(op.matrix @ x).rep``.
+    """
     m = op.matrix
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond >= MAX_CONDITION:
         raise SingularMatrix(f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
 
+    parts = m.view(np.float64)
+    m = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+    answer = Ray._from_answer
+
     # ndarray.dot makes the one BLAS matrix-vector call that ``m @ x`` makes,
     # with less dispatch around it.
     if op.antiunitary:
         def image_fn(ray: Ray) -> Ray:
-            return Ray(m.dot(np.conj(ray.rep)))
+            return answer(m.dot(np.conj(ray.rep)))
     else:
         def image_fn(ray: Ray) -> Ray:
-            return Ray(m.dot(ray.rep))
+            return answer(m.dot(ray.rep))
 
     return RayMapOracle(op.dim, op.dim, image_fn, label=label)
 

@@ -79,10 +79,12 @@ class Ray:
     ``rep`` (or of ``almost_equals`` or the repr); ``dim`` is known at once.
     Where the library gathers a stack of oracle answers, it canonicalizes
     the pending ones together with ``canonical_rays``, which gives the same
-    bits.  Concurrent reads of one Ray are safe and see the same bytes.
+    bits.  A matrix oracle's answer wraps its product unchecked; ``Ray(v)``'s
+    checks run, with the same errors, where it is first canonicalized.
+    Concurrent reads of one Ray are safe and see the same bytes.
     """
 
-    __slots__ = ("_rep", "_pending")
+    __slots__ = ("_rep", "_pending", "_checked")
 
     def __init__(self, v: np.ndarray):
         v = np.array(v, dtype=np.complex128, order="C")  # the private copy
@@ -104,6 +106,7 @@ class Ray:
         if scale != 1.0:
             parts *= scale
         self._pending = v
+        self._checked = True
         self._rep = None
 
     @classmethod
@@ -114,6 +117,15 @@ class Ray:
         ray._rep = rep
         return ray
 
+    @classmethod
+    def _from_answer(cls, w: np.ndarray) -> "Ray":
+        """Wrap a fresh 1-d complex128 vector unchecked; ``Ray(w)``'s checks run at first read."""
+        ray = cls.__new__(cls)
+        ray._pending = w
+        ray._checked = False
+        ray._rep = None
+        return ray
+
     @property
     def rep(self) -> np.ndarray:
         """The canonical representative (read-only array)."""
@@ -121,6 +133,8 @@ class Ray:
         pending = self._pending
         rep = self._rep
         if rep is None:
+            if not self._checked:  # on a copy: a concurrent reader may hold pending
+                pending = Ray(pending)._pending
             rep = self._rep = _canonical_row(pending)
             self._pending = None
         return rep
@@ -192,13 +206,18 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected a 2-d stack of nonempty vectors")
-    parts = np.ascontiguousarray(v).view(np.float64)
+    return _canonical_rows(_prescaled_rows(np.ascontiguousarray(v)))
+
+
+def _prescaled_rows(v: np.ndarray) -> np.ndarray:
+    """A new copy of a C-contiguous (k, n) stack, each row checked and scaled as ``Ray`` does."""
+    parts = v.view(np.float64)
     top = np.abs(parts).max(axis=1)
     rejected = ~(np.isfinite(top) & (top > 0.0))
     if rejected.any():
         Ray(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
-    return _canonical_rows((parts * scale[:, None]).view(np.complex128))
+    return (parts * scale[:, None]).view(np.complex128)
 
 
 def _canonical_rows(w: np.ndarray) -> np.ndarray:
@@ -224,11 +243,17 @@ def _stack_reps(rays: list[Ray]) -> np.ndarray:
     """The (k, n) stack of the rays' representatives: row j is ``rays[j].rep`` bit for bit.
 
     The rays still pending are canonicalized together, in one
-    ``canonical_rays`` pass over their prescaled copies, and stay pending.
+    ``canonical_rays`` pass, and stay pending.  Its checks and prescale run
+    only on the unchecked ones: the first bad one raises what ``Ray`` raises.
     """
     pending = [ray._pending for ray in rays]  # read before _rep, as in Ray.rep
     stack = np.array([ray._rep if p is None else p for ray, p in zip(rays, pending)])
     todo = [j for j, p in enumerate(pending) if p is not None]
+    unchecked = [j for j in todo if not rays[j]._checked]
+    if len(unchecked) == len(rays):
+        return _canonical_rows(_prescaled_rows(stack))
+    if unchecked:
+        stack[unchecked] = _prescaled_rows(stack[unchecked])
     if len(todo) == len(rays):
         return _canonical_rows(stack)
     if todo:

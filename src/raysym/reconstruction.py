@@ -425,7 +425,8 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Deviation of candidate^dagger reference from a unit-phase multiple of the identity.
 
     The phase is read off the largest-modulus diagonal entry, which stays
-    stable even when other diagonal entries are near zero.
+    stable even when other diagonal entries are near zero, at any scale of
+    the entries, subnormal included.
     """
     candidate = np.asarray(candidate, dtype=np.complex128)
     reference = np.asarray(reference, dtype=np.complex128)
@@ -436,7 +437,11 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     v = candidate.conj().T @ reference
     diag = np.diagonal(v)
     k = int(np.argmax(np.abs(diag)))
-    if abs(diag[k]) == 0.0:
+    d = diag[k]
+    if abs(d) == 0.0:
         return float(np.max(np.abs(v)))
-    phase = diag[k] / abs(diag[k])
+    if abs(d) < np.finfo(np.float64).tiny:
+        # numpy divides by multiplying with 1 / abs(d), which overflows here.
+        d = d * 2.0**1022
+    phase = d / abs(d)
     return float(np.max(np.abs(v - phase * np.eye(v.shape[0]))))

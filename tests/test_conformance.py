@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from raysym import (
     DEFAULT_TOLERANCES,
     ImagesNotOrthogonal,
     RaySymError,
+    SingularMatrix,
     SymmetryOperator,
     Tolerances,
     check_orthogonality_preservation,
@@ -232,6 +235,25 @@ class TestRunFullConformance:
         ]
         assert any(not e.passed for e in hypothesis_entries)
         assert not report.passed
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    @pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 1e300, 1.5e308])
+    @pytest.mark.parametrize("matrix", ["identity", "unitary"])
+    @pytest.mark.parametrize("antiunitary", [False, True])
+    def test_scaled_unitary_passes_all_but_round_trip(self, dim, scale, matrix, antiunitary):
+        # c U induces the ray map of U at any scale c; only the round trip sees c.
+        u = np.eye(dim) if matrix == "identity" else random_unitary(dim, seed=dim)
+        op = SymmetryOperator(scale * u, antiunitary=antiunitary)
+        try:
+            induced_map(op)
+        except SingularMatrix:
+            pytest.skip("the entries underflow to a singular matrix")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_full_conformance(op, seed=3, invariance_trials=50)
+        assert report.error is None
+        assert [e.name for e in report.entries if not e.passed] == ["round-trip"]
+        assert np.isfinite(report.entry("round-trip").worst_residual)
 
     def test_entry_lookup_raises_on_unknown_name(self):
         report = run_full_conformance(SymmetryOperator(np.eye(2)), seed=1, invariance_trials=10)

@@ -57,6 +57,8 @@ def operator_files():
         "not-unitary-3": op(not_unitary, "unitary"),
         # passes map_basis and fix_phases; classify_automorphism rejects it
         "near-shear-2": op([[1.0, 6e-9], [0.0, 1.0]], "general"),
+        # the smallest subnormal times I: the identity ray map, far from I itself
+        "tiny-identity-8": op(2.0**-1074 * np.eye(8), "general"),
     }
 
 
@@ -83,6 +85,8 @@ COMMANDS = [
     ("unitary-3", ("conformance", "{input}", "--tol-orth", "3e-16")),
     # entries that a failed stage did not reach, at a nonzero seed
     ("ginibre-3", ("conformance", "{input}", *SEEDED)),
+    # every check but round-trip passes at the smallest scale; round-trip reads 1
+    ("tiny-identity-8", ("conformance", "{input}")),
 ]
 
 

@@ -228,16 +228,29 @@ def test_oracles_are_asked_read_only_rays(site):
 
 
 @pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])
-@pytest.mark.parametrize("dim", [2, 3, 8, 64, 256])
-def test_matrix_answers_are_the_rays_of_the_matmul(dim, antiunitary):
-    # Bit for bit Ray(m @ x), or Ray(m @ conj(x)), whatever numpy and BLAS compute with.
-    op = SymmetryOperator(random_unitary(dim, seed=dim), antiunitary=antiunitary)
+@pytest.mark.parametrize(
+    "dim, scale",
+    [
+        pytest.param(dim, scale, id=f"{dim}" if scale == 1.0 else f"{dim}-{scale:g}")
+        for scale in (1.0, 1e300, 1.5e308)
+        for dim in (2, 3, 8, 64, 256)
+    ],
+)
+def test_matrix_answers_are_the_rays_of_the_matmul(dim, antiunitary, scale):
+    # Bit for bit Ray(m @ x), or Ray(m @ conj(x)), whatever numpy and BLAS compute
+    # with, asked alone or as a stack, at every scale where m @ x stays normal.
+    op = SymmetryOperator(scale * random_unitary(dim, seed=dim), antiunitary=antiunitary)
     oracle, m = induced_map(op), op.matrix
     rng = np.random.default_rng(100 + dim)
-    for _ in range(20):
-        r = sample_ray(dim, rng)
-        x = np.conj(r.rep) if antiunitary else r.rep
-        assert oracle.image(r).rep.tobytes() == Ray(m @ x).rep.tobytes()
+    rays = [sample_ray(dim, rng) for _ in range(20)]
+    rows = np.array([r.rep for r in rays])
+    products = np.array([m @ x for x in (np.conj(rows) if antiunitary else rows)])
+    mags = np.abs(products.view(np.float64))
+    assert np.isfinite(mags).all() and (mags[mags > 0.0] >= np.finfo(np.float64).tiny).all()
+    want = [Ray(v).rep for v in products]
+    for r, w in zip(rays, want):
+        assert oracle.image(r).rep.tobytes() == w.tobytes()
+    assert oracle._images(rows).tobytes() == np.array(want).tobytes()
 
 
 class TestOrthogonalityPreservation:

@@ -162,15 +162,27 @@ class TestRayConstructor:
     @settings(max_examples=300)
     @given(ray_inputs())
     def test_matches_the_reference_recipe(self, v):
+        # Also a matrix oracle's unchecked answer, read alone or in a stack:
+        # Ray's checks and prescale run at that read, and leave the answer as it was.
+        w = np.array(v, dtype=np.complex128)
+        before = w.copy()
+        reads = (
+            lambda: Ray(v).rep,
+            lambda: Ray._from_answer(w).rep,
+            lambda: _stack_reps([Ray._from_answer(w)])[0],
+        )
         try:
             want = reference_ray_rep(v)
         except (ValueError, ZeroVector) as err:
-            with pytest.raises(type(err)) as info:
-                Ray(v)
-            assert type(info.value) is type(err)
-            assert str(info.value) == str(err)
+            for read in reads:
+                with pytest.raises(type(err)) as info:
+                    read()
+                assert type(info.value) is type(err)
+                assert str(info.value) == str(err)
             return
-        assert Ray(v).rep.tobytes() == want.tobytes()
+        for read in reads:
+            assert read().tobytes() == want.tobytes()
+        assert w.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "v", [[2.0, 0.0], [1.0j, 0.0], [0.0, -3.0 + 4.0j, 1.0], [1e-9, 1e-3j, -5.0]]
@@ -241,7 +253,8 @@ class TestRayConstructor:
             for k in range(40):
                 v = random_state(64, seed=k) * 2.0 ** (25 * k - 500)
                 want = reference_ray_rep(v).tobytes()
-                ray = Ray(v)
+                # a checked copy, then an unchecked wrap, each read first by four threads
+                ray = Ray(v) if k % 2 else Ray._from_answer(v.copy())
                 barrier = threading.Barrier(4)
                 seen, errors = [], []
 
@@ -464,14 +477,17 @@ class TestCanonicalRays:
         ],
     )
     def test_first_rejected_row_raises_as_ray_does(self, rows):
+        # Also a stack of a matrix oracle's unchecked answers.
         v = np.array(rows, dtype=complex)
         first = next(j for j, row in enumerate(v) if not (np.isfinite(row).all() and row.any()))
         with pytest.raises((ValueError, ZeroVector)) as ref:
             Ray(v[first])
-        with pytest.raises(type(ref.value)) as info:
-            canonical_rays(v)
-        assert type(info.value) is type(ref.value)
-        assert str(info.value) == str(ref.value)
+        answers = [Ray._from_answer(row) for row in v]
+        for stack in (lambda: canonical_rays(v), lambda: _stack_reps(answers)):
+            with pytest.raises(type(ref.value)) as info:
+                stack()
+            assert type(info.value) is type(ref.value)
+            assert str(info.value) == str(ref.value)
 
     def test_first_zero_row_is_named(self):
         v = np.ones((3, 2), dtype=complex)
@@ -538,16 +554,26 @@ class TestStackReps:
         def wrapped():
             return [Ray._from_canonical(row) for row in canonical_rays(np.array(vs))]
 
-        def mixed():
-            styles = (pending(), read(), wrapped())
-            return [styles[j % 3][j] for j in range(len(vs))]
+        def unchecked():
+            return [Ray._from_answer(v.copy()) for v in vs]
 
-        for make in (pending, read, wrapped, mixed):
+        def mixed():
+            styles = (pending(), read(), wrapped(), unchecked())
+            return [styles[j % 4][j] for j in range(len(vs))]
+
+        for make in (pending, read, wrapped, unchecked, mixed):
             rays = make()
             got = _stack_reps(rays)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), make.__name__
             assert got.tobytes() == np.array([r.rep for r in rays]).tobytes()
+
+    def test_checked_rays_are_not_checked_again(self, monkeypatch):
+        # Ray(v) has validated and prescaled its copy; a second pass would only cost.
+        vs = self.vectors(8, np.random.default_rng(46))
+        want = np.array([reference_ray_rep(v) for v in vs])
+        monkeypatch.setattr("raysym.rays._prescaled_rows", lambda v: pytest.fail("checked again"))
+        assert _stack_reps([Ray(v) for v in vs]).tobytes() == want.tobytes()
 
 
 class TestRayFunctions:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -881,3 +883,12 @@ class TestGaugeResidual:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gauge_residual(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 2.0**-1022 * (1 - 2.0**-52)])
+    @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(-2.1j)])
+    def test_subnormal_reference_reads_its_distance_from_zero(self, scale, phase):
+        # A complex division by a subnormal modulus overflows to nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual = gauge_residual(np.eye(3), phase * scale * np.eye(3))
+        assert abs(residual - 1.0) <= 1e-15  # the unit phase, up to rounding
