@@ -250,8 +250,6 @@ def _stack_reps(rays: list[Ray]) -> np.ndarray:
     stack = np.array([ray._rep if p is None else p for ray, p in zip(rays, pending)])
     todo = [j for j, p in enumerate(pending) if p is not None]
     unchecked = [j for j in todo if not rays[j]._checked]
-    if len(unchecked) == len(rays):
-        return _canonical_rows(_prescaled_rows(stack))
     if unchecked:
         stack[unchecked] = _prescaled_rows(stack[unchecked])
     if len(todo) == len(rays):

@@ -254,25 +254,25 @@ class TestRayConstructor:
                 v = random_state(64, seed=k) * 2.0 ** (25 * k - 500)
                 want = reference_ray_rep(v).tobytes()
                 # a checked copy, then an unchecked wrap, each read first by four threads
-                ray = Ray(v) if k % 2 else Ray._from_answer(v.copy())
-                barrier = threading.Barrier(4)
-                seen, errors = [], []
+                for ray in (Ray(v), Ray._from_answer(v.copy())):
+                    barrier = threading.Barrier(4)
+                    seen, errors = [], []
 
-                def read():
-                    try:
-                        barrier.wait(timeout=10)
-                        seen.append((ray.dim, ray.rep.tobytes()))
-                    except Exception as err:  # reported by the assertion below
-                        errors.append(err)
+                    def read(ray=ray, barrier=barrier, seen=seen, errors=errors):
+                        try:
+                            barrier.wait(timeout=10)
+                            seen.append((ray.dim, ray.rep.tobytes()))
+                        except Exception as err:  # reported by the assertion below
+                            errors.append(err)
 
-                threads = [threading.Thread(target=read) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads)
-                assert errors == []
-                assert seen == [(64, want)] * 4
+                    threads = [threading.Thread(target=read) for _ in range(4)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=10)
+                    assert not any(t.is_alive() for t in threads)
+                    assert errors == []
+                    assert seen == [(64, want)] * 4
         finally:
             sys.setswitchinterval(interval)
 
