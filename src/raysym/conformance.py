@@ -21,6 +21,7 @@ from .oracles import (
     ConformanceReport,
     RayMapOracle,
     SymmetryOperator,
+    _entry,
     check_orthogonality_preservation,
     induced_map,
 )
@@ -65,18 +66,6 @@ def check_ray_function_invariance(
     """
     report = check_orthogonality_preservation(oracle, trials, seed, tol)
     return report.entry("ray-function-invariance")
-
-
-def _entry(
-    name: str, residual: float, bound: float, seed: int, reached: bool = True, trials: int = 0
-) -> CheckResult:
-    """The one verdict rule: a check passes when it was reached and its residual is within bound.
-
-    ``reached`` is False when there is nothing to judge: a failed stage never
-    ran the check, map_basis rejected the basis, or the kinds differ.
-    """
-    residual = float(residual)
-    return CheckResult(name, reached and residual <= bound, residual, trials, seed)
 
 
 def check_round_trip(

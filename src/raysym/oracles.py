@@ -9,13 +9,12 @@ preservation guarantees, used to exercise the hypothesis-violation
 diagnostics.
 
 The package's one result type for a check, a :class:`ConformanceReport` of
-:class:`CheckResult` entries, lives here: the sampled hypothesis check and
-the conformance suite both return it.
+:class:`CheckResult` entries, and the one verdict rule that judges an entry
+live here: the sampled hypothesis check and the conformance suite share them.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +26,7 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
+    _prescaled_rows,
     _stack_reps,
     _vdots,
     canonical_rays,
@@ -90,12 +90,11 @@ class RayMapOracle:
     ``dim_in`` and ``dim_out`` must be positive integers of any integral
     type (``operator.index``); anything else, a float included, raises
     TypeError.  ``image_fn`` must be total on rays of dimension ``dim_in``
-    and return a :class:`~raysym.rays.Ray` of dimension ``dim_out``:
-    ``image`` raises TypeError, naming the oracle and the type it got, for
-    an answer that is not a Ray, and DimensionMismatch for a Ray of another
-    dimension.  A ``Ray(v)`` answer is validated when it is made and
-    canonicalized on first use; a matrix oracle's answer is validated where
-    it is first canonicalized, with the errors ``Ray(v)`` raises.
+    and return a :class:`~raysym.rays.Ray` of dimension ``dim_out``.
+    ``image`` raises TypeError, naming the oracle and the type, when it is
+    asked or answers something that is not a Ray, and DimensionMismatch for
+    a Ray of another dimension.  Every answer is checked and prescaled where
+    it is canonicalized, with the errors ``Ray(v)`` raises.
 
     The library asks in one place, the private methods below: one ``image``
     call per ray, in order, with read-only rays.  The answers to a stack
@@ -125,6 +124,8 @@ class RayMapOracle:
 
     def image(self, ray: Ray) -> Ray:
         """Image of a ray under the map."""
+        if not isinstance(ray, Ray):
+            raise TypeError(f"{self!r} was asked {type(ray).__name__}, not a Ray")
         if ray.dim != self.dim_in:
             raise DimensionMismatch(
                 f"oracle expects rays of dimension {self.dim_in}, got {ray.dim}"
@@ -163,6 +164,18 @@ class CheckResult:
     seed: int
 
 
+def _entry(
+    name: str, residual: float, bound: float, seed: int, reached: bool = True, trials: int = 0
+) -> CheckResult:
+    """The one verdict rule: a check passes when it was reached and its residual is within bound.
+
+    ``reached`` is False when there is nothing to judge: a failed stage never
+    ran the check, map_basis rejected the basis, or the kinds differ.
+    """
+    residual = float(residual)
+    return CheckResult(name, reached and residual <= bound, residual, trials, seed)
+
+
 @dataclass(frozen=True)
 class ConformanceReport:
     """Check outcomes for one operator or oracle, in the declared order."""
@@ -186,20 +199,20 @@ class ConformanceReport:
 def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
     """The ray map of ``op``, one matrix-vector product per ray.
 
-    The matrix is ``op.matrix`` scaled by the power of two that brings its
-    largest real or imaginary part into [0.5, 1), as ``Ray`` prescales.  It
-    induces the same map, and, once its condition is checked, its product
-    with a unit x is finite and nonzero at any scale of ``op.matrix``.  So
-    each product is the answer, unchecked and uncopied.  Where the scaled
-    entries and products stay normal, its ``rep`` is ``Ray(op.matrix @ x).rep``.
+    The matrix is ``op.matrix`` prescaled as one row of ``Ray``'s recipe: by
+    the power of two that brings its largest real or imaginary part into
+    [0.5, 1).  It induces the same map, and, once its condition is checked,
+    its product with a unit x is finite and nonzero at any scale of
+    ``op.matrix``.  So each product is the answer, pending and uncopied, and
+    checked where it is canonicalized.  Where the scaled entries and
+    products stay normal, its ``rep`` is ``Ray(op.matrix @ x).rep``.
     """
     m = op.matrix
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond >= MAX_CONDITION:
         raise SingularMatrix(f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
 
-    parts = m.view(np.float64)
-    m = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+    m = _prescaled_rows(m.reshape(1, -1)).reshape(m.shape)
     answer = Ray._from_answer
 
     # ndarray.dot makes the one BLAS matrix-vector call that ``m @ x`` makes,
@@ -282,7 +295,7 @@ def check_orthogonality_preservation(
         drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(a, b))
         max_u = max(max_u, float(drift.max()))
     worst = (("orthogonality-preservation", max_orth), ("ray-function-invariance", max_u))
-    entries = tuple(CheckResult(name, x <= tol.orth_tol, x, trials, seed) for name, x in worst)
+    entries = tuple(_entry(name, x, tol.orth_tol, seed, trials=trials) for name, x in worst)
     return ConformanceReport(dim=dim, seed=seed, entries=entries)
 
 

@@ -77,36 +77,21 @@ class Ray:
     ``v`` is exactly zero.  It keeps a private copy of ``v``, so changing
     ``v`` afterwards changes nothing, and canonicalizes on first use of
     ``rep`` (or of ``almost_equals`` or the repr); ``dim`` is known at once.
-    Where the library gathers a stack of oracle answers, it canonicalizes
-    the pending ones together with ``canonical_rays``, which gives the same
-    bits.  A matrix oracle's answer wraps its product unchecked; ``Ray(v)``'s
-    checks run, with the same errors, where it is first canonicalized.
-    Concurrent reads of one Ray are safe and see the same bytes.
+    A pending vector is checked and prescaled where it is canonicalized:
+    alone, or with a stack of oracle answers in one ``canonical_rays`` pass,
+    which gives the same bits.  So a matrix oracle's unchecked answer raises
+    ``Ray(v)``'s errors there.  Concurrent reads of one Ray are safe and see
+    the same bytes.
     """
 
-    __slots__ = ("_rep", "_pending", "_checked")
+    __slots__ = ("_rep", "_pending")
 
     def __init__(self, v: np.ndarray):
         v = np.array(v, dtype=np.complex128, order="C")  # the private copy
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
-        parts = v.view(np.float64)
-        # argmax stops at the first NaN, so a NaN part still reads as top.
-        mags = np.abs(parts)
-        top = float(mags[mags.argmax()])
-        if not math.isfinite(top):
-            raise ValueError("vector components must be finite")
-        if top == 0.0:
-            raise ZeroVector("cannot canonicalize a vector of norm 0.0")
-        # Scaling every real and imaginary part by the exact power of two that
-        # brings the largest into [0.5, 1) keeps the norm from overflowing or
-        # underflowing; in range it changes no bit (nor zero sign) of v / ||v||.
-        # The clamp keeps the factor finite when the largest part is subnormal.
-        scale = 2.0 ** -max(math.frexp(top)[1], -1022)
-        if scale != 1.0:
-            parts *= scale
+        _top_exponent(v)
         self._pending = v
-        self._checked = True
         self._rep = None
 
     @classmethod
@@ -119,10 +104,9 @@ class Ray:
 
     @classmethod
     def _from_answer(cls, w: np.ndarray) -> "Ray":
-        """Wrap a fresh 1-d complex128 vector unchecked; ``Ray(w)``'s checks run at first read."""
+        """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check."""
         ray = cls.__new__(cls)
         ray._pending = w
-        ray._checked = False
         ray._rep = None
         return ray
 
@@ -133,8 +117,6 @@ class Ray:
         pending = self._pending
         rep = self._rep
         if rep is None:
-            if not self._checked:  # on a copy: a concurrent reader may hold pending
-                pending = Ray(pending)._pending
             rep = self._rep = _canonical_row(pending)
             self._pending = None
         return rep
@@ -154,8 +136,24 @@ class Ray:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
 
 
+def _top_exponent(v: np.ndarray) -> int:
+    """``frexp`` exponent of a contiguous vector's largest part; raises what ``Ray`` raises."""
+    # argmax stops at the first NaN, so a NaN part still reads as top.
+    mags = np.abs(v.view(np.float64))
+    top = float(mags[mags.argmax()])
+    if not math.isfinite(top):
+        raise ValueError("vector components must be finite")
+    if top == 0.0:
+        raise ZeroVector("cannot canonicalize a vector of norm 0.0")
+    return math.frexp(top)[1]
+
+
 def _canonical_row(w: np.ndarray) -> np.ndarray:
-    """``Ray``'s deferred steps on its prescaled copy: norm, pivot, phase rotation."""
+    """``Ray``'s recipe on a pending vector, out of place: check, prescale, norm, pivot, phase."""
+    # Scaling every real and imaginary part by the exact power of two that
+    # brings the largest into [0.5, 1) keeps the norm from overflowing or
+    # underflowing; in range it changes no bit (nor zero sign) of w / ||w||.
+    w = np.ldexp(w.view(np.float64), -_top_exponent(w)).view(np.complex128)
     re, im = w.real, w.imag
     # The norm is what np.linalg.norm computes: two strided real dots.
     rep = w / math.sqrt(re.dot(re) + im.dot(im))
@@ -210,14 +208,13 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
 
 
 def _prescaled_rows(v: np.ndarray) -> np.ndarray:
-    """A new copy of a C-contiguous (k, n) stack, each row checked and scaled as ``Ray`` does."""
+    """A new copy of a C-contiguous (k, n) stack, each row checked and prescaled as ``Ray`` does."""
     parts = v.view(np.float64)
     top = np.abs(parts).max(axis=1)
     rejected = ~(np.isfinite(top) & (top > 0.0))
     if rejected.any():
-        Ray(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
-    return (parts * scale[:, None]).view(np.complex128)
+        _top_exponent(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
+    return np.ldexp(parts, -np.frexp(top)[1][:, None]).view(np.complex128)
 
 
 def _canonical_rows(w: np.ndarray) -> np.ndarray:
@@ -240,22 +237,20 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
 
 
 def _stack_reps(rays: list[Ray]) -> np.ndarray:
-    """The (k, n) stack of the rays' representatives: row j is ``rays[j].rep`` bit for bit.
+    """The read-only (k, n) stack of the rays' reps: row j is ``rays[j].rep`` bit for bit.
 
-    The rays still pending are canonicalized together, in one
-    ``canonical_rays`` pass, and stay pending.  Its checks and prescale run
-    only on the unchecked ones: the first bad one raises what ``Ray`` raises.
+    The rays still pending are checked, prescaled and canonicalized together,
+    in one ``canonical_rays`` pass, and stay pending; the first bad one
+    raises what ``Ray`` raises.
     """
     pending = [ray._pending for ray in rays]  # read before _rep, as in Ray.rep
     stack = np.array([ray._rep if p is None else p for ray, p in zip(rays, pending)])
     todo = [j for j, p in enumerate(pending) if p is not None]
-    unchecked = [j for j in todo if not rays[j]._checked]
-    if unchecked:
-        stack[unchecked] = _prescaled_rows(stack[unchecked])
     if len(todo) == len(rays):
-        return _canonical_rows(stack)
+        return _canonical_rows(_prescaled_rows(stack))
     if todo:
-        stack[todo] = _canonical_rows(stack[todo])
+        stack[todo] = _canonical_rows(_prescaled_rows(stack[todo]))
+    stack.flags.writeable = False
     return stack
 
 

@@ -114,3 +114,15 @@ def test_only_ray_map_oracle_calls_image():
                 (inside if id(node) in owner else outside).append(where)
     assert outside == []
     assert inside and all(where.startswith("oracles.py:") for where in inside)
+
+
+def test_only_rays_calls_frexp_or_ldexp():
+    # The power-of-two prescale rule lives in one module: no other one calls frexp or ldexp.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for node in ast.walk(parse(path.name))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("frexp", "ldexp")
+    ]
+    assert calls and all(where.startswith("rays.py:") for where in calls)

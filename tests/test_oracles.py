@@ -148,6 +148,17 @@ class TestOracleInterface:
         with pytest.raises(DimensionMismatch):
             oracle.image(canonical_ray(axis_vector(2, 0)))
 
+    @pytest.mark.parametrize(
+        "x, type_name",
+        [(np.array([1.0, 0.0]), "ndarray"), ([1.0, 0.0], "list"), (None, "NoneType")],
+        ids=["ndarray", "list", "none"],
+    )
+    def test_rejects_an_input_that_is_not_a_ray(self, x, type_name):
+        oracle = induced_map(SymmetryOperator(np.eye(2)))
+        message = rf"^{re.escape(repr(oracle))} was asked {type_name}, not a Ray$"
+        with pytest.raises(TypeError, match=message):
+            oracle.image(x)
+
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(ValueError):
             RayMapOracle(0, 2, lambda r: r)
