@@ -53,7 +53,6 @@ from .reconstruction import (
     BasisImages,
     ProbeResult,
     ReconstructionResult,
-    apply_symmetry,
     classify_automorphism,
     fix_phases,
     gauge_residual,
@@ -92,7 +91,6 @@ __all__ = [
     "SymmetryOperator",
     "Tolerances",
     "ZeroVector",
-    "apply_symmetry",
     "canonical_ray",
     "check_orthogonality_preservation",
     "check_ray_function_invariance",

@@ -320,7 +320,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol-orth", type=float, default=DEFAULT_TOLERANCES.orth_tol, metavar="X",
-        help="orthogonality tolerance on transition probabilities (default %(default)g)",
+        help="orthogonality tolerance: on transition probabilities in the basis and sampled "
+        "checks, on amplitudes in the slice probes (default %(default)g)",
     )
     parser.add_argument(
         "--tol-recon", type=float, default=DEFAULT_TOLERANCES.recon_tol, metavar="X",

@@ -44,7 +44,12 @@ SAMPLE_BLOCK = 32
 class Tolerances:
     """Numerical tolerances used across the reconstruction pipeline.
 
-    orth_tol bounds transition probabilities that still count as orthogonal,
+    orth_tol bounds what still counts as orthogonal, in the unit each check
+    reads: map_basis and the two sampled checks compare it with transition
+    probabilities (and their drift); the slice probes compare it with
+    amplitudes: |b_1| and the cross-talk |b_j| of a unit image in
+    slice_coordinates, and the unit-probe magnitude |c_i| = |b_i| / |b_1| in
+    fix_phases.
     recon_tol bounds reconstruction residuals (basis Gram defect, scales,
     classification, gauge).
     """
@@ -76,7 +81,7 @@ class Ray:
     a nonempty finite 1-d vector, and ZeroVector when every component of
     ``v`` is exactly zero.  It keeps a private copy of ``v``, so changing
     ``v`` afterwards changes nothing, and canonicalizes on first use of
-    ``rep`` (or of ``almost_equals`` or the repr); ``dim`` is known at once.
+    ``rep`` (or of the repr); ``dim`` is known at once.
     A pending vector is checked and prescaled where it is canonicalized:
     alone, or with a stack of oracle answers in one ``canonical_rays`` pass,
     which gives the same bits.  So a matrix oracle's unchecked answer raises
@@ -125,12 +130,6 @@ class Ray:
     def dim(self) -> int:
         pending = self._pending
         return (self._rep if pending is None else pending).shape[0]
-
-    def almost_equals(self, other: "Ray", tol: float = 1e-12) -> bool:
-        """Componentwise agreement of the canonical representatives."""
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.rep - other.rep)) <= tol)
 
     def __repr__(self) -> str:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
@@ -260,7 +259,11 @@ def ray_function(r: Ray, s: Ray) -> float:
     Symmetric in its arguments, independent of the representative choice, and
     clipped into [0, 1] to absorb last-bit rounding of the Cauchy-Schwarz
     bound: the one row of ``ray_functions`` on the two representatives.
+    Raises TypeError, naming the type, for an argument that is not a Ray.
     """
+    for x in (r, s):
+        if not isinstance(x, Ray):
+            raise TypeError(f"ray_function expects Rays, got {type(x).__name__}")
     return float(ray_functions(r.rep[None], s.rep[None])[0])
 
 

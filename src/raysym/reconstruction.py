@@ -91,19 +91,23 @@ class BasisImages:
     oracle; fix_phases returns a copy with the probe phases absorbed.
     ``gram_defect`` is the max-norm deviation of the images' Gram matrix from
     the identity, measured once by map_basis and carried along unchanged.
+    ``columns`` must be square and nonempty (else ValueError); ``dim`` is
+    read from it.
     """
 
-    dim: int
     columns: np.ndarray
     gram_defect: float
 
     def __post_init__(self):
-        m = np.asarray(self.columns, dtype=np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"columns must have shape ({self.dim}, {self.dim})")
-        m = m.copy()
+        m = np.array(self.columns, dtype=np.complex128)  # a private copy
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError(f"columns must be square and nonempty, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "columns", m)
+
+    @property
+    def dim(self) -> int:
+        return self.columns.shape[0]
 
 
 @dataclass(frozen=True)
@@ -129,22 +133,26 @@ class ReconstructionResult:
     but the result is diagnostic-only.  ``basis`` holds those phase-fixed
     axes with the Gram defect map_basis measured, ready for
     probe_automorphism.  ``classification_residual`` is the distance of the
-    probed f(i) to the i or -i that classify_automorphism accepted.
+    probed f(i) to the i or -i that classify_automorphism accepted.  ``kind``
+    is read from the operator: CONJUGATION exactly when it is antiunitary.
     """
 
     operator: SymmetryOperator
     basis: BasisImages
     scales: np.ndarray
-    kind: AutomorphismKind
     max_scale_deviation: float
     classification_residual: float
     unitary_valid: bool
 
     def __post_init__(self):
-        s = np.asarray(self.scales, dtype=np.float64)
-        s = s.copy()
+        s = np.array(self.scales, dtype=np.float64)  # a private copy
         s.flags.writeable = False
         object.__setattr__(self, "scales", s)
+
+    @property
+    def kind(self) -> AutomorphismKind:
+        conj = self.operator.antiunitary
+        return AutomorphismKind.CONJUGATION if conj else AutomorphismKind.IDENTITY
 
 
 @contextmanager
@@ -193,7 +201,7 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
             raise IncompleteImage(
                 f"basis-image Gram matrix deviates from identity by {gram_defect:.3e}"
             )
-    return BasisImages(dim=dim, columns=reps, gram_defect=gram_defect)
+    return BasisImages(columns=reps, gram_defect=gram_defect)
 
 
 def _check_probe_index(dim: int, i: int) -> None:
@@ -251,11 +259,12 @@ def slice_coordinates(
     """Coordinate of the image of ray(e_1 + z e_i) on the slice x_1' = 1.
 
     Expands the image representative w in the basis columns, b_j = <col_j, w>.
-    The source ray is not orthogonal to the first axis, so b_1 must not
-    vanish (else SliceDegenerate); orthogonality preservation confines the
-    image to the plane of axes 1 and i, so every other coefficient must stay
-    within tol.orth_tol of zero, w being a unit vector (else CrossTalk,
-    naming the lowest such axis).  Returns b_i / b_1.
+    Both tests compare tol.orth_tol with amplitudes |b_j| of the unit vector
+    w, not with transition probabilities |b_j|^2.  The source ray is not
+    orthogonal to the first axis, so |b_1| must exceed tol.orth_tol (else
+    SliceDegenerate); orthogonality preservation confines the image to the
+    plane of axes 1 and i, so every other |b_j| must stay within tol.orth_tol
+    of zero (else CrossTalk, naming the lowest such axis).  Returns b_i / b_1.
     """
     _check_probe_index(basis.dim, i)
     return next(_slice_probes(oracle, basis, [complex(z)], [i], tol))
@@ -268,10 +277,12 @@ def fix_phases(
 ) -> tuple[BasisImages, np.ndarray]:
     """Probe z = 1 on every axis and absorb the probe phases into the columns.
 
-    The unit probe returns c_i = r_i w_i with r_i = |c_i| > 0.  Multiplying
-    column i by w_i makes subsequent slice coordinates read r_i f(z); in
-    particular re-probing z = 1 returns the positive real r_i.  Returns the
-    phase-fixed basis and the scales, with scales[0] = 1 by convention.
+    The unit probe returns c_i = r_i w_i.  r_i = |c_i| is a ratio of
+    amplitudes, |b_i| / |b_1|, not a transition probability, and must exceed
+    tol.orth_tol (else DegenerateProbe).  Multiplying column i by w_i makes
+    subsequent slice coordinates read r_i f(z); in particular re-probing
+    z = 1 returns the positive real r_i.  Returns the phase-fixed basis and
+    the scales, with scales[0] = 1 by convention.
     """
     dim = basis.dim
     columns = basis.columns.copy()
@@ -284,7 +295,7 @@ def fix_phases(
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
             columns[:, i] *= c / r
             scales[i] = r
-    return BasisImages(dim=dim, columns=columns, gram_defect=basis.gram_defect), scales
+    return BasisImages(columns=columns, gram_defect=basis.gram_defect), scales
 
 
 def classify_automorphism(
@@ -365,29 +376,14 @@ def reconstruct(
     fixed, scales = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
     kind, classification_residual = classify_automorphism(oracle, fixed, scales, tol)
     max_scale_deviation = float(np.max(np.abs(scales - 1.0)))
-    operator = SymmetryOperator(
-        matrix=fixed.columns,
-        antiunitary=(kind is AutomorphismKind.CONJUGATION),
-    )
     return ReconstructionResult(
-        operator=operator,
+        operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
         basis=fixed,
         scales=scales,
-        kind=kind,
         max_scale_deviation=max_scale_deviation,
         classification_residual=classification_residual,
         unitary_valid=max_scale_deviation <= tol.recon_tol,
     )
-
-
-def apply_symmetry(op: SymmetryOperator, x: np.ndarray) -> np.ndarray:
-    """Apply the operator to a vector: U x, or U conj(x) when antiunitary."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] != op.dim:
-        raise DimensionMismatch(
-            f"operator of dimension {op.dim} cannot act on a vector of shape {x.shape}"
-        )
-    return op.matrix @ (np.conj(x) if op.antiunitary else x)
 
 
 def verify_reproduction(
@@ -403,8 +399,8 @@ def verify_reproduction(
 
     Trials run in blocks of SAMPLE_BLOCK: one normal draw gives the block's
     source rays (``sample_state_blocks``), the operator maps the whole stack
-    (one matrix-vector product per row, as ``apply_symmetry``), and the
-    oracle is asked the block's sources as one stack, in trial order.
+    (one matrix-vector product per row: U x, or U conj(x) when antiunitary),
+    and the oracle is asked the block's sources as one stack, in trial order.
     """
     if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
         raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")

@@ -76,6 +76,16 @@ def reference_ray_rep(v):
     return rep
 
 
+def reference_apply(op, x):
+    """The operator's action on a vector: U x, or U conj(x) when antiunitary.
+
+    One matrix-vector product, the arithmetic ``verify_reproduction`` does
+    per row.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    return op.matrix @ (np.conj(x) if op.antiunitary else x)
+
+
 def matrix_pairs(matrix):
     m = np.asarray(matrix, dtype=np.complex128)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import raysym
@@ -29,7 +30,6 @@ PUBLIC_NAMES = [
     "SymmetryOperator",
     "Tolerances",
     "ZeroVector",
-    "apply_symmetry",
     "canonical_ray",
     "check_orthogonality_preservation",
     "check_ray_function_invariance",
@@ -52,7 +52,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Removing or adding a public name is an API change: update this list and the README with it.
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(raysym.__all__) == PUBLIC_NAMES
 
 
@@ -126,3 +126,21 @@ def test_only_rays_calls_frexp_or_ldexp():
         and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("frexp", "ldexp")
     ]
     assert calls and all(where.startswith("rays.py:") for where in calls)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_public_name_has_a_reader_or_a_readme_line():
+    # A public name earns its place: library code reads it, or README tells users what it is for.
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(parse(path.name))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+    readme = README.read_text(encoding="utf-8")
+    unused = [name for name in raysym.__all__ if name not in read]
+    assert [name for name in unused if not re.search(rf"\b{name}\b", readme)] == []

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from raysym import (
-    AutomorphismKind,
     BasisImages,
     OperatorFileError,
     ReconstructionResult,
@@ -376,9 +375,8 @@ class TestReconstructCommand:
         assert np.signbit(m[1, 1].real) and np.signbit(m[1, 1].imag)
         result = ReconstructionResult(
             operator=SymmetryOperator(m),
-            basis=BasisImages(dim=3, columns=m, gram_defect=0.0),
+            basis=BasisImages(columns=m, gram_defect=0.0),
             scales=np.array([1.0, -0.0, 5e-324]),
-            kind=AutomorphismKind.IDENTITY,
             max_scale_deviation=1.0,
             classification_residual=-0.0,
             unitary_valid=False,

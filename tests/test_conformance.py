@@ -6,6 +6,7 @@ import pytest
 from raysym import (
     CHECK_NAMES,
     DEFAULT_TOLERANCES,
+    DimensionMismatch,
     ImagesNotOrthogonal,
     RaySymError,
     SingularMatrix,
@@ -92,7 +93,7 @@ class TestRoundTrip:
     def test_dimension_mismatch(self):
         op = SymmetryOperator(np.eye(3))
         recon = reconstruct(induced_map(SymmetryOperator(np.eye(2))), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
             check_round_trip(op, recon)
 
 

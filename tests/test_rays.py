@@ -65,7 +65,7 @@ class TestCanonicalRay:
     @pytest.mark.parametrize("tiny", [1e-14, 5e-324])
     def test_only_exact_zero_is_zero(self, tiny):
         r = canonical_ray(np.full(4, tiny, dtype=complex))
-        assert r.almost_equals(canonical_ray(np.ones(4)), tol=1e-15)
+        np.testing.assert_allclose(r.rep, canonical_ray(np.ones(4)).rep, rtol=0, atol=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestCanonicalRay:
         v = random_state(5, seed=23)
         r1 = canonical_ray(v)
         r2 = canonical_ray(scale * v)
-        assert r1.almost_equals(r2, tol=1e-12)
+        np.testing.assert_allclose(r1.rep, r2.rep, rtol=0, atol=1e-12)
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(5)
@@ -117,14 +117,15 @@ class TestCanonicalRay:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = canonical_ray(scale * v)
-        assert r.almost_equals(canonical_ray(v), tol=1e-12)
+        np.testing.assert_allclose(r.rep, canonical_ray(v).rep, rtol=0, atol=1e-12)
 
     def test_components_near_the_largest_double(self):
         v = np.array([1.7e308 + 1.7e308j, -1e308, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = canonical_ray(v)
-        assert r.almost_equals(canonical_ray(np.array([1.7 + 1.7j, -1.0, 0.0])), tol=1e-12)
+        want = canonical_ray(np.array([1.7 + 1.7j, -1.0, 0.0]))
+        np.testing.assert_allclose(r.rep, want.rep, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -207,7 +208,7 @@ class TestRayConstructor:
         rng = np.random.default_rng(41)
         for _ in range(200):
             r = Ray(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-            assert Ray(r.rep).almost_equals(r, tol=1e-12)
+            np.testing.assert_allclose(Ray(r.rep).rep, r.rep, rtol=0, atol=1e-12)
 
     def test_power_of_two_multiples_give_the_same_bits(self):
         rng = np.random.default_rng(43)
@@ -306,6 +307,15 @@ class TestRayFunction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ray_function(axis_ray(2, 0), axis_ray(3, 0))
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", [np.ones(2), [1.0, 0.0], None], ids=["ndarray", "list", "None"])
+    def test_rejects_an_argument_that_is_not_a_ray(self, position, bad):
+        args = [Ray([1.0, 0.0]), Ray([0.6, 0.8])]
+        args[position] = bad
+        message = f"^ray_function expects Rays, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            ray_function(*args)
 
     def test_representative_independence(self):
         rng = np.random.default_rng(29)
@@ -531,7 +541,7 @@ class TestCanonicalRays:
         ray = Ray._from_canonical(row)
         assert ray.rep is row
         assert ray.dim == 5
-        assert ray.almost_equals(Ray(v), tol=1e-15)
+        np.testing.assert_allclose(ray.rep, Ray(v).rep, rtol=0, atol=1e-15)
 
 
 class TestStackReps:

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +22,6 @@ from raysym import (
     SliceDegenerate,
     SymmetryOperator,
     Tolerances,
-    apply_symmetry,
     canonical_ray,
     check_orthogonality_preservation,
     classify_automorphism,
@@ -39,7 +40,7 @@ from raysym import (
 from raysym.rays import sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
-from conftest import axis_vector
+from conftest import axis_vector, reference_apply
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -163,7 +164,7 @@ def reference_reconstruct(oracle, dim, tol=DEFAULT_TOLERANCES):
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
             columns[:, i] *= c / r
             scales[i] = r
-        fixed = BasisImages(dim=dim, columns=columns, gram_defect=basis.gram_defect)
+        fixed = BasisImages(columns=columns, gram_defect=basis.gram_defect)
         stage = "classify_automorphism"
         f_val = reference_slice_coordinates(oracle, fixed, 1j, 1, tol) / scales[1]
         if abs(f_val - 1j) <= tol.recon_tol:
@@ -180,7 +181,6 @@ def reference_reconstruct(oracle, dim, tol=DEFAULT_TOLERANCES):
         operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
         basis=fixed,
         scales=scales,
-        kind=kind,
         max_scale_deviation=deviation,
         classification_residual=residual,
         unitary_valid=deviation <= tol.recon_tol,
@@ -223,6 +223,43 @@ def probe_tampering_oracle(dim, tamper):
         return canonical_ray(rep)
 
     return RayMapOracle(dim, dim, fn, label="tampering")
+
+
+class TestDerivedFields:
+    """``kind`` and ``BasisImages.dim`` are read from the data they describe."""
+
+    def test_constructor_fields(self):
+        assert [f.name for f in dataclasses.fields(BasisImages)] == ["columns", "gram_defect"]
+        assert [f.name for f in dataclasses.fields(ReconstructionResult)] == [
+            "operator", "basis", "scales", "max_scale_deviation", "classification_residual",
+            "unitary_valid",
+        ]
+
+    @pytest.mark.parametrize("antiunitary", [False, True])
+    def test_kind_is_conjugation_exactly_when_the_operator_is_antiunitary(self, antiunitary):
+        m = random_unitary(3, seed=5)
+        result = ReconstructionResult(
+            operator=SymmetryOperator(m, antiunitary=antiunitary),
+            basis=BasisImages(columns=m, gram_defect=0.0),
+            scales=np.ones(3),
+            max_scale_deviation=0.0,
+            classification_residual=0.0,
+            unitary_valid=True,
+        )
+        want = AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY
+        assert result.kind is want
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_basis_dim_is_the_column_count(self, dim):
+        basis = BasisImages(columns=np.eye(dim), gram_defect=0.0)
+        assert basis.dim == basis.columns.shape[0] == dim
+        assert map_basis(identity_oracle(dim + 1), dim + 1).dim == dim + 1
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)])
+    def test_basis_columns_must_be_square_and_nonempty(self, shape):
+        message = re.escape(f"columns must be square and nonempty, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BasisImages(columns=np.ones(shape), gram_defect=0.0)
 
 
 class TestMapBasis:
@@ -790,8 +827,8 @@ class TestReconstruct:
         for _ in range(1000):
             x = sample_ray(4, rng)
             y = sample_ray(4, rng)
-            img_x = canonical_ray(apply_symmetry(recon.operator, x.rep))
-            img_y = canonical_ray(apply_symmetry(recon.operator, y.rep))
+            img_x = canonical_ray(reference_apply(recon.operator, x.rep))
+            img_y = canonical_ray(reference_apply(recon.operator, y.rep))
             assert abs(ray_function(img_x, img_y) - ray_function(x, y)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
@@ -807,28 +844,6 @@ class TestReconstruct:
             assert result.max_scale_deviation <= 1e-8
             assert gauge_residual(result.operator.matrix, u) <= 1e-8
             assert verify_reproduction(result.operator, oracle, trials=50, seed=k) <= 1e-8
-
-
-class TestApplySymmetry:
-    def test_conjugation(self):
-        op = SymmetryOperator(np.eye(2), antiunitary=True)
-        out = apply_symmetry(op, np.array([1.0, 1.0j]))
-        np.testing.assert_allclose(out, [1.0, -1.0j], atol=1e-15)
-
-    def test_swap(self):
-        out = apply_symmetry(SymmetryOperator(SWAP), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
-
-    def test_antilinearity(self):
-        op = SymmetryOperator(np.eye(2), antiunitary=True)
-        x = np.array([1.0, 1.0], dtype=complex)
-        np.testing.assert_allclose(
-            apply_symmetry(op, 2.0j * x), -2.0j * apply_symmetry(op, x), atol=1e-15
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_symmetry(SymmetryOperator(np.eye(3)), np.array([1.0, 0.0]))
 
 
 class TestVerifyReproduction:
