@@ -10,13 +10,7 @@ operator reproduces the map.  This is Wigner's unitary-antiunitary theorem in
 executable form.
 """
 
-from .conformance import (
-    AUTOMORPHISM_LAW_TOL,
-    CHECK_NAMES,
-    check_ray_function_invariance,
-    check_round_trip,
-    run_full_conformance,
-)
+from .conformance import CHECK_NAMES, run_full_conformance
 from .errors import (
     CrossTalk,
     DegenerateProbe,
@@ -45,7 +39,6 @@ from .rays import (
     Ray,
     Tolerances,
     canonical_ray,
-    ray_function,
 )
 from .reconstruction import (
     DEFAULT_PROBE_GRID,
@@ -66,7 +59,6 @@ from .reconstruction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUTOMORPHISM_LAW_TOL",
     "AutomorphismKind",
     "BasisImages",
     "CHECK_NAMES",
@@ -93,8 +85,6 @@ __all__ = [
     "ZeroVector",
     "canonical_ray",
     "check_orthogonality_preservation",
-    "check_ray_function_invariance",
-    "check_round_trip",
     "classify_automorphism",
     "fix_phases",
     "gauge_residual",
@@ -103,7 +93,6 @@ __all__ = [
     "map_basis",
     "probe_automorphism",
     "random_unitary",
-    "ray_function",
     "reconstruct",
     "run_full_conformance",
     "slice_coordinates",

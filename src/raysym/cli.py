@@ -134,6 +134,8 @@ def load_operator_file(path: str) -> SymmetryOperator:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise OperatorFileError(f"input: cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise OperatorFileError(f"input: cannot read {path}: {err}") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -304,11 +306,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise UsageError("--index: must be at least 2 (axis 1 is the reference axis)")
     if args.index > op.dim:
         raise UsageError(f"--index: must be at most the operator dimension ({op.dim})")
-    samples = parse_samples(args.samples) if args.samples else DEFAULT_PROBE_GRID
+    samples = DEFAULT_PROBE_GRID if args.samples is None else parse_samples(args.samples)
     oracle = induced_map(op)
-    fixed, scales = fix_phases(oracle, map_basis(oracle, op.dim, tol), tol)
-    probe = probe_automorphism(oracle, fixed, scales, samples, args.index - 1, tol)
-    _emit(render_probe(probe, op.dim, float(scales[args.index - 1])))
+    fixed = fix_phases(oracle, map_basis(oracle, op.dim, tol), tol)
+    probe = probe_automorphism(oracle, fixed, samples, args.index - 1, tol)
+    _emit(render_probe(probe, op.dim, float(fixed.scales[args.index - 1])))
     return 0
 
 

@@ -121,7 +121,7 @@ def run_full_conformance(
 
     if recon is not None:
         try:
-            probe = probe_automorphism(oracle, recon.basis, recon.scales, tol=tol)
+            probe = probe_automorphism(oracle, recon.basis, tol=tol)
             conj = recon.operator.antiunitary
             residuals = [probe.additivity_residual, probe.multiplicativity_residual]
             residuals += [abs(f_z - (z.conjugate() if conj else z)) for z, f_z in probe.values]

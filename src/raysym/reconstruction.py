@@ -15,7 +15,9 @@ stages, each consuming only oracle answers:
    automorphism applied to z.
 3. ``fix_phases`` probes z = 1 on every axis, splits c_i = r_i w_i into a
    positive scale and a unit phase, and absorbs the phase into the stored
-   image axis, after which probes read r_i f(z) with r_i > 0.
+   image axis, after which probes read r_i f(z) with r_i > 0.  The
+   phase-fixed basis it returns carries the scales r_i, and every later
+   stage reads them from there.
 4. ``classify_automorphism`` probes z = i; transition-probability invariance
    pins |f(z)| = |z| and forces f to be the identity or complex conjugation,
    so the single probe decides which.
@@ -85,25 +87,33 @@ class AutomorphismKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BasisImages:
-    """Images of the coordinate-axis rays, stored as matrix columns.
+    """Images of the coordinate-axis rays, stored as matrix columns, with their scales.
 
     ``columns`` starts as the canonical representatives returned by the
-    oracle; fix_phases returns a copy with the probe phases absorbed.
-    ``gram_defect`` is the max-norm deviation of the images' Gram matrix from
-    the identity, measured once by map_basis and carried along unchanged.
-    ``columns`` must be square and nonempty (else ValueError); ``dim`` is
-    read from it.
+    oracle; fix_phases returns a copy with the probe phases absorbed and the
+    scales r_i it measured on them.  ``gram_defect`` is the max-norm
+    deviation of the images' Gram matrix from the identity, measured once by
+    map_basis and carried along unchanged.  ``columns`` must be square and
+    nonempty, and ``scales`` of shape ``(dim,)`` (else ValueError); ``dim``
+    is read from the columns.  Omitted scales are all ones, as on the basis
+    map_basis returns: a probe of a basis not yet phase-fixed reads raw slice
+    coordinates.  Both arrays are stored as private read-only copies.
     """
 
     columns: np.ndarray
     gram_defect: float
+    scales: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.array(self.columns, dtype=np.complex128)  # a private copy
+        m = np.array(self.columns, dtype=np.complex128)  # private copies
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"columns must be square and nonempty, got shape {m.shape}")
-        m.flags.writeable = False
+        s = np.ones(m.shape[0]) if self.scales is None else np.array(self.scales, dtype=np.float64)
+        if s.shape != m.shape[:1]:
+            raise ValueError(f"scales must have shape {m.shape[:1]}, got shape {s.shape}")
+        m.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "columns", m)
+        object.__setattr__(self, "scales", s)
 
     @property
     def dim(self) -> int:
@@ -122,32 +132,35 @@ class ProbeResult:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Operator reconstructed from an oracle, with scales and diagnostics.
+    """Operator reconstructed from an oracle, with its phase-fixed basis and diagnostics.
 
-    ``scales[0]`` is 1 by convention.  ``unitary_valid`` is set when every
-    scale is 1 within recon_tol; with the classified automorphism, that is
-    all the 2*dim probes certify.  It is not a preservation verdict:
-    check_orthogonality_preservation and verify_reproduction test the
-    oracle's hypotheses and the operator's reproduction of the map.  When a
-    scale deviates, the operator columns are still the phase-fixed image axes
-    but the result is diagnostic-only.  ``basis`` holds those phase-fixed
-    axes with the Gram defect map_basis measured, ready for
-    probe_automorphism.  ``classification_residual`` is the distance of the
-    probed f(i) to the i or -i that classify_automorphism accepted.  ``kind``
-    is read from the operator: CONJUGATION exactly when it is antiunitary.
+    ``basis`` holds the phase-fixed image axes, the Gram defect map_basis
+    measured and the scales fix_phases measured, ready for
+    probe_automorphism; ``scales`` is ``basis.scales`` (``scales[0]`` is 1
+    by convention) and ``max_scale_deviation`` is max |scales - 1|.
+    ``unitary_valid`` is set when every scale is 1 within recon_tol; with the
+    classified automorphism, that is all the 2*dim probes certify.  It is
+    not a preservation verdict: check_orthogonality_preservation and
+    verify_reproduction test the oracle's hypotheses and the operator's
+    reproduction of the map.  When a scale deviates, the operator columns
+    are still the phase-fixed image axes but the result is diagnostic-only.
+    ``classification_residual`` is the distance of the probed f(i) to the i
+    or -i that classify_automorphism accepted.  ``kind`` is read from the
+    operator: CONJUGATION exactly when it is antiunitary.
     """
 
     operator: SymmetryOperator
     basis: BasisImages
-    scales: np.ndarray
-    max_scale_deviation: float
     classification_residual: float
     unitary_valid: bool
 
-    def __post_init__(self):
-        s = np.array(self.scales, dtype=np.float64)  # a private copy
-        s.flags.writeable = False
-        object.__setattr__(self, "scales", s)
+    @property
+    def scales(self) -> np.ndarray:
+        return self.basis.scales
+
+    @property
+    def max_scale_deviation(self) -> float:
+        return float(np.max(np.abs(self.scales - 1.0)))
 
     @property
     def kind(self) -> AutomorphismKind:
@@ -274,15 +287,16 @@ def fix_phases(
     oracle: RayMapOracle,
     basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[BasisImages, np.ndarray]:
+) -> BasisImages:
     """Probe z = 1 on every axis and absorb the probe phases into the columns.
 
     The unit probe returns c_i = r_i w_i.  r_i = |c_i| is a ratio of
     amplitudes, |b_i| / |b_1|, not a transition probability, and must exceed
     tol.orth_tol (else DegenerateProbe).  Multiplying column i by w_i makes
     subsequent slice coordinates read r_i f(z); in particular re-probing
-    z = 1 returns the positive real r_i.  Returns the phase-fixed basis and
-    the scales, with scales[0] = 1 by convention.
+    z = 1 returns the positive real r_i.  Returns the phase-fixed basis,
+    which holds the scales it measured, with scales[0] = 1 by convention;
+    the scales of the given basis are not read.
     """
     dim = basis.dim
     columns = basis.columns.copy()
@@ -295,24 +309,23 @@ def fix_phases(
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
             columns[:, i] *= c / r
             scales[i] = r
-    return BasisImages(columns=columns, gram_defect=basis.gram_defect), scales
+    return BasisImages(columns=columns, gram_defect=basis.gram_defect, scales=scales)
 
 
 def classify_automorphism(
     oracle: RayMapOracle,
     fixed_basis: BasisImages,
-    scales: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[AutomorphismKind, float]:
     """Decide identity versus conjugation from a single probe of the imaginary unit.
 
-    The normalized probe value f(i) must land on i or -i within
-    tol.recon_tol, and the kind is returned with that distance; anything
-    else means the oracle is inconsistent with an orthogonality-preserving
-    map (NotWignerLike).
+    The probe value on axis 1 is normalized by the basis's own scale r_1 to
+    f(i).  It must land on i or -i within tol.recon_tol, and the kind is
+    returned with that distance; anything else means the oracle is
+    inconsistent with an orthogonality-preserving map (NotWignerLike).
     """
     with _stage("classify_automorphism", fixed_basis.gram_defect):
-        f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / scales[1]
+        f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / fixed_basis.scales[1]
         if abs(f_val - 1j) <= tol.recon_tol:
             return AutomorphismKind.IDENTITY, float(abs(f_val - 1j))
         if abs(f_val + 1j) <= tol.recon_tol:
@@ -323,14 +336,14 @@ def classify_automorphism(
 def probe_automorphism(
     oracle: RayMapOracle,
     fixed_basis: BasisImages,
-    scales: np.ndarray,
     samples: tuple[complex, ...] = DEFAULT_PROBE_GRID,
     i: int = 1,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProbeResult:
     """Pointwise probe of the coordinate automorphism with law residuals.
 
-    Evaluates f(z) = slice coordinate / r_i at every sample, then for every
+    Evaluates f(z) = slice coordinate / r_i, with r_i read from
+    ``fixed_basis.scales``, at every sample, then for every
     unordered sample pair (a, b) at a+b and a*b, and records the worst
     additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity residual
     |f(ab) - f(a) f(b)|.  Every point must be finite (else ValueError, before
@@ -341,7 +354,7 @@ def probe_automorphism(
     global preservation hypotheses.
     """
     _check_probe_index(fixed_basis.dim, i)
-    r = float(scales[i])
+    r = float(fixed_basis.scales[i])
     samples = [complex(z) for z in samples]
     points = list(samples)
     for k, a in enumerate(samples):
@@ -373,16 +386,13 @@ def reconstruct(
     Uses exactly dim + (dim - 1) + 1 = 2*dim oracle calls.  Errors carry
     the name of the stage that raised them.
     """
-    fixed, scales = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
-    kind, classification_residual = classify_automorphism(oracle, fixed, scales, tol)
-    max_scale_deviation = float(np.max(np.abs(scales - 1.0)))
+    fixed = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
+    kind, classification_residual = classify_automorphism(oracle, fixed, tol)
     return ReconstructionResult(
         operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
         basis=fixed,
-        scales=scales,
-        max_scale_deviation=max_scale_deviation,
         classification_residual=classification_residual,
-        unitary_valid=max_scale_deviation <= tol.recon_tol,
+        unitary_valid=bool(np.max(np.abs(fixed.scales - 1.0)) <= tol.recon_tol),
     )
 
 

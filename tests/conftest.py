@@ -41,7 +41,7 @@ def image_calls(monkeypatch):
 def reference_ray_function(r, s):
     """u(r, s) by the scalar formula, one ``np.vdot`` per inner product.
 
-    The reference that ``raysym.ray_function`` and ``ray_functions`` must
+    The reference that ``raysym.rays.ray_function`` and ``ray_functions`` must
     match bit for bit.
     """
     ip = np.vdot(r.rep, s.rep)

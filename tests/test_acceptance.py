@@ -20,11 +20,11 @@ from raysym import (
     induced_map,
     probe_automorphism,
     random_unitary,
-    ray_function,
     reconstruct,
     verify_reproduction,
 )
 from raysym.cli import main
+from raysym.rays import ray_function
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import write_operator_file
@@ -113,9 +113,7 @@ def test_criterion_4_automorphism_laws(roundtrip_cases):
     failures = []
     for case in roundtrip_cases["cases"]:
         recon = case["recon"]
-        probe = probe_automorphism(
-            case["oracle"], recon.basis, recon.scales, DEFAULT_PROBE_GRID, 1
-        )
+        probe = probe_automorphism(case["oracle"], recon.basis, DEFAULT_PROBE_GRID, 1)
         if max(probe.additivity_residual, probe.multiplicativity_residual) > 1e-10:
             failures.append(
                 f"law residual at dim={case['dim']} seed={case['seed']}: "

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from raysym import (
@@ -173,6 +173,31 @@ def matrix_fields(draw):
     return dim, rows
 
 
+#: A valid dim-2 operator file, the seed of ``mutated_files``.
+VALID_2X2 = json.dumps(
+    {"dim": 2, "kind": "general", "matrix": [[[0.6, 0.0], [0.8, 0.0]], [[-0.8, 0.0], [0.6, 0.0]]]}
+).encode()
+
+
+@st.composite
+def mutated_files(draw):
+    """VALID_2X2 with one to four bytes replaced, deleted or inserted.
+
+    New bytes are arbitrary or number characters, so some edits keep the
+    file valid and the command runs the pipeline on the edited matrix.
+    """
+    data = bytearray(VALID_2X2)
+    new_byte = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789-.e"))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        k = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "delete":
+            del data[k]
+        else:
+            data[k:k + (edit == "replace")] = bytes([draw(new_byte)])
+    return bytes(data)
+
+
 @pytest.fixture
 def identity_file(tmp_path):
     return write_operator_file(tmp_path / "identity.json", np.eye(2), "unitary")
@@ -303,6 +328,30 @@ class TestLoadOperatorFile:
             load_operator_file(str(path))
 
 
+class TestOperatorFileBytes:
+    """Whatever bytes an operator file holds, a command exits with a code and at most one error line."""
+
+    @pytest.mark.parametrize("command", ["reconstruct", "conformance", "probe"])
+    def test_non_utf8_file_exits_64_with_one_error_line(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + VALID_2X2.decode().encode("utf-16-le"))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: input: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    # Each example overwrites the one file and reads its own output, so sharing the fixtures is safe.
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(st.binary(max_size=64), mutated_files()))
+    def test_fuzzed_file_exits_with_a_code_and_at_most_one_error_line(self, capsys, tmp_path, data):
+        path = tmp_path / "op.json"
+        path.write_bytes(data)
+        for command, *flags in (["reconstruct"], ["conformance", "--trials", "3"], ["probe"]):
+            code, _, err = run_cli(capsys, command, str(path), *flags)
+            assert code in (0, 1, 2, 64), (command, data)
+            assert err.count("error: ") <= 1, (command, data)
+
+
 class TestParseSamples:
     def test_accepts_i_notation(self):
         assert parse_samples("1,i") == (1.0 + 0.0j, 1.0j)
@@ -375,9 +424,7 @@ class TestReconstructCommand:
         assert np.signbit(m[1, 1].real) and np.signbit(m[1, 1].imag)
         result = ReconstructionResult(
             operator=SymmetryOperator(m),
-            basis=BasisImages(columns=m, gram_defect=0.0),
-            scales=np.array([1.0, -0.0, 5e-324]),
-            max_scale_deviation=1.0,
+            basis=BasisImages(columns=m, gram_defect=0.0, scales=np.array([1.0, -0.0, 5e-324])),
             classification_residual=-0.0,
             unitary_valid=False,
         )
@@ -524,6 +571,11 @@ class TestProbeCommand:
         code, _, err = run_cli(capsys, "probe", identity_file, "--index", "3")
         assert code == 64
         assert "--index" in err
+
+    @pytest.mark.parametrize("samples", ["", " "])
+    def test_empty_samples_exit_64(self, capsys, identity_file, samples):
+        code, out, err = run_cli(capsys, "probe", identity_file, "--samples", samples)
+        assert (code, out, err) == (64, "", "error: --samples: empty entry\n")
 
     def test_bad_samples_exit_64(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "probe", identity_file, "--samples", "1,bogus")

@@ -13,8 +13,6 @@ from raysym import (
     SymmetryOperator,
     Tolerances,
     check_orthogonality_preservation,
-    check_ray_function_invariance,
-    check_round_trip,
     general_induced_map,
     induced_map,
     map_basis,
@@ -22,6 +20,7 @@ from raysym import (
     reconstruct,
     run_full_conformance,
 )
+from raysym.conformance import check_ray_function_invariance, check_round_trip
 
 
 def perturbed_unitary(dim, seed, amount):

@@ -17,11 +17,10 @@ from raysym import (
     map_basis,
     probe_automorphism,
     random_unitary,
-    ray_function,
     reconstruct,
     verify_reproduction,
 )
-from raysym.rays import sample_ray
+from raysym.rays import ray_function, sample_ray
 
 from conftest import axis_vector
 
@@ -218,16 +217,16 @@ def _writing_oracle(dim):
     return RayMapOracle(dim, dim, image_fn, label="writer")
 
 
-#: Every place the library asks an oracle: (oracle, phase-fixed basis, scales) -> result.
+#: Every place the library asks an oracle: (oracle, phase-fixed basis) -> result.
 ASK_SITES = {
-    "map_basis": lambda oracle, fixed, scales: map_basis(oracle, 3),
-    "fix_phases": lambda oracle, fixed, scales: fix_phases(oracle, fixed),
-    "probe_automorphism": lambda oracle, fixed, scales: probe_automorphism(oracle, fixed, scales),
+    "map_basis": lambda oracle, fixed: map_basis(oracle, 3),
+    "fix_phases": lambda oracle, fixed: fix_phases(oracle, fixed),
+    "probe_automorphism": lambda oracle, fixed: probe_automorphism(oracle, fixed),
     "check_orthogonality_preservation": (
-        lambda oracle, fixed, scales: check_orthogonality_preservation(oracle, trials=5, seed=1)
+        lambda oracle, fixed: check_orthogonality_preservation(oracle, trials=5, seed=1)
     ),
     "verify_reproduction": (
-        lambda oracle, fixed, scales: verify_reproduction(SymmetryOperator(np.eye(3)), oracle, 5)
+        lambda oracle, fixed: verify_reproduction(SymmetryOperator(np.eye(3)), oracle, 5)
     ),
 }
 
@@ -236,9 +235,9 @@ ASK_SITES = {
 def test_oracles_are_asked_read_only_rays(site):
     # An oracle cannot change the source rays the library still reads after asking.
     good = induced_map(SymmetryOperator(random_unitary(3, seed=21)))
-    fixed, scales = fix_phases(good, map_basis(good, 3))
+    fixed = fix_phases(good, map_basis(good, 3))
     with pytest.raises(ValueError, match="read-only"):
-        ASK_SITES[site](_writing_oracle(3), fixed, scales)
+        ASK_SITES[site](_writing_oracle(3), fixed)
 
 
 @pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])

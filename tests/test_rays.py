@@ -14,13 +14,13 @@ from raysym import (
     Tolerances,
     ZeroVector,
     canonical_ray,
-    ray_function,
 )
 from raysym.rays import (
     PIVOT_TOL,
     SAMPLE_BLOCK,
     _stack_reps,
     canonical_rays,
+    ray_function,
     ray_functions,
     sample_state,
     sample_state_blocks,

@@ -32,12 +32,11 @@ from raysym import (
     map_basis,
     probe_automorphism,
     random_unitary,
-    ray_function,
     reconstruct,
     slice_coordinates,
     verify_reproduction,
 )
-from raysym.rays import sample_ray
+from raysym.rays import ray_function, sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import axis_vector, reference_apply
@@ -108,9 +107,9 @@ def reference_slice_coordinates(oracle, basis, z, i, tol=DEFAULT_TOLERANCES):
     return complex(b[i] / b[0])
 
 
-def reference_probe_automorphism(oracle, fixed_basis, scales, samples, i, tol=DEFAULT_TOLERANCES):
+def reference_probe_automorphism(oracle, fixed_basis, samples, i, tol=DEFAULT_TOLERANCES):
     """probe_automorphism as it was: a fresh probe for every point, repeats included."""
-    r = float(scales[i])
+    r = float(fixed_basis.scales[i])
 
     def f(z):
         return reference_slice_coordinates(oracle, fixed_basis, z, i, tol) / r
@@ -164,7 +163,7 @@ def reference_reconstruct(oracle, dim, tol=DEFAULT_TOLERANCES):
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
             columns[:, i] *= c / r
             scales[i] = r
-        fixed = BasisImages(columns=columns, gram_defect=basis.gram_defect)
+        fixed = BasisImages(columns=columns, gram_defect=basis.gram_defect, scales=scales)
         stage = "classify_automorphism"
         f_val = reference_slice_coordinates(oracle, fixed, 1j, 1, tol) / scales[1]
         if abs(f_val - 1j) <= tol.recon_tol:
@@ -176,14 +175,11 @@ def reference_reconstruct(oracle, dim, tol=DEFAULT_TOLERANCES):
     except RaySymError as err:
         err.stage, err.basis_gram_defect = stage, basis.gram_defect
         raise
-    deviation = float(np.max(np.abs(scales - 1.0)))
     return ReconstructionResult(
         operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
         basis=fixed,
-        scales=scales,
-        max_scale_deviation=deviation,
         classification_residual=residual,
-        unitary_valid=deviation <= tol.recon_tol,
+        unitary_valid=float(np.max(np.abs(scales - 1.0))) <= tol.recon_tol,
     )
 
 
@@ -196,7 +192,7 @@ def outcome(oracle, dim, recon=reconstruct, probe=probe_automorphism, tol=DEFAUL
     try:
         r = recon(oracle, dim, tol)
         axes = range(1, dim) if dim >= 3 else ()
-        probes = [probe(oracle, r.basis, r.scales, OFF_AXIS_SAMPLES, i, tol) for i in axes]
+        probes = [probe(oracle, r.basis, OFF_AXIS_SAMPLES, i, tol) for i in axes]
     except CrossTalk as err:
         return ("CrossTalk", str(err), err.stage, err.index, err.leak_index, err.magnitude)
     except Exception as err:
@@ -226,13 +222,14 @@ def probe_tampering_oracle(dim, tamper):
 
 
 class TestDerivedFields:
-    """``kind`` and ``BasisImages.dim`` are read from the data they describe."""
+    """``kind``, the result's scales and ``BasisImages.dim`` are read from the data they describe."""
 
     def test_constructor_fields(self):
-        assert [f.name for f in dataclasses.fields(BasisImages)] == ["columns", "gram_defect"]
+        assert [f.name for f in dataclasses.fields(BasisImages)] == [
+            "columns", "gram_defect", "scales",
+        ]
         assert [f.name for f in dataclasses.fields(ReconstructionResult)] == [
-            "operator", "basis", "scales", "max_scale_deviation", "classification_residual",
-            "unitary_valid",
+            "operator", "basis", "classification_residual", "unitary_valid",
         ]
 
     @pytest.mark.parametrize("antiunitary", [False, True])
@@ -241,13 +238,40 @@ class TestDerivedFields:
         result = ReconstructionResult(
             operator=SymmetryOperator(m, antiunitary=antiunitary),
             basis=BasisImages(columns=m, gram_defect=0.0),
-            scales=np.ones(3),
-            max_scale_deviation=0.0,
             classification_residual=0.0,
             unitary_valid=True,
         )
         want = AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY
         assert result.kind is want
+
+    def test_result_scales_are_the_basis_scales(self):
+        m = random_unitary(3, seed=6)
+        given = np.array([1.0, 0.25, 3.0])
+        result = ReconstructionResult(
+            operator=SymmetryOperator(m),
+            basis=BasisImages(columns=m, gram_defect=0.0, scales=given),
+            classification_residual=0.0,
+            unitary_valid=False,
+        )
+        assert result.scales is result.basis.scales
+        assert result.scales.tolist() == [1.0, 0.25, 3.0]
+        assert result.max_scale_deviation == 2.0
+        given[1] = 7.0  # the basis holds a private copy
+        assert result.scales[1] == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            result.scales[1] = 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_omitted_scales_are_ones(self, dim):
+        scales = BasisImages(columns=np.eye(dim), gram_defect=0.0).scales
+        assert scales.dtype == np.float64 and scales.tolist() == [1.0] * dim
+        assert map_basis(identity_oracle(dim + 1), dim + 1).scales.tolist() == [1.0] * (dim + 1)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 3), (), (0,)])
+    def test_scales_must_have_one_entry_per_axis(self, shape):
+        message = re.escape(f"scales must have shape (3,), got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BasisImages(columns=np.eye(3), gram_defect=0.0, scales=np.ones(shape))
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_basis_dim_is_the_column_count(self, dim):
@@ -439,16 +463,16 @@ class TestFixPhases:
     def test_identity_keeps_columns_and_unit_scales(self):
         oracle = identity_oracle(3)
         basis = map_basis(oracle, 3)
-        fixed, scales = fix_phases(oracle, basis)
+        fixed = fix_phases(oracle, basis)
         assert np.allclose(fixed.columns, np.eye(3), atol=1e-15)
-        assert np.allclose(scales, 1.0, atol=1e-15)
+        assert np.allclose(fixed.scales, 1.0, atol=1e-15)
 
     def test_reprobe_after_fixing_is_real_positive(self):
         op = SymmetryOperator(np.diag([1.0, np.exp(1j * np.pi / 3)]))
         oracle = induced_map(op)
         basis = map_basis(oracle, 2)
-        fixed, scales = fix_phases(oracle, basis)
-        assert scales[1] == pytest.approx(1.0, abs=1e-12)
+        fixed = fix_phases(oracle, basis)
+        assert fixed.scales[1] == pytest.approx(1.0, abs=1e-12)
         c = slice_coordinates(oracle, fixed, 1.0, 1)
         assert c.real == pytest.approx(1.0, abs=1e-12)
         assert abs(c.imag) <= 1e-9
@@ -456,7 +480,7 @@ class TestFixPhases:
     def test_diagonal_stretch_scales(self):
         oracle = general_induced_map(np.diag([1.0, 2.0, 1.0]))
         basis = map_basis(oracle, 3)
-        _, scales = fix_phases(oracle, basis)
+        scales = fix_phases(oracle, basis).scales
         np.testing.assert_allclose(scales, [1.0, 2.0, 1.0], atol=1e-12)
 
     def test_asks_one_unit_probe_per_axis(self):
@@ -478,27 +502,27 @@ class TestFixPhases:
 class TestClassifyAutomorphism:
     def test_identity_oracle(self):
         oracle = identity_oracle(3)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.IDENTITY
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.IDENTITY
 
     def test_conjugation_oracle(self):
         oracle = identity_oracle(3, antiunitary=True)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.CONJUGATION
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.CONJUGATION
 
     def test_unitary_composed_with_conjugation(self):
         op = SymmetryOperator(random_unitary(5, seed=31), antiunitary=True)
         oracle = induced_map(op)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 5))
-        assert classify_automorphism(oracle, fixed, scales)[0] is AutomorphismKind.CONJUGATION
+        fixed = fix_phases(oracle, map_basis(oracle, 5))
+        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.CONJUGATION
 
     def test_modulus_map_is_not_wigner_like(self):
         oracle = probe_tampering_oracle(
             3, lambda rep: canonical_ray(np.abs(rep).astype(complex))
         )
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
         with pytest.raises(NotWignerLike):
-            classify_automorphism(oracle, fixed, scales)
+            classify_automorphism(oracle, fixed)
 
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -508,9 +532,9 @@ class TestClassifyAutomorphism:
         for antiunitary in (False, True):
             for m in (u, u + noise, u * (1.0 + np.arange(dim) / dim) + noise):
                 oracle = general_induced_map(m, conjugate_first=antiunitary)
-                fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
-                kind, residual = classify_automorphism(oracle, fixed, scales)
-                f = slice_coordinates(oracle, fixed, 1j, 1) / scales[1]
+                fixed = fix_phases(oracle, map_basis(oracle, dim))
+                kind, residual = classify_automorphism(oracle, fixed)
+                f = slice_coordinates(oracle, fixed, 1j, 1) / fixed.scales[1]
                 assert kind is (AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY)
                 assert type(residual) is float
                 assert residual == min(abs(f - 1j), abs(f + 1j))
@@ -548,8 +572,8 @@ class TestStagesNameThemselves:
 
     def test_classify_automorphism(self):
         oracle = general_induced_map(NEAR_SHEAR)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 2))
-        err = self.raised(classify_automorphism, oracle, fixed, scales)
+        fixed = fix_phases(oracle, map_basis(oracle, 2))
+        err = self.raised(classify_automorphism, oracle, fixed)
         assert isinstance(err, NotWignerLike)
         assert err.stage == "classify_automorphism"
         assert err.basis_gram_defect == fixed.gram_defect > 0.0
@@ -559,15 +583,14 @@ class TestStagesNameThemselves:
         oracle = leaking_oracle(4, {3: 0.2})
         basis = map_basis(oracle, 4)
         assert self.raised(slice_coordinates, oracle, basis, 1.0, 1).stage is None
-        scales = np.ones(4)
-        assert self.raised(probe_automorphism, oracle, basis, scales, (1.0,), 1).stage is None
+        assert self.raised(probe_automorphism, oracle, basis, (1.0,), 1).stage is None
 
 
 class TestProbeAutomorphism:
     def test_identity_oracle_probes_to_identity(self):
         oracle = identity_oracle(3)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        probe = probe_automorphism(oracle, fixed, scales, (1.0, 1.0j, 1.0 + 1.0j), 1)
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        probe = probe_automorphism(oracle, fixed, (1.0, 1.0j, 1.0 + 1.0j), 1)
         for z, f_z in probe.values:
             assert f_z == pytest.approx(z, abs=1e-12)
         assert probe.additivity_residual <= 1e-12
@@ -575,8 +598,8 @@ class TestProbeAutomorphism:
 
     def test_conjugation_oracle_probes_to_conjugation(self):
         oracle = identity_oracle(2, antiunitary=True)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 2))
-        probe = probe_automorphism(oracle, fixed, scales, (2.0, 1.0j), 1)
+        fixed = fix_phases(oracle, map_basis(oracle, 2))
+        probe = probe_automorphism(oracle, fixed, (2.0, 1.0j), 1)
         table = dict(probe.values)
         assert table[2.0 + 0.0j] == pytest.approx(2.0, abs=1e-12)
         assert table[1.0j] == pytest.approx(-1.0j, abs=1e-12)
@@ -587,8 +610,8 @@ class TestProbeAutomorphism:
         # pointwise probing cannot certify the global hypotheses: the scaled
         # axis normalizes away and the law residuals stay at rounding level
         oracle = general_induced_map(np.diag([1.0, 2.0, 1.0]))
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        probe = probe_automorphism(oracle, fixed, scales, DEFAULT_PROBE_GRID, 1)
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        probe = probe_automorphism(oracle, fixed, DEFAULT_PROBE_GRID, 1)
         for z, f_z in probe.values:
             assert f_z == pytest.approx(z, abs=1e-12)
         assert probe.additivity_residual <= 1e-12
@@ -605,17 +628,17 @@ class TestProbeAutomorphism:
     def test_non_finite_points_are_rejected_before_any_ray_is_asked(self, samples):
         # a sample, or a sum or product of two samples, that is not finite
         oracle, asked = counting_oracle(identity_oracle(3))
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
         asked.clear()
         with pytest.raises(ValueError, match="vector components must be finite"):
-            probe_automorphism(oracle, fixed, scales, samples, 1)
+            probe_automorphism(oracle, fixed, samples, 1)
         assert asked == []
 
     def test_no_samples_ask_nothing(self):
         oracle, asked = counting_oracle(identity_oracle(3))
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
         asked.clear()
-        assert probe_automorphism(oracle, fixed, scales, (), 2) == ProbeResult(
+        assert probe_automorphism(oracle, fixed, (), 2) == ProbeResult(
             index=2, values=(), additivity_residual=0.0, multiplicativity_residual=0.0
         )
         assert asked == []
@@ -628,11 +651,11 @@ def probe_fingerprint(probe):
     )
 
 
-def probe_outcome(oracle, fixed, scales, samples, i, probe):
+def probe_outcome(oracle, fixed, samples, i, probe):
     """Fingerprint of ``probe``'s result, or of its CrossTalk, and the rays it asked."""
     recorded, log = counting_oracle(oracle)
     try:
-        result = probe_fingerprint(probe(recorded, fixed, scales, samples, i))
+        result = probe_fingerprint(probe(recorded, fixed, samples, i))
     except CrossTalk as err:
         result = ("CrossTalk", str(err), err.index, err.leak_index, err.magnitude)
     return result, log
@@ -642,11 +665,9 @@ class TestProbeDeduplication:
     """probe_automorphism against the loop that probed every point afresh."""
 
     def assert_reference_minus_repeats(self, oracle, dim, samples, i):
-        fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
-        want, want_rays = probe_outcome(
-            oracle, fixed, scales, samples, i, reference_probe_automorphism
-        )
-        got, got_rays = probe_outcome(oracle, fixed, scales, samples, i, probe_automorphism)
+        fixed = fix_phases(oracle, map_basis(oracle, dim))
+        want, want_rays = probe_outcome(oracle, fixed, samples, i, reference_probe_automorphism)
+        got, got_rays = probe_outcome(oracle, fixed, samples, i, probe_automorphism)
         assert got == want
         # each distinct ray of the reference's asks, once, in order of first occurrence
         assert got_rays == list(dict.fromkeys(want_rays))
@@ -694,11 +715,11 @@ class TestProbeDeduplication:
     @pytest.mark.parametrize("dim", [2, 5])
     def test_index_is_checked_before_the_scales_are_read(self, dim):
         oracle = identity_oracle(dim)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, dim))
+        fixed = fix_phases(oracle, map_basis(oracle, dim))
         message = f"probe index must lie in [1, {dim - 1}], got "
         for i, samples in ((dim, DEFAULT_PROBE_GRID), (0, ()), (-1, ())):
             with pytest.raises(ValueError) as info:
-                probe_automorphism(oracle, fixed, scales, samples, i)
+                probe_automorphism(oracle, fixed, samples, i)
             assert str(info.value) == message + str(i)
 
 
@@ -758,8 +779,8 @@ class TestReconstruct:
     def test_classification_residual_is_the_classifier_residual(self):
         oracle = identity_oracle(3)
         result = reconstruct(oracle, 3)
-        fixed, scales = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed, scales) == (
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        assert classify_automorphism(oracle, fixed) == (
             result.kind, result.classification_residual
         )
         assert result.classification_residual <= 1e-12
