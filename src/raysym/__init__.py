@@ -42,7 +42,6 @@ from .rays import (
 )
 from .reconstruction import (
     DEFAULT_PROBE_GRID,
-    AutomorphismKind,
     BasisImages,
     ProbeResult,
     ReconstructionResult,
@@ -59,7 +58,6 @@ from .reconstruction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomorphismKind",
     "BasisImages",
     "CHECK_NAMES",
     "CheckResult",

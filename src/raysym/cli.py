@@ -40,7 +40,6 @@ from .oracles import ConformanceReport, SymmetryOperator, induced_map
 from .rays import DEFAULT_TOLERANCES, Tolerances
 from .reconstruction import (
     DEFAULT_PROBE_GRID,
-    AutomorphismKind,
     ProbeResult,
     ReconstructionResult,
     fix_phases,
@@ -54,12 +53,11 @@ LOAD_UNITARY_TOL = 1e-8
 
 _KINDS = ("unitary", "antiunitary", "general")
 
-_NUMBER_TYPES = {int, float}
+#: Largest --trials accepted.  One trial of the preservation check costs tens of
+#: microseconds, so a million already takes tens of seconds; more is a typo.
+MAX_TRIALS = 1_000_000
 
-_KIND_LABEL = {
-    AutomorphismKind.IDENTITY: "identity-automorphism",
-    AutomorphismKind.CONJUGATION: "conjugation-automorphism",
-}
+_NUMBER_TYPES = {int, float}
 
 
 class UsageError(Exception):
@@ -221,7 +219,7 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
         "report\treconstruction",
         f"dim\t{op.dim}",
         f"status\t{'unitary-valid' if result.unitary_valid else 'diagnostic-only'}",
-        f"kind\t{_KIND_LABEL[result.kind]}",
+        f"kind\t{'conjugation' if op.antiunitary else 'identity'}-automorphism",
         f"antiunitary\t{_bool(op.antiunitary)}",
         f"max-scale-deviation\t{_fmt(result.max_scale_deviation)}",
         f"classification-residual\t{_fmt(result.classification_residual)}",
@@ -290,6 +288,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     if args.trials < 1:
         raise UsageError("--trials: must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials: must be at most {MAX_TRIALS}")
     if args.seed < 0:
         raise UsageError("--seed: must be at least 0")
     report = run_full_conformance(
@@ -356,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_conf.add_argument(
         "--trials", type=int, default=200,
-        help="ray-pair trials for the two hypothesis checks (default 200); "
+        help=f"ray-pair trials for the two hypothesis checks, 1 to {MAX_TRIALS} (default 200); "
         f"reproduction always maps {REPRODUCTION_TRIALS} rays",
     )
     _add_tolerance_flags(p_conf)

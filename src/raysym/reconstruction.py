@@ -20,7 +20,8 @@ stages, each consuming only oracle answers:
    stage reads them from there.
 4. ``classify_automorphism`` probes z = i; transition-probability invariance
    pins |f(z)| = |z| and forces f to be the identity or complex conjugation,
-   so the single probe decides which.
+   so the single probe decides which: conjugation makes the operator
+   antiunitary.
 
 Every stage asks through :class:`RayMapOracle`'s one ask path.  Stages 2-4
 and ``probe_automorphism`` share one probe path: a stage makes the rays of
@@ -41,7 +42,7 @@ defect.  slice_coordinates and probe_automorphism name none of their errors.
 
 from __future__ import annotations
 
-import enum
+import operator
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -76,13 +77,6 @@ DEFAULT_PROBE_GRID = (
     1.1346 + 0.2078j,
     -0.4931 - 1.0211j,
 )
-
-
-class AutomorphismKind(enum.Enum):
-    """The two field automorphisms compatible with transition-probability invariance."""
-
-    IDENTITY = "identity"
-    CONJUGATION = "conjugation"
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +139,8 @@ class ReconstructionResult:
     reproduction of the map.  When a scale deviates, the operator columns
     are still the phase-fixed image axes but the result is diagnostic-only.
     ``classification_residual`` is the distance of the probed f(i) to the i
-    or -i that classify_automorphism accepted.  ``kind`` is read from the
-    operator: CONJUGATION exactly when it is antiunitary.
+    or -i that classify_automorphism accepted; the automorphism it classified
+    is ``operator.antiunitary``: conjugation exactly when it is set.
     """
 
     operator: SymmetryOperator
@@ -161,11 +155,6 @@ class ReconstructionResult:
     @property
     def max_scale_deviation(self) -> float:
         return float(np.max(np.abs(self.scales - 1.0)))
-
-    @property
-    def kind(self) -> AutomorphismKind:
-        conj = self.operator.antiunitary
-        return AutomorphismKind.CONJUGATION if conj else AutomorphismKind.IDENTITY
 
 
 @contextmanager
@@ -217,9 +206,12 @@ def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANC
     return BasisImages(columns=reps, gram_defect=gram_defect)
 
 
-def _check_probe_index(dim: int, i: int) -> None:
+def _check_probe_index(dim: int, i: int) -> int:
+    """``i`` as a Python int in [1, dim - 1]; an index of no integral type raises TypeError."""
+    i = operator.index(i)
     if not 1 <= i < dim:
         raise ValueError(f"probe index must lie in [1, {dim - 1}], got {i}")
+    return i
 
 
 def _slice_probes(
@@ -278,8 +270,10 @@ def slice_coordinates(
     SliceDegenerate); orthogonality preservation confines the image to the
     plane of axes 1 and i, so every other |b_j| must stay within tol.orth_tol
     of zero (else CrossTalk, naming the lowest such axis).  Returns b_i / b_1.
+    ``i`` must be an integer in [1, dim - 1] (else TypeError or ValueError,
+    before the ray is asked).
     """
-    _check_probe_index(basis.dim, i)
+    i = _check_probe_index(basis.dim, i)
     return next(_slice_probes(oracle, basis, [complex(z)], [i], tol))
 
 
@@ -316,20 +310,22 @@ def classify_automorphism(
     oracle: RayMapOracle,
     fixed_basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[AutomorphismKind, float]:
+) -> tuple[bool, float]:
     """Decide identity versus conjugation from a single probe of the imaginary unit.
 
     The probe value on axis 1 is normalized by the basis's own scale r_1 to
-    f(i).  It must land on i or -i within tol.recon_tol, and the kind is
-    returned with that distance; anything else means the oracle is
-    inconsistent with an orthogonality-preserving map (NotWignerLike).
+    f(i).  It must land on i (identity, returned as ``False``) or on -i
+    (conjugation, returned as ``True``: the operator is antiunitary) within
+    tol.recon_tol, and the flag is returned with that distance; anything
+    else means the oracle is inconsistent with an orthogonality-preserving
+    map (NotWignerLike).
     """
     with _stage("classify_automorphism", fixed_basis.gram_defect):
         f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / fixed_basis.scales[1]
         if abs(f_val - 1j) <= tol.recon_tol:
-            return AutomorphismKind.IDENTITY, float(abs(f_val - 1j))
+            return False, float(abs(f_val - 1j))
         if abs(f_val + 1j) <= tol.recon_tol:
-            return AutomorphismKind.CONJUGATION, float(abs(f_val + 1j))
+            return True, float(abs(f_val + 1j))
         raise NotWignerLike(f_val)
 
 
@@ -343,19 +339,24 @@ def probe_automorphism(
     """Pointwise probe of the coordinate automorphism with law residuals.
 
     Evaluates f(z) = slice coordinate / r_i, with r_i read from
-    ``fixed_basis.scales``, at every sample, then for every
-    unordered sample pair (a, b) at a+b and a*b, and records the worst
-    additivity residual |f(a+b) - f(a) - f(b)| and multiplicativity residual
-    |f(ab) - f(a) f(b)|.  Every point must be finite (else ValueError, before
-    any ray is asked).  Oracles are deterministic, so each probe ray is asked
-    once, at its first occurrence in that order: points whose probe rays have
-    the same canonical representative share one answer, as do 0.0 and -0.0.
-    Pointwise probing documents the laws but cannot by itself certify the
-    global preservation hypotheses.
+    ``fixed_basis.scales``, at every sample, then for every unordered sample
+    pair (a, b) at a+b and a*b, and records the worst additivity residual
+    |f(a+b) - f(a) - f(b)| and multiplicativity residual |f(ab) - f(a) f(b)|.
+    ``i`` must be an integer in [1, dim - 1] (else TypeError or ValueError),
+    and there must be at least one sample, every point finite (else
+    ValueError): a probe of no sample would report laws it never probed.
+    All of this is checked before any ray is asked.  Oracles are
+    deterministic, so each probe ray is asked once, at its first occurrence
+    in that order: points whose probe rays have the same canonical
+    representative share one answer, as do 0.0 and -0.0.  Pointwise probing
+    documents the laws but cannot by itself certify the global preservation
+    hypotheses.
     """
-    _check_probe_index(fixed_basis.dim, i)
+    i = _check_probe_index(fixed_basis.dim, i)
     r = float(fixed_basis.scales[i])
     samples = [complex(z) for z in samples]
+    if not samples:
+        raise ValueError("probe_automorphism needs at least one sample")
     points = list(samples)
     for k, a in enumerate(samples):
         for b in samples[k:]:
@@ -387,9 +388,9 @@ def reconstruct(
     the name of the stage that raised them.
     """
     fixed = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
-    kind, classification_residual = classify_automorphism(oracle, fixed, tol)
+    antiunitary, classification_residual = classify_automorphism(oracle, fixed, tol)
     return ReconstructionResult(
-        operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
+        operator=SymmetryOperator(fixed.columns, antiunitary=antiunitary),
         basis=fixed,
         classification_residual=classification_residual,
         unitary_valid=bool(np.max(np.abs(fixed.scales - 1.0)) <= tol.recon_tol),
@@ -432,10 +433,14 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
 
     The phase is read off the largest-modulus diagonal entry, which stays
     stable even when other diagonal entries are near zero, at any scale of
-    the entries, subnormal included.
+    the entries, subnormal included.  Both matrices must be square and
+    nonempty (else ValueError) and of one shape (else DimensionMismatch).
     """
     candidate = np.asarray(candidate, dtype=np.complex128)
     reference = np.asarray(reference, dtype=np.complex128)
+    for name, m in (("candidate", candidate), ("reference", reference)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError(f"{name} must be square and nonempty, got shape {m.shape}")
     if candidate.shape != reference.shape:
         raise DimensionMismatch(
             f"cannot compare matrices of shapes {candidate.shape} and {reference.shape}"

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from raysym import (
-    AutomorphismKind,
     RaySymError,
     SymmetryOperator,
     canonical_ray,
@@ -69,11 +68,8 @@ def test_criterion_1_round_trip_reconstruction(roundtrip_cases):
     failures = []
     for case in roundtrip_cases["cases"]:
         recon = case["recon"]
-        expected_kind = (
-            AutomorphismKind.CONJUGATION if case["flag"] else AutomorphismKind.IDENTITY
-        )
-        if recon.kind is not expected_kind:
-            failures.append(f"kind mismatch at dim={case['dim']} seed={case['seed']}")
+        if recon.operator.antiunitary is not case["flag"]:
+            failures.append(f"antiunitary flag mismatch at dim={case['dim']} seed={case['seed']}")
         residual = gauge_residual(recon.operator.matrix, case["u"])
         if residual > 1e-8:
             failures.append(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from raysym import (
     random_unitary,
     reconstruct,
 )
+from raysym import cli
 from raysym.cli import (
+    MAX_TRIALS,
     UsageError,
     load_operator_file,
     main,
@@ -519,6 +522,28 @@ class TestConformanceCommand:
         assert code == 64
         assert "--trials" in err
 
+    def test_absurd_trials_exit_64_at_once(self, capsys, identity_file):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "conformance", identity_file, "--trials", "9" * 23)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (64, "")
+        assert err == "error: --trials: must be at most 1000000\n"
+
+    def test_trials_bound_is_inclusive(self, capsys, identity_file, monkeypatch):
+        assert MAX_TRIALS == 1_000_000
+        asked, run = [], cli.run_full_conformance
+
+        def one_trial(op, **kw):  # records the trials asked for, then runs one
+            asked.append(kw.pop("invariance_trials"))
+            return run(op, invariance_trials=1, **kw)
+
+        monkeypatch.setattr(cli, "run_full_conformance", one_trial)
+        code, _, _ = run_cli(capsys, "conformance", identity_file, "--trials", str(MAX_TRIALS))
+        assert (code, asked) == (0, [MAX_TRIALS])
+        code, _, err = run_cli(capsys, "conformance", identity_file, "--trials", str(MAX_TRIALS + 1))
+        assert (code, asked) == (64, [MAX_TRIALS])
+        assert err == f"error: --trials: must be at most {MAX_TRIALS}\n"
+
     def test_negative_seed_exits_64(self, capsys, identity_file):
         code, out, err = run_cli(capsys, "conformance", identity_file, "--seed", "-1")
         assert (code, out) == (64, "")
@@ -632,6 +657,7 @@ class TestMalformedFilesInASubprocess:
         ]
         identity = write_operator_file(tmp_path / "identity.json", np.eye(2), "unitary")
         cases.append(("negative-seed", ["conformance", identity, "--seed", "-1"]))
+        cases.append(("absurd-trials", ["conformance", identity, "--trials", "9" * 23]))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 

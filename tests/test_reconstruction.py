@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from raysym import (
-    AutomorphismKind,
     BasisImages,
     CrossTalk,
     DEFAULT_TOLERANCES,
@@ -167,16 +166,16 @@ def reference_reconstruct(oracle, dim, tol=DEFAULT_TOLERANCES):
         stage = "classify_automorphism"
         f_val = reference_slice_coordinates(oracle, fixed, 1j, 1, tol) / scales[1]
         if abs(f_val - 1j) <= tol.recon_tol:
-            kind, residual = AutomorphismKind.IDENTITY, float(abs(f_val - 1j))
+            antiunitary, residual = False, float(abs(f_val - 1j))
         elif abs(f_val + 1j) <= tol.recon_tol:
-            kind, residual = AutomorphismKind.CONJUGATION, float(abs(f_val + 1j))
+            antiunitary, residual = True, float(abs(f_val + 1j))
         else:
             raise NotWignerLike(f_val)
     except RaySymError as err:
         err.stage, err.basis_gram_defect = stage, basis.gram_defect
         raise
     return ReconstructionResult(
-        operator=SymmetryOperator(fixed.columns, antiunitary=kind is AutomorphismKind.CONJUGATION),
+        operator=SymmetryOperator(fixed.columns, antiunitary=antiunitary),
         basis=fixed,
         classification_residual=residual,
         unitary_valid=float(np.max(np.abs(scales - 1.0))) <= tol.recon_tol,
@@ -198,7 +197,8 @@ def outcome(oracle, dim, recon=reconstruct, probe=probe_automorphism, tol=DEFAUL
     except Exception as err:
         return (type(err).__name__, str(err), getattr(err, "stage", None))
     return (
-        bits(r.operator.matrix), r.scales.tobytes(), bits([r.classification_residual]), r.kind,
+        bits(r.operator.matrix), r.scales.tobytes(), bits([r.classification_residual]),
+        r.operator.antiunitary,
         [(p.index, bits([f for _, f in p.values]), p.additivity_residual,
           p.multiplicativity_residual) for p in probes],
     )
@@ -222,7 +222,7 @@ def probe_tampering_oracle(dim, tamper):
 
 
 class TestDerivedFields:
-    """``kind``, the result's scales and ``BasisImages.dim`` are read from the data they describe."""
+    """The result's scales and ``BasisImages.dim`` are read from the data they describe."""
 
     def test_constructor_fields(self):
         assert [f.name for f in dataclasses.fields(BasisImages)] == [
@@ -231,18 +231,6 @@ class TestDerivedFields:
         assert [f.name for f in dataclasses.fields(ReconstructionResult)] == [
             "operator", "basis", "classification_residual", "unitary_valid",
         ]
-
-    @pytest.mark.parametrize("antiunitary", [False, True])
-    def test_kind_is_conjugation_exactly_when_the_operator_is_antiunitary(self, antiunitary):
-        m = random_unitary(3, seed=5)
-        result = ReconstructionResult(
-            operator=SymmetryOperator(m, antiunitary=antiunitary),
-            basis=BasisImages(columns=m, gram_defect=0.0),
-            classification_residual=0.0,
-            unitary_valid=True,
-        )
-        want = AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY
-        assert result.kind is want
 
     def test_result_scales_are_the_basis_scales(self):
         m = random_unitary(3, seed=6)
@@ -503,18 +491,28 @@ class TestClassifyAutomorphism:
     def test_identity_oracle(self):
         oracle = identity_oracle(3)
         fixed = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.IDENTITY
+        assert classify_automorphism(oracle, fixed)[0] is False
 
     def test_conjugation_oracle(self):
         oracle = identity_oracle(3, antiunitary=True)
         fixed = fix_phases(oracle, map_basis(oracle, 3))
-        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.CONJUGATION
+        assert classify_automorphism(oracle, fixed)[0] is True
 
     def test_unitary_composed_with_conjugation(self):
         op = SymmetryOperator(random_unitary(5, seed=31), antiunitary=True)
         oracle = induced_map(op)
         fixed = fix_phases(oracle, map_basis(oracle, 5))
-        assert classify_automorphism(oracle, fixed)[0] is AutomorphismKind.CONJUGATION
+        assert classify_automorphism(oracle, fixed)[0] is True
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    @pytest.mark.parametrize("antiunitary", [False, True])
+    def test_the_flag_is_a_bool_and_reconstruct_carries_it(self, dim, antiunitary):
+        oracle = induced_map(SymmetryOperator(random_unitary(dim, seed=dim), antiunitary=antiunitary))
+        fixed = fix_phases(oracle, map_basis(oracle, dim))
+        flag, _ = classify_automorphism(oracle, fixed)
+        assert type(flag) is bool
+        assert flag is antiunitary
+        assert reconstruct(oracle, dim).operator.antiunitary is flag
 
     def test_modulus_map_is_not_wigner_like(self):
         oracle = probe_tampering_oracle(
@@ -533,9 +531,9 @@ class TestClassifyAutomorphism:
             for m in (u, u + noise, u * (1.0 + np.arange(dim) / dim) + noise):
                 oracle = general_induced_map(m, conjugate_first=antiunitary)
                 fixed = fix_phases(oracle, map_basis(oracle, dim))
-                kind, residual = classify_automorphism(oracle, fixed)
+                flag, residual = classify_automorphism(oracle, fixed)
                 f = slice_coordinates(oracle, fixed, 1j, 1) / fixed.scales[1]
-                assert kind is (AutomorphismKind.CONJUGATION if antiunitary else AutomorphismKind.IDENTITY)
+                assert flag is antiunitary
                 assert type(residual) is float
                 assert residual == min(abs(f - 1j), abs(f + 1j))
 
@@ -635,12 +633,13 @@ class TestProbeAutomorphism:
         assert asked == []
 
     def test_no_samples_ask_nothing(self):
+        # A probe of no sample is refused: its zero residuals would read as laws that hold.
         oracle, asked = counting_oracle(identity_oracle(3))
         fixed = fix_phases(oracle, map_basis(oracle, 3))
         asked.clear()
-        assert probe_automorphism(oracle, fixed, (), 2) == ProbeResult(
-            index=2, values=(), additivity_residual=0.0, multiplicativity_residual=0.0
-        )
+        for samples in ((), []):
+            with pytest.raises(ValueError, match="^probe_automorphism needs at least one sample$"):
+                probe_automorphism(oracle, fixed, samples, 2)
         assert asked == []
 
 
@@ -712,6 +711,26 @@ class TestProbeDeduplication:
         assert got[0] == "CrossTalk" and got[2:4] == (1, 2)
         assert len(got_rays) < len(want_rays) < 168
 
+    @pytest.mark.parametrize("i", [1.0, 2.0, np.float64(1.0), 1 + 0j])
+    def test_an_index_of_no_integral_type_is_refused_before_any_ask(self, i, image_calls):
+        oracle = identity_oracle(3)
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        image_calls[0] = 0
+        with pytest.raises(TypeError):
+            slice_coordinates(oracle, fixed, 1j, i)
+        with pytest.raises(TypeError):
+            probe_automorphism(oracle, fixed, DEFAULT_PROBE_GRID, i)
+        assert image_calls[0] == 0
+
+    @pytest.mark.parametrize("i", [np.int64(2), np.uint8(2), np.intp(2)])
+    def test_numpy_integers_are_indices(self, i):
+        oracle = induced_map(SymmetryOperator(random_unitary(3, seed=8)))
+        fixed = fix_phases(oracle, map_basis(oracle, 3))
+        assert slice_coordinates(oracle, fixed, 0.5j, i) == slice_coordinates(oracle, fixed, 0.5j, 2)
+        probe = probe_automorphism(oracle, fixed, (0.5j, 1.5), i)
+        assert type(probe.index) is int
+        assert probe == probe_automorphism(oracle, fixed, (0.5j, 1.5), 2)
+
     @pytest.mark.parametrize("dim", [2, 5])
     def test_index_is_checked_before_the_scales_are_read(self, dim):
         oracle = identity_oracle(dim)
@@ -726,22 +745,20 @@ class TestProbeDeduplication:
 class TestReconstruct:
     def test_identity(self):
         result = reconstruct(identity_oracle(3), 3)
-        assert result.kind is AutomorphismKind.IDENTITY
-        assert not result.operator.antiunitary
+        assert result.operator.antiunitary is False
         assert result.unitary_valid
         assert np.allclose(result.operator.matrix, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(result.scales, 1.0, atol=1e-15)
 
     def test_swap(self):
         result = reconstruct(induced_map(SymmetryOperator(SWAP)), 2)
-        assert result.kind is AutomorphismKind.IDENTITY
+        assert result.operator.antiunitary is False
         assert result.unitary_valid
         assert np.allclose(result.operator.matrix, SWAP, atol=1e-14)
 
     def test_antiunitary_identity(self):
         result = reconstruct(identity_oracle(4, antiunitary=True), 4)
-        assert result.kind is AutomorphismKind.CONJUGATION
-        assert result.operator.antiunitary
+        assert result.operator.antiunitary is True
         assert result.unitary_valid
         assert np.allclose(result.operator.matrix, np.eye(4), atol=1e-14)
 
@@ -750,7 +767,7 @@ class TestReconstruct:
         assert not result.unitary_valid
         np.testing.assert_allclose(result.scales, [1.0, 2.0, 1.0], atol=1e-12)
         assert result.max_scale_deviation == pytest.approx(1.0, abs=1e-12)
-        assert result.kind is AutomorphismKind.IDENTITY
+        assert result.operator.antiunitary is False
 
     def test_probe_budget_is_two_n(self):
         base = induced_map(SymmetryOperator(random_unitary(4, seed=41)))
@@ -770,7 +787,7 @@ class TestReconstruct:
         oracle, asked = counting_oracle(RayMapOracle(dim, dim, fn, label="axis-conjugation"))
         result = reconstruct(oracle, dim)
         assert len(asked) == 2 * dim
-        assert result.kind is AutomorphismKind.CONJUGATION
+        assert result.operator.antiunitary is True
         assert result.unitary_valid
         report = check_orthogonality_preservation(oracle, 200, seed=0)
         assert [e.passed for e in report.entries] == [False, False]
@@ -781,7 +798,7 @@ class TestReconstruct:
         result = reconstruct(oracle, 3)
         fixed = fix_phases(oracle, map_basis(oracle, 3))
         assert classify_automorphism(oracle, fixed) == (
-            result.kind, result.classification_residual
+            result.operator.antiunitary, result.classification_residual
         )
         assert result.classification_residual <= 1e-12
 
@@ -812,7 +829,7 @@ class TestReconstruct:
         assert np.array_equal(a.operator.matrix, b.operator.matrix)
         assert np.array_equal(a.scales, b.scales)
         assert a.classification_residual == b.classification_residual
-        assert a.kind is b.kind
+        assert a.operator.antiunitary is b.operator.antiunitary
 
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError, match="reconstruction requires dimension at least 2"):
@@ -919,6 +936,14 @@ class TestGaugeResidual:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gauge_residual(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (), (0, 0), (2, 2, 2)])
+    def test_refuses_anything_but_square_nonempty_matrices(self, shape):
+        bad = np.ones(shape)
+        for args, name in (((bad, bad), "candidate"), ((np.eye(2), bad), "reference")):
+            with pytest.raises(ValueError) as info:
+                gauge_residual(*args)
+            assert str(info.value) == f"{name} must be square and nonempty, got shape {shape}"
 
     @pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 2.0**-1022 * (1 - 2.0**-52)])
     @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(-2.1j)])
