@@ -106,19 +106,26 @@ def _parse_matrix(rows, dim: int) -> np.ndarray:
     """The ``matrix`` field as a (dim, dim) complex matrix, bit for bit as written.
 
     A well-formed field is read whole: one type scan of the numbers of each
-    row (JSON integers and floats only), one float64 conversion with a shape
-    check, one finiteness test.  Anything else has a faulty field, and the
+    row (JSON integers and floats only), a shape check (``dim`` entries per
+    row, two numbers per entry), one float64 read of the numbers in row-major
+    order, one finiteness test.  Anything else has a faulty field, and the
     per-entry scan raises OperatorFileError naming the first one.
     """
     if not isinstance(rows, list) or len(rows) != dim:
         raise OperatorFileError(f"matrix: expected {dim} rows")
     try:
-        if all(set(map(type, chain.from_iterable(row))) <= _NUMBER_TYPES for row in rows):
-            pairs = np.array(rows, dtype=np.float64)
-            if pairs.shape == (dim, dim, 2) and np.isfinite(pairs).all():
+        if all(
+            set(map(type, chain.from_iterable(row))) <= _NUMBER_TYPES
+            and len(row) == dim
+            and set(map(len, row)) == {2}
+            for row in rows
+        ):
+            parts = chain.from_iterable(chain.from_iterable(rows))
+            pairs = np.fromiter(parts, np.float64, 2 * dim * dim)
+            if np.isfinite(pairs).all():
                 return pairs.view(np.complex128).reshape(dim, dim)
-    except (TypeError, ValueError, OverflowError):
-        pass  # not iterable pairs, ragged rows, or an integer beyond double range
+    except (TypeError, OverflowError):
+        pass  # not iterable pairs, or an integer beyond double range
     _raise_first_fault(rows, dim)
     raise AssertionError("matrix: the whole-array read refused a field with no fault")
 
@@ -214,6 +221,7 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def render_reconstruction(result: ReconstructionResult) -> list[str]:
+    """The report's lines; each matrix row's ``dim`` lines come as one newline-joined string."""
     op = result.operator
     lines = [
         "report\treconstruction",
@@ -228,13 +236,14 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
     # -0.0 into 0.0, as _fmt does.
     scales = (result.scales + 0.0).tolist()
     lines += [f"scale\t{i}\t{s:.17g}" for i, s in enumerate(scales, start=1)]
-    re_part = op.matrix.real + 0.0
-    im_part = op.matrix.imag + 0.0
-    for i in range(op.dim):
-        lines += [
-            f"matrix\t{i + 1}\t{j}\t{re:.17g}\t{im:.17g}"
-            for j, (re, im) in enumerate(zip(re_part[i].tolist(), im_part[i].tolist()), start=1)
-        ]
+    # One %-format per matrix row, on a template whose "\0" stands for the row
+    # number; "%.17g" gives the bytes of f"{x:.17g}".
+    template = "\n".join([f"matrix\t\0\t{j}\t%.17g\t%.17g" for j in range(1, op.dim + 1)])
+    parts = (op.matrix + 0.0).view(np.float64)  # re, im interleaved per row
+    lines += [
+        template.replace("\0", str(i)) % tuple(parts[i - 1].tolist())
+        for i in range(1, op.dim + 1)
+    ]
     return lines
 
 
@@ -271,7 +280,9 @@ def render_probe(probe: ProbeResult, dim: int, scale: float) -> list[str]:
 
 
 def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+    # Two writes, so that a large report is not copied once more to append "\n".
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.write("\n")
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:

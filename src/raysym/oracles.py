@@ -196,6 +196,15 @@ class ConformanceReport:
         raise KeyError(name)
 
 
+def _gram_certifies(m: np.ndarray) -> bool:
+    """Whether the Gershgorin discs of G = m^dagger m lie in [lo, hi] with lo > 0 and hi <= 4 lo."""
+    gram = np.abs(m.conj().T @ m)
+    centre = gram.diagonal()
+    radius = gram.sum(axis=1) - centre
+    lo, hi = (centre - radius).min(), (centre + radius).max()
+    return bool(lo > 0.0 and hi <= 4.0 * lo)
+
+
 def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
     """The ray map of ``op``, one matrix-vector product per ray.
 
@@ -206,13 +215,25 @@ def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
     ``op.matrix``.  So each product is the answer, pending and uncopied, and
     checked where it is canonicalized.  Where the scaled entries and
     products stay normal, its ``rep`` is ``Ray(op.matrix @ x).rep``.
+
+    A matrix whose condition number ``np.linalg.cond(op.matrix)`` is not
+    finite or is at least MAX_CONDITION raises SingularMatrix.  That SVD runs
+    only when the Gershgorin discs of the Gram matrix G = m^dagger m do not
+    certify the condition: when they lie in [lo, hi] with lo > 0 and
+    hi <= 4 lo, the eigenvalues of G are within a factor 4 of each other, so
+    the condition number is at most 2, and the matrix is accepted without
+    it.  Unitary matrices and ``U diag(1 + k/dim)`` pass that way.
     """
     m = op.matrix
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond >= MAX_CONDITION:
-        raise SingularMatrix(f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
+    if m.any():  # a zero matrix has no prescale; the SVD refuses it
+        m = _prescaled_rows(m.reshape(1, -1)).reshape(m.shape)
+    if not _gram_certifies(m):
+        cond = np.linalg.cond(op.matrix)
+        if not np.isfinite(cond) or cond >= MAX_CONDITION:
+            raise SingularMatrix(
+                f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
+            )
 
-    m = _prescaled_rows(m.reshape(1, -1)).reshape(m.shape)
     answer = Ray._from_answer
 
     # ndarray.dot makes the one BLAS matrix-vector call that ``m @ x`` makes,

@@ -434,13 +434,16 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     The phase is read off the largest-modulus diagonal entry, which stays
     stable even when other diagonal entries are near zero, at any scale of
     the entries, subnormal included.  Both matrices must be square and
-    nonempty (else ValueError) and of one shape (else DimensionMismatch).
+    nonempty with finite entries (else ValueError) and of one shape (else
+    DimensionMismatch).
     """
     candidate = np.asarray(candidate, dtype=np.complex128)
     reference = np.asarray(reference, dtype=np.complex128)
     for name, m in (("candidate", candidate), ("reference", reference)):
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"{name} must be square and nonempty, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} entries must be finite")
     if candidate.shape != reference.shape:
         raise DimensionMismatch(
             f"cannot compare matrices of shapes {candidate.shape} and {reference.shape}"

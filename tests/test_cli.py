@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -63,6 +64,8 @@ MALFORMED_MATRICES = [
      "matrix: entry (1, 2) must be an [re, im] pair"),
     ("three-element-pair", "[[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]]",
      "matrix: entry (2, 2) must be an [re, im] pair"),
+    ("compensating-pairs", "[[[1, 0, 0], [0]], [[0, 0], [1, 0]]]",
+     "matrix: entry (1, 1) must be an [re, im] pair"),
     ("bare-number", "[[[1, 0], [0, 0]], [0, [1, 0]]]",
      "matrix: entry (2, 1) must be an [re, im] pair"),
     ("nested-list", "[[[1, [0]], [0, 0]], [[0, 0], [1, 0]]]",
@@ -431,15 +434,27 @@ class TestReconstructCommand:
             classification_residual=-0.0,
             unitary_valid=False,
         )
-        lines = render_reconstruction(result)
-        assert lines[7:] == reference_render_tail(result)
-        assert "matrix\t1\t1\t0\t0" in lines
-        assert "scale\t2\t0" in lines
+        # Each matrix row renders as one newline-joined string, so compare text.
+        text = "\n".join(render_reconstruction(result)[7:])
+        assert text == "\n".join(reference_render_tail(result))
+        assert "matrix\t1\t1\t0\t0" in text.split("\n")
+        assert "scale\t2\t0" in text.split("\n")
 
-    def test_render_matches_the_per_entry_loop_on_a_reconstruction(self):
-        u = random_unitary(12, seed=4) * (1.0 + np.arange(12) / 12)
-        result = reconstruct(induced_map(SymmetryOperator(u)), 12)
-        assert render_reconstruction(result)[7:] == reference_render_tail(result)
+    @pytest.mark.parametrize("dim, sprinkle", [(12, False), (64, False), (129, True)])
+    def test_render_matches_the_per_entry_loop_on_a_reconstruction(self, dim, sprinkle):
+        u = random_unitary(dim, seed=4) * (1.0 + np.arange(dim) / dim)
+        result = reconstruct(induced_map(SymmetryOperator(u)), dim)
+        if sprinkle:
+            # Signed zeros, the smallest subnormal and huge entries, at row ends and inside.
+            m = result.operator.matrix.copy()
+            for k, value in enumerate([-0.0, 5e-324, -5e-324, 1e300, -1e300]):
+                for i, j in ((k, 0), (k + 1, dim - 1), (dim - 1 - k, 3 * k + 1)):
+                    m[i, j] = complex(value, -value)
+            m[dim - 1, dim - 1] = complex(-0.0, -0.0)
+            assert np.signbit(m[0, 0].real) and np.signbit(m[dim - 1, dim - 1].imag)
+            result = dataclasses.replace(result, operator=SymmetryOperator(m))
+        text = "\n".join(render_reconstruction(result)[7:])
+        assert text == "\n".join(reference_render_tail(result))
 
     def test_out_of_range_integer_exits_64(self, capsys, tmp_path):
         text = next(case[1] for case in MALFORMED_MATRICES if case[0] == "huge-integer")

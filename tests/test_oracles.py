@@ -20,6 +20,7 @@ from raysym import (
     reconstruct,
     verify_reproduction,
 )
+from raysym.oracles import MAX_CONDITION
 from raysym.rays import ray_function, sample_ray
 
 from conftest import axis_vector
@@ -132,6 +133,85 @@ class TestGeneralInducedMap:
         message = f"^conjugate_first must be a bool, got {type(flag).__name__}$"
         with pytest.raises(TypeError, match=message):
             general_induced_map(np.eye(2), conjugate_first=flag)
+
+
+def _condition_cases():
+    """(id, matrix) pairs on both sides of the condition test and of its Gram certificate."""
+    cases = [("subnormal-identity", 2.0**-1074 * np.eye(3))]
+    for dim in (2, 3, 4, 8, 16, 32, 64):
+        u = random_unitary(dim, seed=dim)
+        g = np.random.default_rng(dim).standard_normal((2, dim, dim))
+        cases += [
+            (f"haar-{dim}", u),
+            (f"haar-diag-{dim}", u * (1.0 + np.arange(dim) / dim)),
+            (f"ginibre-{dim}", g[0] + 1j * g[1]),
+        ]
+    for c in (1e11, 1e12 * (1 - 1e-3), 1e12, 1e12 * (1 + 1e-3), 1e13):
+        cases.append((f"diag-{c:.4g}", np.diag([c, 2.0, 1.0])))
+    cases += [
+        ("shear", np.array([[1.0, 1.0], [0.0, 1.0]])),
+        ("steep-shear", np.array([[1.0, 2.0], [0.0, 1.0]])),
+        ("singular", np.diag([1.0, 0.0])),
+        ("zero", np.zeros((3, 3))),
+    ]
+    return cases
+
+
+CONDITION_CASES = _condition_cases()
+
+#: Cases whose Gram discs certify a condition number of at most 2.
+CERTIFIED = ["subnormal-identity"] + [
+    f"{family}-{dim}" for family in ("haar", "haar-diag") for dim in (2, 3, 4, 8, 16, 32, 64)
+]
+#: Well-conditioned cases whose Gram discs reach 0, so only the SVD accepts them.
+SVD_ACCEPTED = ["shear", "steep-shear"]
+
+
+def _build_oracles(m, flag):
+    yield lambda: induced_map(SymmetryOperator(m, antiunitary=flag))
+    yield lambda: general_induced_map(m, conjugate_first=flag)
+
+
+class TestConditionCertificate:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(m, *args):
+            calls.append(m)
+            return cond(m, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return calls
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize(
+        "m", [m for _, m in CONDITION_CASES], ids=[name for name, _ in CONDITION_CASES]
+    )
+    def test_refuses_exactly_what_the_svd_refuses(self, m, flag):
+        cond = np.linalg.cond(m)
+        for build in _build_oracles(m, flag):
+            if np.isfinite(cond) and cond < MAX_CONDITION:
+                build()
+            else:
+                with pytest.raises(SingularMatrix) as info:
+                    build()
+                assert str(info.value) == f"matrix condition number {cond:.3e} exceeds 1e+12"
+
+    @pytest.mark.parametrize("name", CERTIFIED + SVD_ACCEPTED)
+    def test_the_svd_runs_only_when_the_discs_do_not_certify(self, svd_calls, name):
+        m = dict(CONDITION_CASES)[name]
+        for build in _build_oracles(m, False):
+            build()
+        assert len(svd_calls) == (0 if name in CERTIFIED else 2)
+
+    def test_the_boundary_cases_span_the_threshold(self):
+        conds = {name: np.linalg.cond(m) for name, m in CONDITION_CASES}
+        names = ("1e+11", "9.99e+11", "1e+12", "1.001e+12", "1e+13")
+        diagonal = [conds[f"diag-{c}"] for c in names]
+        assert diagonal == sorted(diagonal) and diagonal[1] < MAX_CONDITION <= diagonal[2]
+        assert not np.isfinite(conds["zero"]) and conds["shear"] < 3 < conds["steep-shear"] < 6
 
 
 class TestOracleInterface:

@@ -937,6 +937,18 @@ class TestGaugeResidual:
         with pytest.raises(DimensionMismatch):
             gauge_residual(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+    )
+    @pytest.mark.parametrize("name", ["candidate", "reference"])
+    def test_refuses_a_non_finite_entry(self, name, value):
+        # A NaN residual would read as a pass to a `residual > bound` test.
+        bad = np.eye(3, dtype=np.complex128)
+        bad[1, 2] = value
+        args = (bad, np.eye(3)) if name == "candidate" else (np.eye(3), bad)
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            gauge_residual(*args)
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (), (0, 0), (2, 2, 2)])
     def test_refuses_anything_but_square_nonempty_matrices(self, shape):
         bad = np.ones(shape)
