@@ -20,6 +20,7 @@ Commands print one record per line, tab-delimited, with floats rendered to
 
 Exit codes: 0 success / theorem-conformant, 1 pipeline error or failed
 conformance, 2 diagnostic-only reconstruction, 64 malformed input or usage.
+A reader that closes stdout early also ends the command with exit 1.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain, combinations_with_replacement
 from pathlib import Path
@@ -65,13 +67,8 @@ class UsageError(Exception):
 
 
 def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.17g}"
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+    """``x`` to 17 significant digits; + 0.0 turns -0.0 into 0.0."""
+    return "%.17g" % (x + 0.0)
 
 
 def _require_number(value, field: str) -> float:
@@ -228,16 +225,14 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
         f"dim\t{op.dim}",
         f"status\t{'unitary-valid' if result.unitary_valid else 'diagnostic-only'}",
         f"kind\t{'conjugation' if op.antiunitary else 'identity'}-automorphism",
-        f"antiunitary\t{_bool(op.antiunitary)}",
+        f"antiunitary\t{str(op.antiunitary).lower()}",
         f"max-scale-deviation\t{_fmt(result.max_scale_deviation)}",
         f"classification-residual\t{_fmt(result.classification_residual)}",
     ]
-    # Python floats straight from the arrays, one row at a time; + 0.0 turns
-    # -0.0 into 0.0, as _fmt does.
-    scales = (result.scales + 0.0).tolist()
-    lines += [f"scale\t{i}\t{s:.17g}" for i, s in enumerate(scales, start=1)]
+    lines += [f"scale\t{i}\t{_fmt(s)}" for i, s in enumerate(result.scales.tolist(), start=1)]
     # One %-format per matrix row, on a template whose "\0" stands for the row
-    # number; "%.17g" gives the bytes of f"{x:.17g}".
+    # number, applied to Python floats straight from the array, one row at a
+    # time; the format and the + 0.0 are _fmt's.
     template = "\n".join([f"matrix\t\0\t{j}\t%.17g\t%.17g" for j in range(1, op.dim + 1)])
     parts = (op.matrix + 0.0).view(np.float64)  # re, im interleaved per row
     lines += [
@@ -283,6 +278,7 @@ def _emit(lines: list[str]) -> None:
     # Two writes, so that a large report is not copied once more to append "\n".
     sys.stdout.write("\n".join(lines))
     sys.stdout.write("\n")
+    sys.stdout.flush()  # so that a closed stdout raises in main, not at exit
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -394,11 +390,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, OperatorFileError) as err:
+    except (UsageError, RaySymError) as err:
         sys.stderr.write(f"error: {err}\n")
-        return 64
-    except RaySymError as err:
-        sys.stderr.write(f"error: {err}\n")
+        return 64 if isinstance(err, (UsageError, OperatorFileError)) else 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush at
+        # interpreter exit raises no second error, and exit 1.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

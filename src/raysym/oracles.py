@@ -49,6 +49,16 @@ def _flag(value, name: str) -> bool:
     return bool(value)
 
 
+def _square_matrix(m, name: str) -> np.ndarray:
+    """``m`` as a complex array; ValueError naming ``name`` unless square, nonempty and finite."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"{name} must be square and nonempty, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetryOperator:
     """An n x n complex matrix plus an antiunitary flag.
@@ -64,12 +74,7 @@ class SymmetryOperator:
 
     def __post_init__(self):
         flag = _flag(self.antiunitary, "antiunitary")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        m = m.copy()
+        m = _square_matrix(self.matrix, "matrix").copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "antiunitary", flag)
@@ -205,16 +210,17 @@ def _gram_certifies(m: np.ndarray) -> bool:
     return bool(lo > 0.0 and hi <= 4.0 * lo)
 
 
-def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
-    """The ray map of ``op``, one matrix-vector product per ray.
+def induced_map(op: SymmetryOperator) -> RayMapOracle:
+    """Ray map induced by a symmetry operator: ray(x) -> ray(U x) or ray(U conj(x)).
 
-    The matrix is ``op.matrix`` prescaled as one row of ``Ray``'s recipe: by
-    the power of two that brings its largest real or imaginary part into
-    [0.5, 1).  It induces the same map, and, once its condition is checked,
-    its product with a unit x is finite and nonzero at any scale of
-    ``op.matrix``.  So each product is the answer, pending and uncopied, and
-    checked where it is canonicalized.  Where the scaled entries and
-    products stay normal, its ``rep`` is ``Ray(op.matrix @ x).rep``.
+    One matrix-vector product per ray, with ``op.matrix`` prescaled as one
+    row of ``Ray``'s recipe: by the power of two that brings its largest
+    real or imaginary part into [0.5, 1).  It induces the same map, and,
+    once its condition is checked, its product with a unit x is finite and
+    nonzero at any scale of ``op.matrix``.  So each product is the answer,
+    pending and uncopied, and checked where it is canonicalized.  Where the
+    scaled entries and products stay normal, its ``rep`` is
+    ``Ray(op.matrix @ x).rep``.
 
     A matrix whose condition number ``np.linalg.cond(op.matrix)`` is not
     finite or is at least MAX_CONDITION raises SingularMatrix.  That SVD runs
@@ -245,19 +251,17 @@ def _matrix_oracle(op: SymmetryOperator, label: str) -> RayMapOracle:
         def image_fn(ray: Ray) -> Ray:
             return answer(m.dot(ray.rep))
 
-    return RayMapOracle(op.dim, op.dim, image_fn, label=label)
-
-
-def induced_map(op: SymmetryOperator) -> RayMapOracle:
-    """Ray map induced by a symmetry operator: ray(x) -> ray(U x) or ray(U conj(x))."""
     kind = "antilinear" if op.antiunitary else "linear"
-    return _matrix_oracle(op, label=f"{kind}[dim={op.dim}]")
+    return RayMapOracle(op.dim, op.dim, image_fn, label=f"{kind}[dim={op.dim}]")
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:
-    """Ray map induced by an arbitrary invertible matrix; no preservation guarantees."""
-    op = SymmetryOperator(matrix, antiunitary=_flag(conjugate_first, "conjugate_first"))
-    return _matrix_oracle(op, label=f"general[dim={op.dim}]")
+    """Ray map induced by an arbitrary invertible matrix; no preservation guarantees.
+
+    It is ``induced_map`` of ``SymmetryOperator(matrix, antiunitary=conjugate_first)``.
+    """
+    flag = _flag(conjugate_first, "conjugate_first")
+    return induced_map(SymmetryOperator(matrix, antiunitary=flag))
 
 
 def _orthogonal_state(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -85,8 +85,10 @@ class Ray:
     A pending vector is checked and prescaled where it is canonicalized:
     alone, or with a stack of oracle answers in one ``canonical_rays`` pass,
     which gives the same bits.  So a matrix oracle's unchecked answer raises
-    ``Ray(v)``'s errors there.  Concurrent reads of one Ray are safe and see
-    the same bytes.
+    ``Ray(v)``'s errors there.  A Ray is canonical once ``_rep`` is set; the
+    vector it was made from stays in ``_pending``.  Concurrent first reads of
+    one Ray may each canonicalize it, and they store the same bits, so every
+    read sees the same bytes.
     """
 
     __slots__ = ("_rep", "_pending")
@@ -103,8 +105,7 @@ class Ray:
     def _from_canonical(cls, rep: np.ndarray) -> "Ray":
         """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
         ray = cls.__new__(cls)
-        ray._pending = None
-        ray._rep = rep
+        ray._pending = ray._rep = rep
         return ray
 
     @classmethod
@@ -118,18 +119,14 @@ class Ray:
     @property
     def rep(self) -> np.ndarray:
         """The canonical representative (read-only array)."""
-        # _pending is cleared only after _rep is set, so it is read first.
-        pending = self._pending
         rep = self._rep
         if rep is None:
-            rep = self._rep = _canonical_row(pending)
-            self._pending = None
+            rep = self._rep = _canonical_row(self._pending)
         return rep
 
     @property
     def dim(self) -> int:
-        pending = self._pending
-        return (self._rep if pending is None else pending).shape[0]
+        return self._pending.shape[0]
 
     def __repr__(self) -> str:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
@@ -242,9 +239,9 @@ def _stack_reps(rays: list[Ray]) -> np.ndarray:
     in one ``canonical_rays`` pass, and stay pending; the first bad one
     raises what ``Ray`` raises.
     """
-    pending = [ray._pending for ray in rays]  # read before _rep, as in Ray.rep
-    stack = np.array([ray._rep if p is None else p for ray, p in zip(rays, pending)])
-    todo = [j for j, p in enumerate(pending) if p is not None]
+    reps = [ray._rep for ray in rays]
+    stack = np.array([ray._pending if r is None else r for ray, r in zip(rays, reps)])
+    todo = [j for j, r in enumerate(reps) if r is None]
     if len(todo) == len(rays):
         return _canonical_rows(_prescaled_rows(stack))
     if todo:

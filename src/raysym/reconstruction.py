@@ -59,7 +59,7 @@ from .errors import (
     RaySymError,
     SliceDegenerate,
 )
-from .oracles import RayMapOracle, SymmetryOperator
+from .oracles import RayMapOracle, SymmetryOperator, _square_matrix
 from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
@@ -87,11 +87,12 @@ class BasisImages:
     oracle; fix_phases returns a copy with the probe phases absorbed and the
     scales r_i it measured on them.  ``gram_defect`` is the max-norm
     deviation of the images' Gram matrix from the identity, measured once by
-    map_basis and carried along unchanged.  ``columns`` must be square and
-    nonempty, and ``scales`` of shape ``(dim,)`` (else ValueError); ``dim``
-    is read from the columns.  Omitted scales are all ones, as on the basis
-    map_basis returns: a probe of a basis not yet phase-fixed reads raw slice
-    coordinates.  Both arrays are stored as private read-only copies.
+    map_basis and carried along unchanged.  ``columns`` must be square,
+    nonempty and finite, and ``scales`` of shape ``(dim,)``, each finite and
+    positive (else ValueError); ``dim`` is read from the columns.  Omitted
+    scales are all ones, as on the basis map_basis returns: a probe of a
+    basis not yet phase-fixed reads raw slice coordinates.  Both arrays are
+    stored as private read-only copies.
     """
 
     columns: np.ndarray
@@ -99,12 +100,12 @@ class BasisImages:
     scales: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.array(self.columns, dtype=np.complex128)  # private copies
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"columns must be square and nonempty, got shape {m.shape}")
+        m = _square_matrix(self.columns, "columns").copy()  # private copies
         s = np.ones(m.shape[0]) if self.scales is None else np.array(self.scales, dtype=np.float64)
         if s.shape != m.shape[:1]:
             raise ValueError(f"scales must have shape {m.shape[:1]}, got shape {s.shape}")
+        if not ((s > 0.0) & (s < np.inf)).all():  # NaN fails both comparisons
+            raise ValueError("scales must be finite and positive")
         m.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "columns", m)
         object.__setattr__(self, "scales", s)
@@ -322,10 +323,9 @@ def classify_automorphism(
     """
     with _stage("classify_automorphism", fixed_basis.gram_defect):
         f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / fixed_basis.scales[1]
-        if abs(f_val - 1j) <= tol.recon_tol:
-            return False, float(abs(f_val - 1j))
-        if abs(f_val + 1j) <= tol.recon_tol:
-            return True, float(abs(f_val + 1j))
+        for antiunitary, target in ((False, 1j), (True, -1j)):
+            if abs(f_val - target) <= tol.recon_tol:
+                return antiunitary, float(abs(f_val - target))
         raise NotWignerLike(f_val)
 
 
@@ -437,13 +437,8 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     nonempty with finite entries (else ValueError) and of one shape (else
     DimensionMismatch).
     """
-    candidate = np.asarray(candidate, dtype=np.complex128)
-    reference = np.asarray(reference, dtype=np.complex128)
-    for name, m in (("candidate", candidate), ("reference", reference)):
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"{name} must be square and nonempty, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} entries must be finite")
+    candidate = _square_matrix(candidate, "candidate")
+    reference = _square_matrix(reference, "reference")
     if candidate.shape != reference.shape:
         raise DimensionMismatch(
             f"cannot compare matrices of shapes {candidate.shape} and {reference.shape}"

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -430,7 +432,7 @@ class TestReconstructCommand:
         assert np.signbit(m[1, 1].real) and np.signbit(m[1, 1].imag)
         result = ReconstructionResult(
             operator=SymmetryOperator(m),
-            basis=BasisImages(columns=m, gram_defect=0.0, scales=np.array([1.0, -0.0, 5e-324])),
+            basis=BasisImages(columns=m, gram_defect=0.0, scales=np.array([1.0, 0.25, 5e-324])),
             classification_residual=-0.0,
             unitary_valid=False,
         )
@@ -438,7 +440,6 @@ class TestReconstructCommand:
         text = "\n".join(render_reconstruction(result)[7:])
         assert text == "\n".join(reference_render_tail(result))
         assert "matrix\t1\t1\t0\t0" in text.split("\n")
-        assert "scale\t2\t0" in text.split("\n")
 
     @pytest.mark.parametrize("dim, sprinkle", [(12, False), (64, False), (129, True)])
     def test_render_matches_the_per_entry_loop_on_a_reconstruction(self, dim, sprinkle):
@@ -690,3 +691,52 @@ class TestMalformedFilesInASubprocess:
         with ThreadPoolExecutor(max_workers=4) as pool:
             failures = [f for f in pool.map(run, cases) if f is not None]
         assert failures == []
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early: exit 1, and nothing on stderr."""
+
+    def test_a_reader_that_closes_the_pipe_after_one_line(self, tmp_path):
+        # A dim-64 report is far larger than a pipe's buffer, so the writer is
+        # still writing when the pipe closes.
+        path = write_operator_file(tmp_path / "u64.json", random_unitary(64, seed=3), "unitary")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "raysym", "reconstruct", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"report\treconstruction\n"
+        assert (code, err) == (1, b"")
+
+    def test_a_closed_stdout_is_pointed_at_devnull(self, monkeypatch, tmp_path, identity_file):
+        # A short report is still buffered when main returns; the flush raises.
+        with open(tmp_path / "stdout", "w") as target:
+
+            class Closed(io.StringIO):
+                def flush(self):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", Closed())
+            assert main(["reconstruct", identity_file]) == 1
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+
+    def test_a_redirected_stdout_gets_the_whole_report(self, capsys, identity_file):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["reconstruct", identity_file])
+        assert code == 0
+        assert out.getvalue() == "\n".join(render_reconstruction(
+            reconstruct(induced_map(SymmetryOperator(np.eye(2))), 2))) + "\n"
+        assert capsys.readouterr() == ("", "")

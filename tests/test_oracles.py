@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from raysym import (
+    BasisImages,
     DimensionMismatch,
     Ray,
     RayMapOracle,
@@ -12,6 +13,7 @@ from raysym import (
     canonical_ray,
     check_orthogonality_preservation,
     fix_phases,
+    gauge_residual,
     general_induced_map,
     induced_map,
     map_basis,
@@ -21,7 +23,7 @@ from raysym import (
     verify_reproduction,
 )
 from raysym.oracles import MAX_CONDITION
-from raysym.rays import ray_function, sample_ray
+from raysym.rays import canonical_rays, ray_function, sample_ray
 
 from conftest import axis_vector
 
@@ -62,6 +64,41 @@ class TestSymmetryOperator:
     @pytest.mark.parametrize("flag", [False, True, np.bool_(False), np.bool_(True)])
     def test_accepts_bool_and_numpy_bool_flags(self, flag):
         assert SymmetryOperator(np.eye(2), antiunitary=flag).antiunitary is bool(flag)
+
+
+#: Every public site that takes a square matrix, with the field name its errors use.
+MATRIX_SITES = {
+    "SymmetryOperator": (lambda m: SymmetryOperator(m), "matrix"),
+    "BasisImages": (lambda m: BasisImages(m, gram_defect=0.0), "columns"),
+    "gauge_residual-candidate": (lambda m: gauge_residual(m, np.eye(3)), "candidate"),
+    "gauge_residual-reference": (lambda m: gauge_residual(np.eye(3), m), "reference"),
+    "general_induced_map": (lambda m: general_induced_map(m), "matrix"),
+}
+
+
+class TestOneMatrixCheck:
+    """Each site refuses a matrix that is not square, nonempty and finite, with one message."""
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)],
+        ids=["nan", "inf", "-inf", "imaginary-nan", "imaginary-inf"],
+    )
+    @pytest.mark.parametrize("site", MATRIX_SITES)
+    def test_refuses_a_non_finite_entry(self, site, value):
+        build, name = MATRIX_SITES[site]
+        m = np.eye(3, dtype=np.complex128)
+        m[2, 1] = value
+        with pytest.raises(ValueError) as info:
+            build(m)
+        assert str(info.value) == f"{name} entries must be finite"
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (0, 0), (), (2, 2, 2)])
+    @pytest.mark.parametrize("site", MATRIX_SITES)
+    def test_refuses_anything_but_a_square_nonempty_matrix(self, site, shape):
+        build, name = MATRIX_SITES[site]
+        with pytest.raises(ValueError) as info:
+            build(np.ones(shape))
+        assert str(info.value) == f"{name} must be square and nonempty, got shape {shape}"
 
 
 class TestInducedMap:
@@ -212,6 +249,33 @@ class TestConditionCertificate:
         diagonal = [conds[f"diag-{c}"] for c in names]
         assert diagonal == sorted(diagonal) and diagonal[1] < MAX_CONDITION <= diagonal[2]
         assert not np.isfinite(conds["zero"]) and conds["shear"] < 3 < conds["steep-shear"] < 6
+
+
+#: The CONDITION_CASES that both builders accept (a NaN condition compares False).
+ACCEPTED = [name for name, m in CONDITION_CASES if np.linalg.cond(m) < MAX_CONDITION]
+
+
+class TestOneBuilder:
+    """``general_induced_map(m, f)`` is ``induced_map(SymmetryOperator(m, antiunitary=f))``."""
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("name", ACCEPTED)
+    def test_both_builders_answer_the_same_bits(self, name, flag):
+        m = dict(CONDITION_CASES)[name]
+        dim = m.shape[0]
+        general = general_induced_map(m, conjugate_first=flag)
+        induced = induced_map(SymmetryOperator(m, antiunitary=flag))
+        kind = "antilinear" if flag else "linear"
+        assert repr(general) == repr(induced) == f"RayMapOracle({kind}[dim={dim}], {dim} -> {dim})"
+        rng = np.random.default_rng(dim)
+        stacks = [
+            canonical_rays(np.eye(dim, dtype=np.complex128)),
+            canonical_rays(rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))),
+        ]
+        for rows in stacks:
+            assert general._images(rows).tobytes() == induced._images(rows).tobytes()
+            for row in rows:
+                assert general._image_rep(row).tobytes() == induced._image_rep(row).tobytes()
 
 
 class TestOracleInterface:

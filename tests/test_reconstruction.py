@@ -261,6 +261,22 @@ class TestDerivedFields:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BasisImages(columns=np.eye(3), gram_defect=0.0, scales=np.ones(shape))
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_scales_must_be_finite_and_positive(self, axis, value):
+        # A zero scale would divide the probes by zero, a NaN or infinite one
+        # would read as zero law residuals, and -1 would make the identity
+        # map classify as conjugation.
+        scales = np.ones(3)
+        scales[axis] = value
+        with pytest.raises(ValueError, match="^scales must be finite and positive$"):
+            BasisImages(columns=np.eye(3), gram_defect=0.0, scales=scales)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300])
+    def test_any_finite_positive_scale_is_kept(self, value):
+        basis = BasisImages(columns=np.eye(3), gram_defect=0.0, scales=[1.0, value, 1.0])
+        assert basis.scales.tolist() == [1.0, value, 1.0]
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_basis_dim_is_the_column_count(self, dim):
         basis = BasisImages(columns=np.eye(dim), gram_defect=0.0)
