@@ -26,8 +26,8 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
+    _canonical_rows,
     _prescaled_rows,
-    _stack_reps,
     _vdots,
     canonical_rays,
     ray_functions,
@@ -57,6 +57,21 @@ def _square_matrix(m, name: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
     return m
+
+
+def _trial_count(trials) -> int:
+    """``trials`` as a Python int of at least 1, read with ``operator.index``.
+
+    A value of no integral type (a float, a str) raises TypeError naming
+    ``trials``; a count below 1 raises ValueError.
+    """
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        raise TypeError(f"trials must be an integer, got {type(trials).__name__}") from None
+    if count < 1:
+        raise ValueError(f"trials must be at least 1, got {count}")
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +117,14 @@ class RayMapOracle:
     it is canonicalized, with the errors ``Ray(v)`` raises.
 
     The library asks in one place, the private methods below: one ``image``
-    call per ray, in order, with read-only rays.  The answers to a stack
-    (the sampled checks, ``map_basis``, ``verify_reproduction``) are
-    canonicalized in one pass, with the same bits; a lone slice probe reads
-    its answer's ``rep``.  Oracles carry no state, so concurrent image calls
-    are safe, and the same ray always gets the same answer.  The library
+    call per ray, in order, with read-only rays.  A stack of rays (one block
+    of a sampled check, sized by ``sample_state_blocks``, or ``map_basis``'s
+    axes) is asked row by row; each answer's vector is copied into one stack
+    as it arrives, and no answer's Ray is kept after that.  The rows still
+    pending are then canonicalized in one pass, with the bits each answer's
+    ``rep`` would have.  A lone slice probe reads its answer's ``rep``.
+    Oracles carry no state, so concurrent image calls are safe, and the same
+    ray always gets the same answer.  The library
     relies on that: its slice probes (``fix_phases``,
     ``probe_automorphism``) ask each distinct probe ray once and reuse the
     answer.
@@ -145,10 +163,31 @@ class RayMapOracle:
         return out
 
     def _images(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical (k, dim_out) stack of the answers to a canonical (k, dim_in) stack."""
+        """Canonical (k, dim_out) stack of the answers to a canonical (k, dim_in) stack.
+
+        Row j is the j-th answer's ``rep`` bit for bit.  Each answer's vector
+        (its ``rep``, or the vector still pending) is copied into the stack
+        as it arrives; the pending rows are then checked, prescaled and
+        canonicalized together, and the first bad one raises what ``Ray``
+        raises.  The answers themselves stay pending.
+        """
         rows = rows.view()
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
-        return _stack_reps([self.image(Ray._from_canonical(row)) for row in rows])
+        stack = np.empty((rows.shape[0], self.dim_out), dtype=np.complex128)
+        pending = []
+        for j, row in enumerate(rows):
+            answer = self.image(Ray._from_canonical(row))
+            rep = answer._rep
+            if rep is None:
+                pending.append(j)
+                rep = answer._pending
+            stack[j] = rep
+        if len(pending) == len(stack):
+            return _canonical_rows(_prescaled_rows(stack))
+        if pending:
+            stack[pending] = _canonical_rows(_prescaled_rows(stack[pending]))
+        stack.flags.writeable = False
+        return stack
 
     def _image_rep(self, row: np.ndarray) -> np.ndarray:
         """The answer's ``rep`` for one read-only canonical row."""
@@ -286,20 +325,24 @@ def check_orthogonality_preservation(
     and records how far the image u-value drifts from the source u-value.
     The report holds two entries, ``orthogonality-preservation`` and
     ``ray-function-invariance``, with those worst cases as residuals; each
-    passes when its residual is at most tol.orth_tol.  Requires dim_in >= 2.
+    passes when its residual is at most tol.orth_tol.  ``trials`` is read
+    with ``operator.index`` before any ray is asked (TypeError naming it for
+    a float or a str, ValueError below 1), so each entry's ``trials`` is a
+    Python int.  Requires dim_in >= 2.
 
-    Trials run in blocks of SAMPLE_BLOCK.  A block draws the generators of
-    r, t, a and b of each of its trials, in that order, with one normal draw
-    (``sample_state_blocks``).  s is t projected off r; when the projection
-    has |t|^2 <= DEGENERATE_DRAW a fresh t is drawn from the generator,
-    after the block's draw.  The block's r is canonicalized to project t off
-    it; then the block's draw, s in place of t, is canonicalized in one
-    ``canonical_rays`` pass, which gives r the same bits again.  That stack
-    is asked as it stands, in trial order and r, s, a, b within a trial, and
-    its answers are scored with ``ray_functions``.
+    Trials run in the blocks of ``sample_state_blocks``: one block draws the
+    generators of r, t, a and b of each of its trials, in that order, with
+    one normal draw, and its arrays are released before the next draw.  s is
+    t projected off r; when the projection has |t|^2 <= DEGENERATE_DRAW a
+    fresh t is drawn from the generator, after the block's draw.  The
+    block's r is canonicalized to project t off it; then the block's draw, s
+    in place of t, is canonicalized in one ``canonical_rays`` pass, which
+    gives r the same bits again.  That stack is asked as it stands, in trial
+    order and r, s, a, b within a trial, and its answers are scored with
+    ``ray_functions``.  The block size changes neither the rays asked nor
+    the report.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _trial_count(trials)
     dim = oracle.dim_in
     if dim < 2:
         raise ValueError("orthogonal pairs need dimension at least 2")
@@ -307,21 +350,30 @@ def check_orthogonality_preservation(
     max_orth = 0.0
     max_u = 0.0
     for v in sample_state_blocks(trials, 4, dim, rng):
-        k = len(v)
-        r = canonical_rays(v[:, 0])
-        t = v[:, 1]  # a view: s takes t's place in the block's draw
-        t -= _vdots(r, t)[:, None] * r
-        for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
-            t[j] = _orthogonal_state(r[j], rng)
-        sources = canonical_rays(v.reshape(4 * k, dim))
-        images = oracle._images(sources).reshape(k, 4, oracle.dim_out)
-        a, b = sources[2::4], sources[3::4]
-        max_orth = max(max_orth, float(ray_functions(images[:, 0], images[:, 1]).max()))
-        drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(a, b))
-        max_u = max(max_u, float(drift.max()))
+        orth, drift = _preservation_block(oracle, v, rng)
+        del v  # the next block is drawn with none of this one's arrays alive
+        max_orth, max_u = max(max_orth, orth), max(max_u, drift)
     worst = (("orthogonality-preservation", max_orth), ("ray-function-invariance", max_u))
     entries = tuple(_entry(name, x, tol.orth_tol, seed, trials=trials) for name, x in worst)
     return ConformanceReport(dim=dim, seed=seed, entries=entries)
+
+
+def _preservation_block(
+    oracle: RayMapOracle, v: np.ndarray, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Worst image u of the orthogonal pairs and worst u drift of one (k, 4, dim) block."""
+    k, _, dim = v.shape
+    r = canonical_rays(v[:, 0])
+    t = v[:, 1]  # a view: s takes t's place in the block's draw
+    t -= _vdots(r, t)[:, None] * r
+    for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
+        t[j] = _orthogonal_state(r[j], rng)
+    sources = canonical_rays(v.reshape(4 * k, dim))
+    images = oracle._images(sources).reshape(k, 4, oracle.dim_out)
+    a, b = sources[2::4], sources[3::4]
+    orth = float(ray_functions(images[:, 0], images[:, 1]).max())
+    drift = np.abs(ray_functions(images[:, 2], images[:, 3]) - ray_functions(a, b))
+    return orth, float(drift.max())
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -35,9 +35,15 @@ from .errors import DimensionMismatch, ZeroVector
 #: Modulus threshold for picking the phase-pivot component of a unit vector.
 PIVOT_TOL = 1e-9
 
-#: Trials per block of the sampled checks.  Bounds their working memory
-#: whatever the trial count.
+#: Fewest trials per block of the sampled checks.  A block holds
+#: max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials: 200 trials at dims up to 16
+#: draw one block, dims of 128 and more keep 32-trial blocks.  That bounds
+#: the checks' working memory whatever the trial count, and spends each
+#: block's fixed cost of array calls on as many trials as the budget allows.
 SAMPLE_BLOCK = 32
+
+#: Trials times dimension per block of the sampled checks.
+_SAMPLE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -232,24 +238,6 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _stack_reps(rays: list[Ray]) -> np.ndarray:
-    """The read-only (k, n) stack of the rays' reps: row j is ``rays[j].rep`` bit for bit.
-
-    The rays still pending are checked, prescaled and canonicalized together,
-    in one ``canonical_rays`` pass, and stay pending; the first bad one
-    raises what ``Ray`` raises.
-    """
-    reps = [ray._rep for ray in rays]
-    stack = np.array([ray._pending if r is None else r for ray, r in zip(rays, reps)])
-    todo = [j for j, r in enumerate(reps) if r is None]
-    if len(todo) == len(rays):
-        return _canonical_rows(_prescaled_rows(stack))
-    if todo:
-        stack[todo] = _canonical_rows(_prescaled_rows(stack[todo]))
-    stack.flags.writeable = False
-    return stack
-
-
 def ray_function(r: Ray, s: Ray) -> float:
     """Transition probability u(r, s) between two rays.
 
@@ -290,14 +278,22 @@ def sample_ray(dim: int, rng: np.random.Generator) -> Ray:
 
 
 def sample_state_blocks(trials: int, per_trial: int, dim: int, rng: np.random.Generator):
-    """Yield the ``sample_state`` draws of ``trials`` trials, SAMPLE_BLOCK trials at a time.
+    """Yield the ``sample_state`` draws of ``trials`` trials, one block at a time.
 
-    Each block is a (k, per_trial, dim) stack from one
+    A block holds max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials, the last
+    one the rest.  Each block is a (k, per_trial, dim) stack from one
     ``rng.standard_normal((k, 2 * per_trial, dim))`` call: the normals that k
     trials of ``per_trial`` consecutive ``sample_state`` calls draw, in the
-    same order, so entry [j, m] equals the m-th state of trial j.  A block is
-    drawn only when the previous one has been consumed.
+    same order, so entry [j, m] equals the m-th state of trial j.  Consecutive
+    draws continue one stream, so the block size changes no number.  A block
+    is drawn only when the previous one has been consumed, and the generator
+    keeps no reference to a block it has yielded.
     """
-    for start in range(0, trials, SAMPLE_BLOCK):
-        z = rng.standard_normal((min(SAMPLE_BLOCK, trials - start), 2 * per_trial, dim))
-        yield (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+    step = max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim)
+    for start in range(0, trials, step):
+        yield _states(rng.standard_normal((min(step, trials - start), 2 * per_trial, dim)))
+
+
+def _states(z: np.ndarray) -> np.ndarray:
+    """The states of a (k, 2 * per_trial, dim) normal draw, paired as in ``sample_state``."""
+    return (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)

@@ -59,7 +59,7 @@ from .errors import (
     RaySymError,
     SliceDegenerate,
 )
-from .oracles import RayMapOracle, SymmetryOperator, _square_matrix
+from .oracles import RayMapOracle, SymmetryOperator, _square_matrix, _trial_count
 from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sample_state_blocks
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
@@ -406,26 +406,35 @@ def verify_reproduction(
     """Worst-case 1 - u(ray(op x), oracle image) over random rays.
 
     Zero means the operator reproduces the ray map exactly; values at
-    rounding level certify reproduction up to the global phase.
+    rounding level certify reproduction up to the global phase.  ``trials``
+    is read with ``operator.index`` before any ray is asked (TypeError
+    naming it for a float or a str, ValueError below 1).
 
-    Trials run in blocks of SAMPLE_BLOCK: one normal draw gives the block's
-    source rays (``sample_state_blocks``), the operator maps the whole stack
-    (one matrix-vector product per row: U x, or U conj(x) when antiunitary),
-    and the oracle is asked the block's sources as one stack, in trial order.
+    Trials run in the blocks of ``sample_state_blocks``, each released
+    before the next draw: one normal draw gives the block's source rays, the
+    operator maps the whole stack (one matrix-vector product per row: U x,
+    or U conj(x) when antiunitary), and the oracle is asked the block's
+    sources as one stack, in trial order.  The block size changes neither
+    the rays asked nor the result.
     """
     if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
         raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _trial_count(trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for v in sample_state_blocks(trials, 1, op.dim, rng):
-        sources = canonical_rays(v[:, 0])
-        x = np.conj(sources) if op.antiunitary else sources
-        mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
-        images = oracle._images(sources)
-        worst = max(worst, float((1.0 - ray_functions(mapped, images)).max()))
+        worst = max(worst, _reproduction_block(op, oracle, v))
+        del v  # the next block is drawn with none of this one's arrays alive
     return worst
+
+
+def _reproduction_block(op: SymmetryOperator, oracle: RayMapOracle, v: np.ndarray) -> float:
+    """Worst 1 - u(ray(op x), oracle image) over the sources of one (k, 1, dim) block."""
+    sources = canonical_rays(v[:, 0])
+    x = np.conj(sources) if op.antiunitary else sources
+    mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
+    images = oracle._images(sources)
+    return float((1.0 - ray_functions(mapped, images)).max())
 
 
 def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from raysym import (
     DEFAULT_TOLERANCES,
     DimensionMismatch,
     Ray,
+    RayMapOracle,
     Tolerances,
     ZeroVector,
     canonical_ray,
@@ -18,7 +20,6 @@ from raysym import (
 from raysym.rays import (
     PIVOT_TOL,
     SAMPLE_BLOCK,
-    _stack_reps,
     canonical_rays,
     ray_function,
     ray_functions,
@@ -35,6 +36,13 @@ def axis_ray(dim, i):
 
 def random_state(dim, seed):
     return sample_state(dim, np.random.default_rng(seed))
+
+
+def asked_as_a_stack(answers):
+    """The stack ``RayMapOracle._images`` gathers when an oracle gives these answers in order."""
+    replies = iter(answers)
+    oracle = RayMapOracle(1, answers[0].dim, lambda ray: next(replies))
+    return oracle._images(np.ones((len(answers), 1), dtype=np.complex128))
 
 
 class TestCanonicalRay:
@@ -172,7 +180,7 @@ class TestRayConstructor:
         reads = (
             lambda: Ray(v).rep,
             lambda: Ray._from_answer(w).rep,
-            lambda: _stack_reps([Ray._from_answer(w)])[0],
+            lambda: asked_as_a_stack([Ray._from_answer(w)])[0],
         )
         try:
             want = reference_ray_rep(v)
@@ -506,7 +514,7 @@ class TestCanonicalRays:
         with pytest.raises((ValueError, ZeroVector)) as ref:
             Ray(v[first])
         answers = [Ray._from_answer(row) for row in v]
-        for stack in (lambda: canonical_rays(v), lambda: _stack_reps(answers)):
+        for stack in (lambda: canonical_rays(v), lambda: asked_as_a_stack(answers)):
             with pytest.raises(type(ref.value)) as info:
                 stack()
             assert type(info.value) is type(ref.value)
@@ -544,8 +552,8 @@ class TestCanonicalRays:
         np.testing.assert_allclose(ray.rep, Ray(v).rep, rtol=0, atol=1e-15)
 
 
-class TestStackReps:
-    """The stack helper the sampled checks and map_basis gather oracle answers with."""
+class TestAnswerStacks:
+    """The stack the sampled checks and map_basis gather oracle answers into."""
 
     @staticmethod
     def vectors(dim, rng):
@@ -586,10 +594,12 @@ class TestStackReps:
 
         for make in (pending, read, wrapped, unchecked, mixed):
             rays = make()
-            got = _stack_reps(rays)
+            still_pending = [r._rep is None for r in rays]
+            got = asked_as_a_stack(rays)
             assert got.shape == want.shape
             assert not got.flags.writeable, make.__name__
             assert got.tobytes() == want.tobytes(), make.__name__
+            assert [r._rep is None for r in rays] == still_pending, make.__name__
             assert got.tobytes() == np.array([r.rep for r in rays]).tobytes()
 
 
@@ -617,22 +627,49 @@ class TestRayFunctions:
 
 
 class TestSampleStateBlocks:
-    def test_blocks_hold_the_per_trial_draws_in_order(self):
+    # A block holds max(32, 4096 // dim) trials: one block of 200 trials at
+    # dims up to 16, 64 trials at dim 64, 32 trials from dim 128 on.
+    @pytest.mark.parametrize(
+        "trials, per_trial, dim, shapes",
+        [
+            (200, 4, 2, [(200, 4, 2)]),
+            (5000, 1, 2, [(2048, 1, 2), (2048, 1, 2), (904, 1, 2)]),
+            (64, 4, 64, [(64, 4, 64)]),
+            (150, 4, 64, [(64, 4, 64), (64, 4, 64), (22, 4, 64)]),
+            (70, 4, 128, [(32, 4, 128), (32, 4, 128), (6, 4, 128)]),
+            (40, 1, 256, [(32, 1, 256), (8, 1, 256)]),
+        ],
+    )
+    def test_block_shapes(self, trials, per_trial, dim, shapes):
+        blocks = sample_state_blocks(trials, per_trial, dim, np.random.default_rng(1))
+        assert [b.shape for b in blocks] == shapes
+
+    @pytest.mark.parametrize("trials, dim", [(70, 3), (150, 64), (70, 128)])
+    def test_blocks_hold_the_per_trial_draws_in_order(self, trials, dim):
         rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
-        blocks = list(sample_state_blocks(70, 4, 3, rng_a))
-        assert [b.shape for b in blocks] == [(32, 4, 3), (32, 4, 3), (6, 4, 3)]
-        states = np.concatenate(blocks).reshape(-1, 3)
+        blocks = list(sample_state_blocks(trials, 4, dim, rng_a))
+        states = np.concatenate(blocks).reshape(-1, dim)
+        assert len(states) == 4 * trials
         for state in states:
-            assert np.array_equal(state, sample_state(3, rng_b))
+            assert np.array_equal(state, sample_state(dim, rng_b))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_each_block_is_drawn_when_asked_for(self):
         rng = np.random.default_rng(0)
-        blocks = sample_state_blocks(40, 1, 2, rng)
+        blocks = sample_state_blocks(100, 1, 64, rng)
+        after = np.random.default_rng(0)
+        for shape in [(64, 2, 64), (36, 2, 64)]:
+            next(blocks)
+            after.standard_normal(shape)
+            assert rng.bit_generator.state == after.bit_generator.state
+        with pytest.raises(StopIteration):
+            next(blocks)
+
+    def test_no_reference_to_a_yielded_block_is_kept(self):
+        blocks = sample_state_blocks(100, 4, 64, np.random.default_rng(2))
+        block = weakref.ref(next(blocks))
+        assert block() is None
         next(blocks)
-        after_first = np.random.default_rng(0)
-        after_first.standard_normal((32, 2, 2))
-        assert rng.standard_normal() == after_first.standard_normal()
 
 
 class TestTolerances:
