@@ -210,13 +210,6 @@ def parse_samples(text: str) -> tuple[complex, ...]:
     return tuple(value for _, value in samples)
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    try:
-        return Tolerances(orth_tol=args.tol_orth, recon_tol=args.tol_recon)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-
-
 def render_reconstruction(result: ReconstructionResult) -> list[str]:
     """The report's lines; each matrix row's ``dim`` lines come as one newline-joined string."""
     op = result.operator
@@ -274,41 +267,25 @@ def render_probe(probe: ProbeResult, dim: int, scale: float) -> list[str]:
     return lines
 
 
-def _emit(lines: list[str]) -> None:
-    # Two writes, so that a large report is not copied once more to append "\n".
-    sys.stdout.write("\n".join(lines))
-    sys.stdout.write("\n")
-    sys.stdout.flush()  # so that a closed stdout raises in main, not at exit
+# Each command gets the loaded operator file and the tolerances from main, and
+# returns its report's lines and its exit code; main prints them.
+def cmd_reconstruct(args: argparse.Namespace, op: SymmetryOperator, tol: Tolerances):
+    result = reconstruct(induced_map(op), op.dim, tol)
+    return render_reconstruction(result), 0 if result.unitary_valid else 2
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    op = load_operator_file(args.input)
-    tol = _tolerances(args)
-    oracle = induced_map(op)
-    result = reconstruct(oracle, op.dim, tol)
-    _emit(render_reconstruction(result))
-    return 0 if result.unitary_valid else 2
-
-
-def cmd_conformance(args: argparse.Namespace) -> int:
-    op = load_operator_file(args.input)
-    tol = _tolerances(args)
+def cmd_conformance(args: argparse.Namespace, op: SymmetryOperator, tol: Tolerances):
     if args.trials < 1:
         raise UsageError("--trials: must be at least 1")
     if args.trials > MAX_TRIALS:
         raise UsageError(f"--trials: must be at most {MAX_TRIALS}")
     if args.seed < 0:
         raise UsageError("--seed: must be at least 0")
-    report = run_full_conformance(
-        op, seed=args.seed, tol=tol, invariance_trials=args.trials
-    )
-    _emit(render_conformance(report))
-    return 0 if report.passed else 1
+    report = run_full_conformance(op, seed=args.seed, tol=tol, invariance_trials=args.trials)
+    return render_conformance(report), 0 if report.passed else 1
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    op = load_operator_file(args.input)
-    tol = _tolerances(args)
+def cmd_probe(args: argparse.Namespace, op: SymmetryOperator, tol: Tolerances):
     if args.index < 2:
         raise UsageError("--index: must be at least 2 (axis 1 is the reference axis)")
     if args.index > op.dim:
@@ -317,25 +294,12 @@ def cmd_probe(args: argparse.Namespace) -> int:
     oracle = induced_map(op)
     fixed = fix_phases(oracle, map_basis(oracle, op.dim, tol), tol)
     probe = probe_automorphism(oracle, fixed, samples, args.index - 1, tol)
-    _emit(render_probe(probe, op.dim, float(fixed.scales[args.index - 1])))
-    return 0
+    return render_probe(probe, op.dim, float(fixed.scales[args.index - 1])), 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol-orth", type=float, default=DEFAULT_TOLERANCES.orth_tol, metavar="X",
-        help="orthogonality tolerance: on transition probabilities in the basis and sampled "
-        "checks, on amplitudes in the slice probes (default %(default)g)",
-    )
-    parser.add_argument(
-        "--tol-recon", type=float, default=DEFAULT_TOLERANCES.recon_tol, metavar="X",
-        help="reconstruction residual and basis Gram-defect tolerance (default %(default)g)",
-    )
 
 
 @functools.cache
@@ -347,17 +311,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rec = sub.add_parser(
-        "reconstruct", help="reconstruct the operator behind an induced ray map"
+    # The arguments every command takes; --help lists them first.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="operator description file (JSON)")
+    common.add_argument(
+        "--tol-orth", type=float, default=DEFAULT_TOLERANCES.orth_tol, metavar="X",
+        help="orthogonality tolerance: on transition probabilities in the basis and sampled "
+        "checks, on amplitudes in the slice probes (default %(default)g)",
     )
-    p_rec.add_argument("input", help="operator description file (JSON)")
-    _add_tolerance_flags(p_rec)
+    common.add_argument(
+        "--tol-recon", type=float, default=DEFAULT_TOLERANCES.recon_tol, metavar="X",
+        help="reconstruction residual and basis Gram-defect tolerance (default %(default)g)",
+    )
+
+    p_rec = sub.add_parser(
+        "reconstruct", parents=[common], help="reconstruct the operator behind an induced ray map"
+    )
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_conf = sub.add_parser(
-        "conformance", help="run the full hypothesis and assertion check suite"
+        "conformance", parents=[common], help="run the full hypothesis and assertion check suite"
     )
-    p_conf.add_argument("input", help="operator description file (JSON)")
     p_conf.add_argument(
         "--seed", type=int, default=0, help="master seed for randomized checks (default 0)"
     )
@@ -366,13 +340,11 @@ def _parser() -> argparse.ArgumentParser:
         help=f"ray-pair trials for the two hypothesis checks, 1 to {MAX_TRIALS} (default 200); "
         f"reproduction always maps {REPRODUCTION_TRIALS} rays",
     )
-    _add_tolerance_flags(p_conf)
     p_conf.set_defaults(func=cmd_conformance)
 
     p_probe = sub.add_parser(
-        "probe", help="probe the coordinate automorphism pointwise"
+        "probe", parents=[common], help="probe the coordinate automorphism pointwise"
     )
-    p_probe.add_argument("input", help="operator description file (JSON)")
     p_probe.add_argument(
         "--samples", default=None, metavar="LIST",
         help="comma-separated complex probe points, e.g. \"1,i,1+i\" (default: built-in grid)",
@@ -381,7 +353,6 @@ def _parser() -> argparse.ArgumentParser:
         "--index", type=int, default=2,
         help="coordinate axis to probe, 1-based, at least 2 (default 2)",
     )
-    _add_tolerance_flags(p_probe)
     p_probe.set_defaults(func=cmd_probe)
     return parser
 
@@ -389,7 +360,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        op = load_operator_file(args.input)
+        try:
+            tol = Tolerances(orth_tol=args.tol_orth, recon_tol=args.tol_recon)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
+        lines, code = args.func(args, op, tol)
+        # Two writes, so that a large report is not copied once more to append "\n".
+        sys.stdout.write("\n".join(lines))
+        sys.stdout.write("\n")
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except (UsageError, RaySymError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 64 if isinstance(err, (UsageError, OperatorFileError)) else 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,13 +27,14 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
-    _canonical_rows,
+    _canonical_answers,
     _prescaled_rows,
+    _states,
     _vdots,
     canonical_rays,
     ray_functions,
     sample_state,
-    sample_state_blocks,
+    sampled_maxima,
 )
 
 #: Condition number above which a matrix does not induce an invertible ray map.
@@ -118,11 +120,11 @@ class RayMapOracle:
 
     The library asks in one place, the private methods below: one ``image``
     call per ray, in order, with read-only rays.  A stack of rays (one block
-    of a sampled check, sized by ``sample_state_blocks``, or ``map_basis``'s
-    axes) is asked row by row; each answer's vector is copied into one stack
-    as it arrives, and no answer's Ray is kept after that.  The rows still
-    pending are then canonicalized in one pass, with the bits each answer's
-    ``rep`` would have.  A lone slice probe reads its answer's ``rep``.
+    of a sampled check, or ``map_basis``'s axes) is asked row by row; each
+    answer's vector is copied into one stack as it arrives, and no answer's
+    Ray is kept after that.  The rows still pending are then canonicalized
+    in one pass, with the bits each answer's ``rep`` would have.  A lone
+    slice probe reads its answer's ``rep``.
     Oracles carry no state, so concurrent image calls are safe, and the same
     ray always gets the same answer.  The library
     relies on that: its slice probes (``fix_phases``,
@@ -165,29 +167,13 @@ class RayMapOracle:
     def _images(self, rows: np.ndarray) -> np.ndarray:
         """Canonical (k, dim_out) stack of the answers to a canonical (k, dim_in) stack.
 
-        Row j is the j-th answer's ``rep`` bit for bit.  Each answer's vector
-        (its ``rep``, or the vector still pending) is copied into the stack
-        as it arrives; the pending rows are then checked, prescaled and
-        canonicalized together, and the first bad one raises what ``Ray``
-        raises.  The answers themselves stay pending.
+        Row j is the j-th answer's ``rep`` bit for bit, gathered by
+        ``_canonical_answers`` as the answers arrive.
         """
         rows = rows.view()
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
-        stack = np.empty((rows.shape[0], self.dim_out), dtype=np.complex128)
-        pending = []
-        for j, row in enumerate(rows):
-            answer = self.image(Ray._from_canonical(row))
-            rep = answer._rep
-            if rep is None:
-                pending.append(j)
-                rep = answer._pending
-            stack[j] = rep
-        if len(pending) == len(stack):
-            return _canonical_rows(_prescaled_rows(stack))
-        if pending:
-            stack[pending] = _canonical_rows(_prescaled_rows(stack[pending]))
-        stack.flags.writeable = False
-        return stack
+        answers = (self.image(Ray._from_canonical(row)) for row in rows)
+        return _canonical_answers(answers, rows.shape[0], self.dim_out)
 
     def _image_rep(self, row: np.ndarray) -> np.ndarray:
         """The answer's ``rep`` for one read-only canonical row."""
@@ -330,7 +316,7 @@ def check_orthogonality_preservation(
     a float or a str, ValueError below 1), so each entry's ``trials`` is a
     Python int.  Requires dim_in >= 2.
 
-    Trials run in the blocks of ``sample_state_blocks``: one block draws the
+    Trials run in the blocks of ``rays.sampled_maxima``: one block draws the
     generators of r, t, a and b of each of its trials, in that order, with
     one normal draw, and its arrays are released before the next draw.  s is
     t projected off r; when the projection has |t|^2 <= DEGENERATE_DRAW a
@@ -346,13 +332,7 @@ def check_orthogonality_preservation(
     dim = oracle.dim_in
     if dim < 2:
         raise ValueError("orthogonal pairs need dimension at least 2")
-    rng = np.random.default_rng(seed)
-    max_orth = 0.0
-    max_u = 0.0
-    for v in sample_state_blocks(trials, 4, dim, rng):
-        orth, drift = _preservation_block(oracle, v, rng)
-        del v  # the next block is drawn with none of this one's arrays alive
-        max_orth, max_u = max(max_orth, orth), max(max_u, drift)
+    max_orth, max_u = sampled_maxima(trials, 4, dim, seed, partial(_preservation_block, oracle))
     worst = (("orthogonality-preservation", max_orth), ("ray-function-invariance", max_u))
     entries = tuple(_entry(name, x, tol.orth_tol, seed, trials=trials) for name, x in worst)
     return ConformanceReport(dim=dim, seed=seed, entries=entries)
@@ -385,7 +365,8 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    # The dim * dim real parts, then as many imaginary parts, in one draw.
+    z = _states(rng.standard_normal((1, 2, dim * dim))).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

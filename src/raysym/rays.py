@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -238,6 +239,32 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     return rep
 
 
+def _canonical_answers(answers, k: int, dim: int) -> np.ndarray:
+    """Canonical (k, dim) stack of the ``rep`` of each of k Rays, read as they arrive.
+
+    Row j is the j-th Ray's ``rep`` bit for bit.  Each Ray's vector (its
+    ``rep``, or the vector still pending) is copied into the stack as the
+    iterable ``answers`` yields it, so no Ray needs to outlive its row; the
+    pending rows are then checked, prescaled and canonicalized together, and
+    the first bad one raises what ``Ray`` raises.  The Rays themselves stay
+    pending.
+    """
+    stack = np.empty((k, dim), dtype=np.complex128)
+    pending = []
+    for j, answer in enumerate(answers):
+        rep = answer._rep
+        if rep is None:
+            pending.append(j)
+            rep = answer._pending
+        stack[j] = rep
+    if len(pending) == k:
+        return _canonical_rows(_prescaled_rows(stack))
+    if pending:
+        stack[pending] = _canonical_rows(_prescaled_rows(stack[pending]))
+    stack.flags.writeable = False
+    return stack
+
+
 def ray_function(r: Ray, s: Ray) -> float:
     """Transition probability u(r, s) between two rays.
 
@@ -277,23 +304,35 @@ def sample_ray(dim: int, rng: np.random.Generator) -> Ray:
     return canonical_ray(sample_state(dim, rng))
 
 
-def sample_state_blocks(trials: int, per_trial: int, dim: int, rng: np.random.Generator):
-    """Yield the ``sample_state`` draws of ``trials`` trials, one block at a time.
+def sampled_maxima(trials: int, per_trial: int, dim: int, seed: int, score) -> list[float]:
+    """Running maxima of ``score(block, rng)`` over the sampled blocks of ``trials`` trials.
 
-    A block holds max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials, the last
-    one the rest.  Each block is a (k, per_trial, dim) stack from one
+    ``rng`` is ``np.random.default_rng(seed)``.  A block holds
+    max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials, the last one the rest.
+    Each block is a (k, per_trial, dim) stack from one
     ``rng.standard_normal((k, 2 * per_trial, dim))`` call: the normals that k
     trials of ``per_trial`` consecutive ``sample_state`` calls draw, in the
-    same order, so entry [j, m] equals the m-th state of trial j.  Consecutive
-    draws continue one stream, so the block size changes no number.  A block
-    is drawn only when the previous one has been consumed, and the generator
-    keeps no reference to a block it has yielded.
+    same order, so entry [j, m] equals the m-th state of trial j.
+    Consecutive draws continue one stream, so the block size changes no
+    number.  ``score`` may draw from ``rng`` after its block, and returns a
+    tuple of Python floats; each maximum starts at 0.0.  The next block is
+    drawn once ``score`` has returned, and no reference to a scored block
+    is kept.
     """
+    rng = np.random.default_rng(seed)
     step = max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim)
+    worst = repeat(0.0)
     for start in range(0, trials, step):
-        yield _states(rng.standard_normal((min(step, trials - start), 2 * per_trial, dim)))
+        shape = (min(step, trials - start), 2 * per_trial, dim)
+        # The block lives only for the score call: the next draw finds it released.
+        worst = [max(w, x) for w, x in zip(worst, score(_states(rng.standard_normal(shape)), rng))]
+    return worst
 
 
 def _states(z: np.ndarray) -> np.ndarray:
-    """The states of a (k, 2 * per_trial, dim) normal draw, paired as in ``sample_state``."""
+    """The states of a (k, 2 * per_trial, dim) normal draw, paired as in ``sample_state``.
+
+    The one site of the complex-normal formula for a draw of many states;
+    ``random_unitary`` takes its Ginibre matrix from it too.
+    """
     return (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)

@@ -60,7 +60,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator, _square_matrix, _trial_count
-from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sample_state_blocks
+from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sampled_maxima
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -410,7 +410,7 @@ def verify_reproduction(
     is read with ``operator.index`` before any ray is asked (TypeError
     naming it for a float or a str, ValueError below 1).
 
-    Trials run in the blocks of ``sample_state_blocks``, each released
+    Trials run in the blocks of ``rays.sampled_maxima``, each released
     before the next draw: one normal draw gives the block's source rays, the
     operator maps the whole stack (one matrix-vector product per row: U x,
     or U conj(x) when antiunitary), and the oracle is asked the block's
@@ -420,12 +420,9 @@ def verify_reproduction(
     if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
         raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")
     trials = _trial_count(trials)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for v in sample_state_blocks(trials, 1, op.dim, rng):
-        worst = max(worst, _reproduction_block(op, oracle, v))
-        del v  # the next block is drawn with none of this one's arrays alive
-    return worst
+    return sampled_maxima(
+        trials, 1, op.dim, seed, lambda v, rng: (_reproduction_block(op, oracle, v),)
+    )[0]
 
 
 def _reproduction_block(op: SymmetryOperator, oracle: RayMapOracle, v: np.ndarray) -> float:

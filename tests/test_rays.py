@@ -24,7 +24,7 @@ from raysym.rays import (
     ray_function,
     ray_functions,
     sample_state,
-    sample_state_blocks,
+    sampled_maxima,
 )
 
 from conftest import axis_vector, reference_ray_function, reference_ray_rep
@@ -626,6 +626,24 @@ class TestRayFunctions:
             ray_functions(np.ones((2, 2), dtype=complex), np.ones((2, 3), dtype=complex))
 
 
+def scored_blocks(trials, per_trial, dim, seed, score=None):
+    """The blocks ``sampled_maxima`` hands its score, with the generator it hands with them.
+
+    Each call records a copy of the block and the generator, then calls
+    ``score`` (by default it scores 0.0); the copies and the last generator
+    are returned.
+    """
+    blocks, rngs = [], []
+
+    def recording(v, rng):
+        blocks.append(v.copy())
+        rngs.append(rng)
+        return (0.0,) if score is None else score(v, rng)
+
+    sampled_maxima(trials, per_trial, dim, seed, recording)
+    return blocks, rngs[-1]
+
+
 class TestSampleStateBlocks:
     # A block holds max(32, 4096 // dim) trials: one block of 200 trials at
     # dims up to 16, 64 trials at dim 64, 32 trials from dim 128 on.
@@ -641,13 +659,13 @@ class TestSampleStateBlocks:
         ],
     )
     def test_block_shapes(self, trials, per_trial, dim, shapes):
-        blocks = sample_state_blocks(trials, per_trial, dim, np.random.default_rng(1))
+        blocks, _ = scored_blocks(trials, per_trial, dim, 1)
         assert [b.shape for b in blocks] == shapes
 
     @pytest.mark.parametrize("trials, dim", [(70, 3), (150, 64), (70, 128)])
     def test_blocks_hold_the_per_trial_draws_in_order(self, trials, dim):
-        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
-        blocks = list(sample_state_blocks(trials, 4, dim, rng_a))
+        blocks, rng_a = scored_blocks(trials, 4, dim, 6)
+        rng_b = np.random.default_rng(6)
         states = np.concatenate(blocks).reshape(-1, dim)
         assert len(states) == 4 * trials
         for state in states:
@@ -655,21 +673,47 @@ class TestSampleStateBlocks:
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_each_block_is_drawn_when_asked_for(self):
-        rng = np.random.default_rng(0)
-        blocks = sample_state_blocks(100, 1, 64, rng)
+        # The score draws after its block, as a redraw does; the next block
+        # comes after that draw, so it is drawn only once the score returned.
         after = np.random.default_rng(0)
-        for shape in [(64, 2, 64), (36, 2, 64)]:
-            next(blocks)
-            after.standard_normal(shape)
-            assert rng.bit_generator.state == after.bit_generator.state
-        with pytest.raises(StopIteration):
-            next(blocks)
+        shapes = iter([(64, 2, 64), (36, 2, 64)])
 
-    def test_no_reference_to_a_yielded_block_is_kept(self):
-        blocks = sample_state_blocks(100, 4, 64, np.random.default_rng(2))
-        block = weakref.ref(next(blocks))
-        assert block() is None
-        next(blocks)
+        def score(v, rng):
+            after.standard_normal(next(shapes))
+            assert rng.bit_generator.state == after.bit_generator.state
+            rng.standard_normal(3)
+            after.standard_normal(3)
+            return (0.0,)
+
+        blocks, _ = scored_blocks(100, 1, 64, 0, score)
+        assert len(blocks) == 2
+        assert next(shapes, None) is None
+
+    def test_no_reference_to_a_scored_block_is_kept(self, monkeypatch):
+        scored = []
+        rng = np.random.default_rng(2)
+
+        class Checked:
+            """The generator, but every draw first checks that no scored block is alive."""
+
+            def standard_normal(self, size):
+                assert all(block() is None for block in scored)
+                return rng.standard_normal(size)
+
+        def score(v, rng):
+            scored.append(weakref.ref(v))
+            return (0.0,)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Checked())
+        sampled_maxima(100, 4, 64, 2, score)
+        assert len(scored) == 2
+        assert scored[-1]() is None
+
+    def test_maxima_run_over_the_blocks_from_zero(self):
+        scores = iter([(-1.0, 0.25, 3.0), (-2.0, 0.5, 1.0), (-3.0, 0.125, 2.0)])
+        worst = sampled_maxima(70, 1, 128, 0, lambda v, rng: next(scores))
+        assert worst == [0.0, 0.5, 3.0]
+        assert [type(x) for x in worst] == [float] * 3
 
 
 class TestTolerances:

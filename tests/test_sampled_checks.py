@@ -134,7 +134,8 @@ def oracle_family(kind, dim, seed):
 
 
 FAMILIES = ["unitary", "antiunitary", "diag121", "ginibre", "near-unitary", "noisy"]
-CASES = [(kind, dim) for kind in FAMILIES for dim in (2, 3, 8, 16, 64)] + [("twist", 2)]
+#: At 40 trials, dims up to 64 draw one block; dim 128 draws a full block of 32 and a partial one.
+CASES = [(kind, dim) for kind in FAMILIES for dim in (2, 3, 8, 16, 64, 128)] + [("twist", 2)]
 
 
 def assert_same_rays(got, expected):
@@ -146,7 +147,7 @@ def assert_same_rays(got, expected):
 class TestPreservationAgainstTheTrialLoop:
     @pytest.mark.parametrize("kind, dim", CASES)
     def test_same_rays_and_residuals(self, kind, dim):
-        trials = 40  # a full block of 32 and a partial one
+        trials = 40  # one block up to dim 64, two at dim 128 (CASES)
         for seed in (0, 5, 11):
             _, oracle = oracle_family(kind, dim, seed)
             new_oracle, new_asked = recording(oracle)
