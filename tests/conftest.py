@@ -1,11 +1,19 @@
 import json
 import math
 import os
+import platform
 
 # One BLAS thread, set before numpy loads BLAS: the suite's matrix-vector
 # products are small, and spare threads only contend with other processes.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# One OpenBLAS kernel on x86-64, also set before numpy loads BLAS: the last
+# digits of BLAS dots and matrix products depend on the kernel, and
+# tests/data/golden_cli.json was recorded under Haswell, which every x86-64
+# CPU with AVX2 and FMA runs.  It overrides the kernel OpenBLAS would pick.
+if platform.machine().lower() in ("x86_64", "amd64"):
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

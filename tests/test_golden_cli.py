@@ -4,10 +4,16 @@
 command reads, its arguments (``{input}`` stands for the file's path), and
 the exit code, stdout and stderr recorded when the file was written.  The
 default output of the CLI is meant to stay byte-stable; this test makes that
-a check.  Rewrite the data, only for an intended output change, with
+a check.  The last printed digits depend on the BLAS kernel, so the tests
+pin one (``conftest.py``), and so does a rewrite.  Rewrite the data, only
+for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
+
+# conftest pins the BLAS threads and kernel before numpy loads BLAS, so it is
+# imported first, also when this file runs as a script.
+from conftest import matrix_pairs  # isort: skip
 
 import contextlib
 import io
@@ -21,8 +27,6 @@ import pytest
 
 from raysym import random_unitary
 from raysym.cli import main
-
-from conftest import matrix_pairs
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.json"
 
