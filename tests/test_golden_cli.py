@@ -85,8 +85,10 @@ COMMANDS = [
     *[(f, ("probe", "{input}", *REPEATS, "--index", str(dim)))
       for f, dim in (("unitary-8", 8), ("antiunitary-3", 3))],
     *[("near-shear-2", (command, "{input}")) for command in ("reconstruct", "conformance", "probe")],
-    # the automorphism-law probe fails after reconstruct succeeded: an error line with no stage
-    ("unitary-3", ("conformance", "{input}", "--tol-orth", "3e-16")),
+    # the automorphism-law probe fails after reconstruct succeeded: an error line with no stage.
+    # Under the pinned kernel the tolerance lies between the largest leak of
+    # fix_phases' probes (1.1e-16) and that of the automorphism probe (2.0e-16).
+    ("unitary-3", ("conformance", "{input}", "--tol-orth", "1.5e-16")),
     # entries that a failed stage did not reach, at a nonzero seed
     ("ginibre-3", ("conformance", "{input}", *SEEDED)),
     # every check but round-trip passes at the smallest scale; round-trip reads 1
