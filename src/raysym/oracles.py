@@ -165,15 +165,10 @@ class RayMapOracle:
         return out
 
     def _images(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical (k, dim_out) stack of the answers to a canonical (k, dim_in) stack.
-
-        Row j is the j-th answer's ``rep`` bit for bit, gathered by
-        ``_canonical_answers`` as the answers arrive.
-        """
+        """Answer reps for a canonical (k, dim_in) stack, gathered by ``_canonical_answers``."""
         rows = rows.view()
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
-        answers = (self.image(Ray._from_canonical(row)) for row in rows)
-        return _canonical_answers(answers, rows.shape[0], self.dim_out)
+        return _canonical_answers(self.image, rows, self.dim_out)
 
     def _image_rep(self, row: np.ndarray) -> np.ndarray:
         """The answer's ``rep`` for one read-only canonical row."""

@@ -239,19 +239,22 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _canonical_answers(answers, k: int, dim: int) -> np.ndarray:
-    """Canonical (k, dim) stack of the ``rep`` of each of k Rays, read as they arrive.
+def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
+    """Canonical (k, dim) stack of the answers ``ask`` gives to the k canonical ``rows``.
 
-    Row j is the j-th Ray's ``rep`` bit for bit.  Each Ray's vector (its
-    ``rep``, or the vector still pending) is copied into the stack as the
-    iterable ``answers`` yields it, so no Ray needs to outlive its row; the
-    pending rows are then checked, prescaled and canonicalized together, and
-    the first bad one raises what ``Ray`` raises.  The Rays themselves stay
+    ``ask`` gets each row in order, wrapped as a Ray with no copy, and row j
+    of the result is the j-th answer's ``rep`` bit for bit.  Each answer's
+    vector (its ``rep``, or the vector still pending) is copied into the
+    stack as it arrives, so no answer outlives the next ask; the pending
+    rows are then checked, prescaled and canonicalized together, and the
+    first bad one raises what ``Ray`` raises.  The answers themselves stay
     pending.
     """
+    k = rows.shape[0]
     stack = np.empty((k, dim), dtype=np.complex128)
     pending = []
-    for j, answer in enumerate(answers):
+    for j, row in enumerate(rows):
+        answer = ask(Ray._from_canonical(row))
         rep = answer._rep
         if rep is None:
             pending.append(j)
