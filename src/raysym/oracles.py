@@ -16,6 +16,7 @@ live here: the sampled hypothesis check and the conformance suite share them.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -123,8 +124,15 @@ class RayMapOracle:
     of a sampled check, or ``map_basis``'s axes) is asked row by row; each
     answer's vector is copied into one stack as it arrives, and no answer's
     Ray is kept after that.  The rows still pending are then canonicalized
-    in one pass, with the bits each answer's ``rep`` would have.  A lone
-    slice probe reads its answer's ``rep``.
+    in one pass, with the bits each answer's ``rep`` would have.  The
+    distinct rays of a stage's slice probes go to ``_probe_answers``: a
+    plain oracle is asked them one at a time, each when its answer is
+    scored, so a failing probe asks no ray after it, and each answer's
+    ``rep`` is read.  ``induced_map``'s matrix oracles answer more than one
+    as one stack before the first is scored.  Their answers are finite and
+    nonzero, so that stack raises nothing ahead of an earlier row's scoring
+    error; only the rays asked past a failing probe differ.  A lone ray is
+    asked alone on either path.
     Oracles carry no state, so concurrent image calls are safe, and the same
     ray always gets the same answer.  The library
     relies on that: its slice probes (``fix_phases``,
@@ -170,9 +178,13 @@ class RayMapOracle:
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
         return _canonical_answers(self.image, rows, self.dim_out)
 
-    def _image_rep(self, row: np.ndarray) -> np.ndarray:
-        """The answer's ``rep`` for one read-only canonical row."""
-        return self.image(Ray._from_canonical(row)).rep
+    def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """Answer reps for a read-only canonical (k, dim_in) stack of distinct probe rays.
+
+        Each row is asked, in order, when its answer is taken, so a caller
+        that stops at a failing row has asked no ray after it.
+        """
+        return (self.image(Ray._from_canonical(row)).rep for row in rows)
 
     def __repr__(self) -> str:
         return f"RayMapOracle({self.label}, {self.dim_in} -> {self.dim_out})"
@@ -221,6 +233,24 @@ class ConformanceReport:
         raise KeyError(name)
 
 
+class _MatrixOracle(RayMapOracle):
+    """``induced_map``'s oracle: its asks have no effect beyond their answers.
+
+    Its answers are finite and nonzero, so canonicalizing them raises
+    nothing.  So more than one probe ray is asked as one ``_images`` stack,
+    still one ``image`` call per ray, before the first answer is scored: no
+    ask can raise ahead of an earlier row's scoring error.  A lone ray keeps
+    the scalar path, which is faster than a one-row stack.
+    """
+
+    __slots__ = ()
+
+    def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        if len(rows) > 1:
+            return iter(self._images(rows))
+        return RayMapOracle._probe_answers(self, rows)
+
+
 def _gram_certifies(m: np.ndarray) -> bool:
     """Whether the Gershgorin discs of G = m^dagger m lie in [lo, hi] with lo > 0 and hi <= 4 lo."""
     gram = np.abs(m.conj().T @ m)
@@ -240,7 +270,8 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
     nonzero at any scale of ``op.matrix``.  So each product is the answer,
     pending and uncopied, and checked where it is canonicalized.  Where the
     scaled entries and products stay normal, its ``rep`` is
-    ``Ray(op.matrix @ x).rep``.
+    ``Ray(op.matrix @ x).rep``.  The oracle asks the slice probes of a stage
+    as one stack when there is more than one (``_MatrixOracle``).
 
     A matrix whose condition number ``np.linalg.cond(op.matrix)`` is not
     finite or is at least MAX_CONDITION raises SingularMatrix.  That SVD runs
@@ -272,7 +303,7 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
             return answer(m.dot(ray.rep))
 
     kind = "antilinear" if op.antiunitary else "linear"
-    return RayMapOracle(op.dim, op.dim, image_fn, label=f"{kind}[dim={op.dim}]")
+    return _MatrixOracle(op.dim, op.dim, image_fn, label=f"{kind}[dim={op.dim}]")
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:

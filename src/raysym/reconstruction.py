@@ -25,8 +25,13 @@ stages, each consuming only oracle answers:
 
 Every stage asks through :class:`RayMapOracle`'s one ask path.  Stages 2-4
 and ``probe_automorphism`` share one probe path: a stage makes the rays of
-all its probe points in one pass, then asks each distinct ray once, one at a
-time, so a failing probe asks no ray after it.
+all its probe points in one pass, then asks each distinct ray once and
+scores the answers in order, one at a time; the first failing probe raises.
+A plain oracle is asked each ray as its answer is scored, so a failing probe
+asks no ray after it.  ``induced_map``'s matrix oracles answer more than one
+distinct ray as one stack before the first is scored; their answers are
+finite and nonzero, so the stack raises nothing ahead of a scoring error,
+and every result and error keeps its bits.  A lone ray is asked alone.
 
 The assembled operator has the phase-fixed image axes as columns and the
 antiunitary flag set by the classification.  When every scale r_i is 1
@@ -60,7 +65,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator, _square_matrix, _trial_count
-from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sampled_maxima
+from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_rays, ray_functions, sampled_maxima
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -224,19 +229,30 @@ def _slice_probes(
 ) -> Iterator[complex]:
     """``slice_coordinates`` at each point ``points[j]`` on axis ``axes[j]``, in order.
 
-    One ``canonical_rays`` pass makes every probe ray.  A ray is asked only at
-    its first occurrence on its axis, and scored as its answer arrives.
+    One ``canonical_rays`` pass makes every probe ray; a lone one is
+    ``Ray(v).rep``, the same bits faster than a one-row stack.  A ray is asked
+    only at its first occurrence on its axis: the oracle's ``_probe_answers``
+    gets the distinct rays in that order, lazily for a plain oracle and as
+    one stack for a matrix oracle of more than one of them.  Each answer is
+    scored in turn, and the first failing one raises.
     """
     probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
     probes[:, 0] = 1.0
     probes[np.arange(len(points)), axes] = points
-    rows = canonical_rays(probes)
+    rows = canonical_rays(probes) if len(probes) > 1 else Ray(probes[0]).rep[None]
+    keys = [(i, row.tobytes()) for i, row in zip(axes, rows)]
+    first: dict[tuple[int, bytes], int] = {}
+    for j, key in enumerate(keys):
+        first.setdefault(key, j)
+    if len(first) < len(rows):  # copy only where some ray repeats
+        rows = rows[list(first.values())]
+        rows.flags.writeable = False  # the oracle never gets a ray it can write into
+    answers = oracle._probe_answers(rows)
     adjoint = basis.columns.conj().T
     asked: dict[tuple[int, bytes], complex] = {}
-    for i, row in zip(axes, rows):
-        key = (i, row.tobytes())
+    for i, key in zip(axes, keys):
         if key not in asked:
-            b = adjoint.dot(oracle._image_rep(row))
+            b = adjoint.dot(next(answers))
             if abs(b[0]) <= tol.orth_tol:
                 raise SliceDegenerate(
                     f"image of the probe on axis {i} is orthogonal to the reference axis "
@@ -348,7 +364,10 @@ def probe_automorphism(
     All of this is checked before any ray is asked.  Oracles are
     deterministic, so each probe ray is asked once, at its first occurrence
     in that order: points whose probe rays have the same canonical
-    representative share one answer, as do 0.0 and -0.0.  Pointwise probing
+    representative share one answer, as do 0.0 and -0.0.  A plain oracle is
+    asked the rays one at a time, so a failing probe asks no ray after it;
+    a matrix oracle (``induced_map``) answers them all as one stack first,
+    with the same result or error.  Pointwise probing
     documents the laws but cannot by itself certify the global preservation
     hypotheses.
     """

@@ -274,8 +274,10 @@ class TestOneBuilder:
         ]
         for rows in stacks:
             assert general._images(rows).tobytes() == induced._images(rows).tobytes()
-            for row in rows:
-                assert general._image_rep(row).tobytes() == induced._image_rep(row).tobytes()
+            # the slice-probe answers: the whole stack, and each row as a lone probe
+            for probes in (rows, *(row[None] for row in rows)):
+                answers = [a.tobytes() for a in general._probe_answers(probes)]
+                assert answers == [a.tobytes() for a in induced._probe_answers(probes)]
 
 
 class TestOracleInterface:

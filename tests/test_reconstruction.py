@@ -35,7 +35,7 @@ from raysym import (
     slice_coordinates,
     verify_reproduction,
 )
-from raysym.rays import ray_function, sample_ray
+from raysym.rays import canonical_rays, ray_function, sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import axis_vector, reference_apply
@@ -387,6 +387,22 @@ class TestSliceCoordinates:
         basis = map_basis(oracle, 3)
         assert slice_coordinates(oracle, basis, 1.0, 1) == pytest.approx(2.0, abs=1e-14)
         assert slice_coordinates(oracle, basis, 1.0, 2) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_a_lone_probe_asks_the_ray_and_reads_the_value_of_a_stack(self, dim):
+        # A lone probe ray is Ray(v).rep; several are one canonical_rays pass.
+        oracle, log = counting_oracle(induced_map(SymmetryOperator(random_unitary(dim, seed=dim))))
+        fixed = fix_phases(oracle, map_basis(oracle, dim))
+        points = (0.3 + 0.7j, -0.0, 1e-300j, -3.0 + 1.0j, 2.0**-1074, 1e-5 - 7.0j)
+        i = dim - 1
+        probe = probe_automorphism(oracle, fixed, points, i)
+        stack = np.zeros((len(points), dim), dtype=np.complex128)
+        stack[:, 0], stack[:, i] = 1.0, points
+        for (z, f), ray in zip(probe.values, canonical_rays(stack)):
+            log.clear()
+            c = slice_coordinates(oracle, fixed, z, i)
+            assert log == [ray.tobytes()]
+            assert bits([c / fixed.scales[i]]) == bits([f])
 
     def test_probe_index_bounds(self):
         oracle = identity_oracle(3)
@@ -756,6 +772,96 @@ class TestProbeDeduplication:
             with pytest.raises(ValueError) as info:
                 probe_automorphism(oracle, fixed, samples, i)
             assert str(info.value) == message + str(i)
+
+
+def leak_probe_3():
+    """u3 (I + 1e-5 E_32): fix_phases' probes leak 7.07e-6, the automorphism probe 8.16e-6."""
+    shear = np.eye(3, dtype=np.complex128)
+    shear[2, 1] = 1e-5
+    return random_unitary(3, seed=11) @ shear
+
+
+#: Passes reconstruct on leak_probe_3, with a margin of 6-8% to the leaks on either side.
+LEAK_PROBE_TOL = Tolerances(orth_tol=7.5e-6, recon_tol=1e-4)
+
+
+class TestMatrixOracleProbeStack:
+    """A matrix oracle asks its slice probes as one stack; a plain callable asks them lazily.
+
+    The plain oracle wraps the matrix oracle's own ``image``, so both answer
+    every ray with the same bits, and only the ask path differs.
+    """
+
+    @staticmethod
+    def log_asks(monkeypatch):
+        """From here on, log every asked ray's bytes and the row count of every ``_images`` stack."""
+        rays, stacks = [], []
+        image, images = RayMapOracle.image, RayMapOracle._images
+
+        def logged_image(oracle, ray):
+            rays.append(ray.rep.tobytes())
+            return image(oracle, ray)
+
+        def logged_images(oracle, rows):
+            stacks.append(rows.shape[0])
+            return images(oracle, rows)
+
+        monkeypatch.setattr(RayMapOracle, "image", logged_image)
+        monkeypatch.setattr(RayMapOracle, "_images", logged_images)
+        return rays, stacks
+
+    @staticmethod
+    def stages(oracle, dim):
+        fixed = fix_phases(oracle, map_basis(oracle, dim))
+        antiunitary, residual = classify_automorphism(oracle, fixed)
+        probes = [
+            probe_fingerprint(probe_automorphism(oracle, fixed, samples, i))
+            for samples in (DEFAULT_PROBE_GRID, (0, -0.0, 1, 1))
+            for i in sorted({1, dim - 1})
+        ]
+        return bits(fixed.columns), fixed.scales.tobytes(), antiunitary, bits([residual]), probes
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    @pytest.mark.parametrize("antiunitary", [False, True])
+    def test_same_bits_and_asks_as_the_lazy_path(self, dim, antiunitary, monkeypatch):
+        oracle = induced_map(SymmetryOperator(random_unitary(dim, seed=40 + dim), antiunitary))
+        plain = RayMapOracle(dim, dim, oracle.image)
+        rays, stacks = self.log_asks(monkeypatch)
+        got = self.stages(oracle, dim)
+        got_rays, got_stacks = rays[:], stacks[:]
+        rays.clear()
+        stacks.clear()
+        assert got == self.stages(plain, dim)
+        assert got[2] is antiunitary
+        assert got_rays == rays
+        # map_basis' axes, then one stack per stage of more than one distinct ray:
+        # fix_phases' dim - 1 unit probes, and 121 and 4 rays per probed axis.
+        # classify_automorphism's lone ray, and dim 2's lone unit probe, are asked alone.
+        axes = len({1, dim - 1})
+        assert got_stacks == [dim, *[dim - 1] * (dim > 2), *[121] * axes, *[4] * axes]
+        assert stacks == [dim]
+
+    def test_a_leak_partway_through_the_stack_raises_the_lazy_path_error(self, monkeypatch):
+        oracle = general_induced_map(leak_probe_3())
+        plain = RayMapOracle(3, 3, oracle.image)
+        fixed = reconstruct(oracle, 3, LEAK_PROBE_TOL).basis
+        rays, _ = self.log_asks(monkeypatch)
+        outcomes = []
+        for probed in (oracle, plain):
+            rays.clear()
+            with pytest.raises(CrossTalk) as info:
+                probe_automorphism(probed, fixed, tol=LEAK_PROBE_TOL)
+            err = info.value
+            outcomes.append(((str(err), err.index, err.leak_index, bits([err.magnitude])), rays[:]))
+        (stacked, stacked_rays), (lazy, lazy_rays) = outcomes
+        assert stacked == lazy
+        message = "probe on axis 1 leaks onto axis 2 (component magnitude 8.165e-06)"
+        assert stacked[:3] == (message, 1, 2)
+        assert err.magnitude == pytest.approx(8.16496580886632e-06, rel=1e-9)
+        # the lazy path stops at the sixth sample, 1+i; the stack asked all 121 rays first
+        assert len(lazy_rays) == 6 and len(stacked_rays) == 121
+        assert stacked_rays[:6] == lazy_rays
+        assert lazy_rays[-1] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
 
 
 class TestReconstruct:
