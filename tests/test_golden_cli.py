@@ -43,6 +43,8 @@ def operator_files():
     u3 = random_unitary(3, seed=11)
     not_unitary = u3.copy()
     not_unitary[0, 0] += 1e-6
+    shear = np.eye(3)
+    shear[2, 1] = 1e-5
 
     def op(matrix, kind, **extra):
         m = np.asarray(matrix, dtype=np.complex128)
@@ -63,6 +65,8 @@ def operator_files():
         "near-shear-2": op([[1.0, 6e-9], [0.0, 1.0]], "general"),
         # the smallest subnormal times I: the identity ray map, far from I itself
         "tiny-identity-8": op(2.0**-1074 * np.eye(8), "general"),
+        # fix_phases' probes leak 7.07e-6 onto axis 3, the automorphism probe at 1+i 8.16e-6
+        "leak-probe-3": op(u3 @ shear, "general"),
     }
 
 
@@ -93,6 +97,10 @@ COMMANDS = [
     ("ginibre-3", ("conformance", "{input}", *SEEDED)),
     # every check but round-trip passes at the smallest scale; round-trip reads 1
     ("tiny-identity-8", ("conformance", "{input}")),
+    # the error line with no stage again, with the tolerance 6-8% from the leaks on
+    # either side: the automorphism probe fails partway through its stack of rays
+    *[("leak-probe-3", (command, "{input}", "--tol-orth", "7.5e-6", "--tol-recon", "1e-4"))
+      for command in ("conformance", "probe")],
 ]
 
 
