@@ -180,7 +180,7 @@ def load_operator_file(path: str) -> SymmetryOperator:
     op = SymmetryOperator(matrix=matrix, antiunitary=antiunitary)
     if kind in ("unitary", "antiunitary"):
         defect = op.unitarity_defect()
-        if defect > LOAD_UNITARY_TOL:
+        if not defect <= LOAD_UNITARY_TOL:  # only a defect shown within the bound passes
             raise OperatorFileError(
                 f"matrix: kind \"{kind}\" requires a unitary matrix "
                 f"(defect {defect:.3e} exceeds {LOAD_UNITARY_TOL:.0e})"

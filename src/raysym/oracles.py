@@ -15,6 +15,7 @@ live here: the sampled hypothesis check and the conformance suite share them.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -102,9 +103,15 @@ class SymmetryOperator:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        """Max-norm deviation of U^dagger U from the identity."""
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(gram - np.eye(self.dim))))
+        """Max-norm deviation of U^dagger U from the identity.
+
+        Never NaN: inf, with no warning, once U^dagger U leaves double range.
+        """
+        # The entries are finite, so only an overflow of the Gram product gives inf or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.matrix.conj().T @ self.matrix
+            defect = float(np.max(np.abs(gram - np.eye(self.dim))))
+        return math.inf if math.isnan(defect) else defect
 
 
 class RayMapOracle:
@@ -128,11 +135,10 @@ class RayMapOracle:
     distinct rays of a stage's slice probes go to ``_probe_answers``: a
     plain oracle is asked them one at a time, each when its answer is
     scored, so a failing probe asks no ray after it, and each answer's
-    ``rep`` is read.  ``induced_map``'s matrix oracles answer more than one
-    as one stack before the first is scored.  Their answers are finite and
-    nonzero, so that stack raises nothing ahead of an earlier row's scoring
-    error; only the rays asked past a failing probe differ.  A lone ray is
-    asked alone on either path.
+    ``rep`` is read.  ``induced_map``'s matrix oracles answer them as one
+    stack before the first is scored.  Their answers are finite and nonzero,
+    so that stack raises nothing ahead of an earlier row's scoring error;
+    only the rays asked past a failing probe differ.
     Oracles carry no state, so concurrent image calls are safe, and the same
     ray always gets the same answer.  The library
     relies on that: its slice probes (``fix_phases``,
@@ -237,18 +243,15 @@ class _MatrixOracle(RayMapOracle):
     """``induced_map``'s oracle: its asks have no effect beyond their answers.
 
     Its answers are finite and nonzero, so canonicalizing them raises
-    nothing.  So more than one probe ray is asked as one ``_images`` stack,
-    still one ``image`` call per ray, before the first answer is scored: no
-    ask can raise ahead of an earlier row's scoring error.  A lone ray keeps
-    the scalar path, which is faster than a one-row stack.
+    nothing.  So the probe rays are asked as one ``_images`` stack, still one
+    ``image`` call per ray, before the first answer is scored: no ask can
+    raise ahead of an earlier row's scoring error.
     """
 
     __slots__ = ()
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        if len(rows) > 1:
-            return iter(self._images(rows))
-        return RayMapOracle._probe_answers(self, rows)
+        return iter(self._images(rows))
 
 
 def _gram_certifies(m: np.ndarray) -> bool:
@@ -271,7 +274,7 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
     pending and uncopied, and checked where it is canonicalized.  Where the
     scaled entries and products stay normal, its ``rep`` is
     ``Ray(op.matrix @ x).rep``.  The oracle asks the slice probes of a stage
-    as one stack when there is more than one (``_MatrixOracle``).
+    as one stack (``_MatrixOracle``).
 
     A matrix whose condition number ``np.linalg.cond(op.matrix)`` is not
     finite or is at least MAX_CONDITION raises SingularMatrix.  That SVD runs
@@ -386,7 +389,10 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix.
 
     The R-diagonal phases are folded back into Q so the distribution is
-    exactly Haar rather than QR-convention dependent.
+    exactly Haar rather than QR-convention dependent.  The QR runs in
+    LAPACK/BLAS, so a seed repeats the matrix bit for bit only on one
+    LAPACK/BLAS kernel; another one (another OpenBLAS core type, say) may
+    change its last bits.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")

@@ -199,15 +199,17 @@ def canonical_rays(v: np.ndarray) -> np.ndarray:
 
     Row j of the read-only result is ``Ray(v[j]).rep``: the same power-of-two
     prescale, norm (two real dots per row), pivot, phase rotation and pivot
-    modulus, one array operation per step for the whole stack.  Raises
-    ValueError for a stack that is not 2-d with nonempty rows; at the first
-    row that is exactly zero or not finite, it raises what ``Ray`` raises for
-    that row.
+    modulus, one array operation per step for the whole stack.  A one-row
+    stack takes ``Ray``'s own scalar recipe instead, the same bits at a
+    fraction of the fixed cost of the array pass, so a caller with one row
+    needs no path of its own.  Raises ValueError for a stack that is not 2-d
+    with nonempty rows; at the first row that is exactly zero or not finite,
+    it raises what ``Ray`` raises for that row.
     """
-    v = np.asarray(v, dtype=np.complex128)
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected a 2-d stack of nonempty vectors")
-    return _canonical_rows(_prescaled_rows(np.ascontiguousarray(v)))
+    return _canonical_row(v[0])[None] if len(v) == 1 else _canonical_rows(_prescaled_rows(v))
 
 
 def _prescaled_rows(v: np.ndarray) -> np.ndarray:
@@ -261,9 +263,9 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
             rep = answer._pending
         stack[j] = rep
     if len(pending) == k:
-        return _canonical_rows(_prescaled_rows(stack))
+        return canonical_rays(stack)
     if pending:
-        stack[pending] = _canonical_rows(_prescaled_rows(stack[pending]))
+        stack[pending] = canonical_rays(stack[pending])
     stack.flags.writeable = False
     return stack
 

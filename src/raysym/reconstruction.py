@@ -28,10 +28,10 @@ and ``probe_automorphism`` share one probe path: a stage makes the rays of
 all its probe points in one pass, then asks each distinct ray once and
 scores the answers in order, one at a time; the first failing probe raises.
 A plain oracle is asked each ray as its answer is scored, so a failing probe
-asks no ray after it.  ``induced_map``'s matrix oracles answer more than one
-distinct ray as one stack before the first is scored; their answers are
-finite and nonzero, so the stack raises nothing ahead of a scoring error,
-and every result and error keeps its bits.  A lone ray is asked alone.
+asks no ray after it.  ``induced_map``'s matrix oracles answer the distinct
+rays as one stack before the first is scored; their answers are finite and
+nonzero, so the stack raises nothing ahead of a scoring error, and every
+result and error keeps its bits.
 
 The assembled operator has the phase-fixed image axes as columns and the
 antiunitary flag set by the classification.  When every scale r_i is 1
@@ -47,10 +47,12 @@ defect.  slice_coordinates and probe_automorphism name none of their errors.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .oracles import RayMapOracle, SymmetryOperator, _square_matrix, _trial_count
-from .rays import DEFAULT_TOLERANCES, Ray, Tolerances, canonical_rays, ray_functions, sampled_maxima
+from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sampled_maxima
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
 DEFAULT_PROBE_GRID = (
@@ -229,17 +231,16 @@ def _slice_probes(
 ) -> Iterator[complex]:
     """``slice_coordinates`` at each point ``points[j]`` on axis ``axes[j]``, in order.
 
-    One ``canonical_rays`` pass makes every probe ray; a lone one is
-    ``Ray(v).rep``, the same bits faster than a one-row stack.  A ray is asked
-    only at its first occurrence on its axis: the oracle's ``_probe_answers``
-    gets the distinct rays in that order, lazily for a plain oracle and as
-    one stack for a matrix oracle of more than one of them.  Each answer is
-    scored in turn, and the first failing one raises.
+    One ``canonical_rays`` pass makes every probe ray.  A ray is asked only
+    at its first occurrence on its axis: the oracle's ``_probe_answers`` gets
+    the distinct rays in that order, lazily for a plain oracle and as one
+    stack for a matrix oracle.  Each answer is scored in turn, and the first
+    failing one raises.
     """
     probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
     probes[:, 0] = 1.0
     probes[np.arange(len(points)), axes] = points
-    rows = canonical_rays(probes) if len(probes) > 1 else Ray(probes[0]).rep[None]
+    rows = canonical_rays(probes)
     keys = [(i, row.tobytes()) for i, row in zip(axes, rows)]
     first: dict[tuple[int, bytes], int] = {}
     for j, key in enumerate(keys):
@@ -377,17 +378,15 @@ def probe_automorphism(
     if not samples:
         raise ValueError("probe_automorphism needs at least one sample")
     points = list(samples)
-    for k, a in enumerate(samples):
-        for b in samples[k:]:
-            points += (a + b, a * b)
+    for a, b in combinations_with_replacement(samples, 2):
+        points += (a + b, a * b)
     f = [c / r for c in _slice_probes(oracle, fixed_basis, points, [i] * len(points), tol)]
     values = tuple(zip(samples, f))
     pairs = iter(f[len(samples):])
     add_res = mult_res = 0.0
-    for k, (a, fa) in enumerate(values):
-        for b, fb in values[k:]:
-            add_res = max(add_res, abs(next(pairs) - (fa + fb)))
-            mult_res = max(mult_res, abs(next(pairs) - fa * fb))
+    for fa, fb in combinations_with_replacement(f[:len(samples)], 2):
+        add_res = max(add_res, abs(next(pairs) - (fa + fb)))
+        mult_res = max(mult_res, abs(next(pairs) - fa * fb))
     return ProbeResult(
         index=i,
         values=values,
@@ -460,7 +459,8 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     stable even when other diagonal entries are near zero, at any scale of
     the entries, subnormal included.  Both matrices must be square and
     nonempty with finite entries (else ValueError) and of one shape (else
-    DimensionMismatch).
+    DimensionMismatch).  Once candidate^dagger reference leaves double range,
+    the residual is inf, with no warning.
     """
     candidate = _square_matrix(candidate, "candidate")
     reference = _square_matrix(reference, "reference")
@@ -468,14 +468,14 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
         raise DimensionMismatch(
             f"cannot compare matrices of shapes {candidate.shape} and {reference.shape}"
         )
-    v = candidate.conj().T @ reference
-    diag = np.diagonal(v)
-    k = int(np.argmax(np.abs(diag)))
-    d = diag[k]
-    if abs(d) == 0.0:
-        return float(np.max(np.abs(v)))
-    if abs(d) < np.finfo(np.float64).tiny:
-        # numpy divides by multiplying with 1 / abs(d), which overflows here.
-        d = d * 2.0**1022
-    phase = d / abs(d)
-    return float(np.max(np.abs(v - phase * np.eye(v.shape[0]))))
+    # The entries are finite, so only an overflow of the product gives inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = candidate.conj().T @ reference
+        diag = np.diagonal(v)
+        d = diag[int(np.argmax(np.abs(diag)))]
+        if 0.0 < abs(d) < np.finfo(np.float64).tiny:
+            # numpy divides by multiplying with 1 / abs(d), which overflows here.
+            d = d * 2.0**1022
+        phase = d / abs(d) if abs(d) else 0.0  # a zero diagonal reads no phase
+        residual = float(np.max(np.abs(v - phase * np.eye(v.shape[0]))))
+    return math.inf if math.isnan(residual) else residual

@@ -104,6 +104,19 @@ def test_pipeline_modules_import_no_private_name_from_rays():
         assert private == [], module
 
 
+def test_pipeline_modules_never_name_ray():
+    # They make rays as canonical stacks; canonical_rays alone decides how one row is made.
+    for module in ("reconstruction.py", "conformance.py"):
+        named = [
+            node.lineno
+            for node in ast.walk(parse(module))
+            if (isinstance(node, ast.Name) and node.id == "Ray")
+            or (isinstance(node, ast.Attribute) and node.attr == "Ray")
+            or (isinstance(node, ast.alias) and node.name == "Ray")
+        ]
+        assert named == [], module
+
+
 def test_only_ray_map_oracle_calls_image():
     # The library asks an oracle in one place: inside RayMapOracle's own methods.
     inside, outside = [], []

@@ -464,6 +464,17 @@ class TestReconstructCommand:
         assert (code, out) == (64, "")
         assert err == "error: matrix: entry (1, 1) re: out of double range, got an integer of 401 digits\n"
 
+    @pytest.mark.parametrize("scale, defect", [(1e150, "1.000e+300"), (1e160, "inf")])
+    def test_unitary_kind_beyond_double_range_exits_64(self, capsys, tmp_path, scale, defect):
+        # Past 1e154 the Gram product overflows: the defect reads inf, never a NaN that passes.
+        path = write_operator_file(tmp_path / "u.json", scale * random_unitary(4, seed=3), "unitary")
+        code, out, err = run_cli(capsys, "reconstruct", path)
+        assert (code, out) == (64, "")
+        assert err == (
+            'error: matrix: kind "unitary" requires a unitary matrix '
+            f"(defect {defect} exceeds 1e-08)\n"
+        )
+
     def test_pipeline_error_exits_1_and_names_the_stage(self, capsys, tmp_path):
         path = write_operator_file(tmp_path / "shear.json", SHEAR, "general")
         code, out, err = run_cli(capsys, "reconstruct", path)
@@ -498,6 +509,13 @@ class TestConformanceCommand:
         checks = grab(out, "check")
         assert len(checks) == 7
         assert all(row[1] == "pass" for row in checks)
+
+    def test_round_trip_beyond_double_range_fails_with_inf(self, capsys, tmp_path):
+        hadamard = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+        path = write_operator_file(tmp_path / "h.json", 1e308 * hadamard, "general")
+        code, out, err = run_cli(capsys, "conformance", path)
+        assert (code, err) == (1, "")
+        assert grab(out, "check")[5] == ["round-trip", "fail", "inf", "0", "0"]
 
     def test_diag_general_fails(self, capsys, diag_file):
         code, out, _ = run_cli(capsys, "conformance", diag_file)

@@ -502,6 +502,8 @@ class TestCanonicalRays:
         "rows",
         [
             [[0, 0], [np.nan, 1]],
+            [[0, 0]],
+            [[np.nan, 1]],
             [[1, 0], [0, 0], [np.inf, 0]],
             [[1, 0], [complex(0, -np.inf), 1], [0, 0]],
             [[np.nan, 0], [0, 0]],
@@ -567,10 +569,12 @@ class TestAnswerStacks:
         vs[6] = vs[6].real + 0.0j  # real, with +0.0 imaginary parts
         return vs
 
+    # All nine answers, or one alone: subnormal parts, or a signed zero before the pivot.
+    @pytest.mark.parametrize("picked", [range(9), [3], [4]], ids=["nine", "lone-3", "lone-4"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
-    def test_rows_are_the_reps_of_pending_read_and_wrapped_rays(self, dim):
+    def test_rows_are_the_reps_of_pending_read_and_wrapped_rays(self, dim, picked):
         rng = np.random.default_rng(45 + dim)
-        vs = self.vectors(dim, rng)
+        vs = [self.vectors(dim, rng)[j] for j in picked]
         want = np.array([reference_ray_rep(v) for v in vs])
 
         def pending():
@@ -592,7 +596,12 @@ class TestAnswerStacks:
             styles = (pending(), read(), wrapped(), unchecked())
             return [styles[j % 4][j] for j in range(len(vs))]
 
-        for make in (pending, read, wrapped, unchecked, mixed):
+        def one_pending():
+            rays = read()
+            rays[len(vs) // 2] = Ray(vs[len(vs) // 2])
+            return rays
+
+        for make in (pending, read, wrapped, unchecked, mixed, one_pending):
             rays = make()
             still_pending = [r._rep is None for r in rays]
             got = asked_as_a_stack(rays)

@@ -42,6 +42,8 @@ from conftest import axis_vector, reference_apply
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+#: The 4 x 4 Hadamard matrix, every entry +-1.
+HADAMARD_4 = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
 #: Passes map_basis (Gram defect 6e-9) and fix_phases, but f(i) misses i by 1.2e-8.
 NEAR_SHEAR = np.array([[1.0, 6e-9], [0.0, 1.0]])
 
@@ -834,11 +836,11 @@ class TestMatrixOracleProbeStack:
         assert got == self.stages(plain, dim)
         assert got[2] is antiunitary
         assert got_rays == rays
-        # map_basis' axes, then one stack per stage of more than one distinct ray:
-        # fix_phases' dim - 1 unit probes, and 121 and 4 rays per probed axis.
-        # classify_automorphism's lone ray, and dim 2's lone unit probe, are asked alone.
+        # map_basis' axes, then one stack per stage, a lone ray as a one-row stack:
+        # fix_phases' dim - 1 unit probes, classify_automorphism's one ray, and
+        # 121 and 4 rays per probed axis.
         axes = len({1, dim - 1})
-        assert got_stacks == [dim, *[dim - 1] * (dim > 2), *[121] * axes, *[4] * axes]
+        assert got_stacks == [dim, dim - 1, 1, *[121] * axes, *[4] * axes]
         assert stacks == [dim]
 
     def test_a_leak_partway_through_the_stack_raises_the_lazy_path_error(self, monkeypatch):
@@ -1078,6 +1080,20 @@ class TestGaugeResidual:
             with pytest.raises(ValueError) as info:
                 gauge_residual(*args)
             assert str(info.value) == f"{name} must be square and nonempty, got shape {shape}"
+
+    @pytest.mark.parametrize(
+        "candidate, reference",
+        [
+            (1e200 * random_unitary(4, seed=3), 1e200 * random_unitary(4, seed=3)),
+            (HADAMARD_4 / 2, 1e308 * HADAMARD_4),  # the round-trip of a general 1e308 * H_4 file
+            (np.array([[1.3e308 + 1.3e308j]]), np.eye(1)),  # a finite entry of no finite modulus
+        ],
+    )
+    def test_product_beyond_double_range_reads_inf(self, candidate, reference):
+        # candidate^dagger reference overflows; a NaN residual would read as a pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge_residual(candidate, reference) == np.inf
 
     @pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 2.0**-1022 * (1 - 2.0**-52)])
     @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(-2.1j)])
