@@ -132,13 +132,14 @@ class RayMapOracle:
     answer's vector is copied into one stack as it arrives, and no answer's
     Ray is kept after that.  The rows still pending are then canonicalized
     in one pass, with the bits each answer's ``rep`` would have.  The
-    distinct rays of a stage's slice probes go to ``_probe_answers``: a
-    plain oracle is asked them one at a time, each when its answer is
-    scored, so a failing probe asks no ray after it, and each answer's
-    ``rep`` is read.  ``induced_map``'s matrix oracles answer them as one
-    stack before the first is scored.  Their answers are finite and nonzero,
-    so that stack raises nothing ahead of an earlier row's scoring error;
-    only the rays asked past a failing probe differ.
+    distinct rays of a stage's slice probes go to ``_probe_answers``, which
+    answers them in stacks that are each scored in one pass.  A plain
+    oracle answers one ray per stack, each asked when its stack is taken,
+    so a failing probe asks no ray after it, and each answer's ``rep`` is
+    read.  ``induced_map``'s matrix oracles answer them all as one stack.
+    Their answers are finite and nonzero, so that stack raises nothing ahead
+    of an earlier row's scoring error; only the rays asked past a failing
+    probe differ.
     Oracles carry no state, so concurrent image calls are safe, and the same
     ray always gets the same answer.  The library
     relies on that: its slice probes (``fix_phases``,
@@ -185,12 +186,13 @@ class RayMapOracle:
         return _canonical_answers(self.image, rows, self.dim_out)
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """Answer reps for a read-only canonical (k, dim_in) stack of distinct probe rays.
+        """Stacks of answer reps for a read-only canonical (k, dim_in) stack of distinct probe rays.
 
-        Each row is asked, in order, when its answer is taken, so a caller
-        that stops at a failing row has asked no ray after it.
+        Here each row is asked, in order, when its one-row stack is taken,
+        so a caller that stops at a failing row has asked no ray after it.
         """
-        return (self.image(Ray._from_canonical(row)).rep for row in rows)
+        wrap = Ray._from_canonical
+        return (self.image(wrap(row)).rep[None] for row in rows)
 
     def __repr__(self) -> str:
         return f"RayMapOracle({self.label}, {self.dim_in} -> {self.dim_out})"
@@ -244,14 +246,14 @@ class _MatrixOracle(RayMapOracle):
 
     Its answers are finite and nonzero, so canonicalizing them raises
     nothing.  So the probe rays are asked as one ``_images`` stack, still one
-    ``image`` call per ray, before the first answer is scored: no ask can
-    raise ahead of an earlier row's scoring error.
+    ``image`` call per ray, and scored in one pass: no ask can raise ahead
+    of an earlier row's scoring error.
     """
 
     __slots__ = ()
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        return iter(self._images(rows))
+        return iter((self._images(rows),))
 
 
 def _gram_certifies(m: np.ndarray) -> bool:

@@ -74,6 +74,10 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+#: Builds a Ray with no ``__init__``, for the private wraps below.
+_new = object.__new__
+
+
 class Ray:
     """Canonical unit representative of a one-dimensional subspace of C^n.
 
@@ -111,14 +115,14 @@ class Ray:
     @classmethod
     def _from_canonical(cls, rep: np.ndarray) -> "Ray":
         """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
-        ray = cls.__new__(cls)
+        ray = _new(cls)
         ray._pending = ray._rep = rep
         return ray
 
     @classmethod
     def _from_answer(cls, w: np.ndarray) -> "Ray":
         """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check."""
-        ray = cls.__new__(cls)
+        ray = _new(cls)
         ray._pending = w
         ray._rep = None
         return ray
@@ -133,7 +137,7 @@ class Ray:
 
     @property
     def dim(self) -> int:
-        return self._pending.shape[0]
+        return len(self._pending)
 
     def __repr__(self) -> str:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
@@ -255,8 +259,9 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
     k = rows.shape[0]
     stack = np.empty((k, dim), dtype=np.complex128)
     pending = []
+    wrap = Ray._from_canonical
     for j, row in enumerate(rows):
-        answer = ask(Ray._from_canonical(row))
+        answer = ask(wrap(row))
         rep = answer._rep
         if rep is None:
             pending.append(j)

@@ -26,12 +26,13 @@ stages, each consuming only oracle answers:
 Every stage asks through :class:`RayMapOracle`'s one ask path.  Stages 2-4
 and ``probe_automorphism`` share one probe path: a stage makes the rays of
 all its probe points in one pass, then asks each distinct ray once and
-scores the answers in order, one at a time; the first failing probe raises.
-A plain oracle is asked each ray as its answer is scored, so a failing probe
-asks no ray after it.  ``induced_map``'s matrix oracles answer the distinct
-rays as one stack before the first is scored; their answers are finite and
-nonzero, so the stack raises nothing ahead of a scoring error, and every
-result and error keeps its bits.
+scores each stack of answers in one pass, with the bits of a row-by-row
+scoring.  Values reach the stage point by point, and the first failing probe
+raises at its own turn, after every earlier value.  A plain oracle answers
+one ray per stack, asked as that stack is scored, so a failing probe asks no
+ray after it.  ``induced_map``'s matrix oracles answer the distinct rays as
+one stack; their answers are finite and nonzero, so the stack raises nothing
+ahead of a scoring error, and every result and error keeps its bits.
 
 The assembled operator has the phase-fixed image axes as columns and the
 antiunitary flag set by the classification.  When every scale r_i is 1
@@ -233,9 +234,12 @@ def _slice_probes(
 
     One ``canonical_rays`` pass makes every probe ray.  A ray is asked only
     at its first occurrence on its axis: the oracle's ``_probe_answers`` gets
-    the distinct rays in that order, lazily for a plain oracle and as one
-    stack for a matrix oracle.  Each answer is scored in turn, and the first
-    failing one raises.
+    the distinct rays in that order and answers them in stacks, one ray per
+    stack for a plain oracle and all of them at once for a matrix oracle.
+    Each stack is scored in one pass, and its values are yielded point by
+    point; the first failing row raises when its point's turn comes, so an
+    error the caller raises on an earlier value wins, and a plain oracle is
+    asked no ray after the failing one.
     """
     probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
     probes[:, 0] = 1.0
@@ -248,28 +252,72 @@ def _slice_probes(
     if len(first) < len(rows):  # copy only where some ray repeats
         rows = rows[list(first.values())]
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
-    answers = oracle._probe_answers(rows)
+    scored = _scored_rows(oracle._probe_answers(rows), basis, [i for i, _ in first], tol)
+    values: dict[tuple[int, bytes], complex] = {}
+    for key in keys:
+        if key not in values:
+            values[key] = next(scored)
+        yield values[key]
+
+
+def _scored_rows(
+    stacks: Iterator[np.ndarray], basis: BasisImages, axes: Sequence[int], tol: Tolerances
+) -> Iterator[complex]:
+    """Slice coordinate b_i / b_1 of each answer row, stack by stack; row n probes ``axes[n]``.
+
+    Each stack takes one stacked product b = adjoint w, whose rows have the
+    bits of ``adjoint.dot(w)``, and one comparison of |b| with per-entry
+    thresholds.  The array abs can differ from the scalar abs in the last
+    bit, so it only preselects: a |b_1| up to 2 orth_tol, or a |b_j| above
+    orth_tol / 2 off axes 1 and i, sends the stack to the scalar abs, which
+    decides row by row and is reported.  The rows before the first failing
+    one are divided in one array division, with the bits of the scalar
+    ``b_i / b_1``, and yielded; then the failing row raises, and no later
+    stack is taken.
+    """
+    n, dim = len(axes), basis.dim
     adjoint = basis.columns.conj().T
-    asked: dict[tuple[int, bytes], complex] = {}
-    for i, key in zip(axes, keys):
-        if key not in asked:
-            b = adjoint.dot(next(answers))
-            if abs(b[0]) <= tol.orth_tol:
-                raise SliceDegenerate(
-                    f"image of the probe on axis {i} is orthogonal to the reference axis "
-                    f"(|b_1| = {abs(b[0]):.3e})"
-                )
-            # The array abs can differ from the scalar abs in the last bit, so it
-            # only preselects candidates; the scalar abs decides and is reported.
-            # One masked maximum rules out every axis but 0 and i at once.
-            mags = np.abs(b)
-            mags[0] = mags[i] = 0.0
-            if mags[mags.argmax()] > 0.5 * tol.orth_tol:
-                for j in np.flatnonzero(mags > 0.5 * tol.orth_tol):
-                    if abs(b[j]) > tol.orth_tol:
-                        raise CrossTalk(i, int(j), float(abs(b[j])))
-            asked[key] = complex(b[i] / b[0])
-        yield asked[key]
+    b = np.empty((n, dim), dtype=np.complex128)
+    coordinates = np.arange(0, n * dim, dim) + axes  # the flat index of each row's b_i
+    thresholds = np.full(n * dim, 0.5 * tol.orth_tol)
+    thresholds[::dim] = 2.0 * tol.orth_tol
+    thresholds[coordinates] = np.inf
+    thresholds = thresholds.reshape(n, dim)
+    # The marks of rows that pass unchecked: |b_1| alone above its threshold.
+    unchecked = (b"\x01" + bytes(dim - 1)) * n
+    start = 0
+    for w in stacks:
+        stack = b[start:start + len(w)]
+        np.matmul(adjoint, w[:, :, None], out=stack[:, :, None])
+        above = np.abs(stack) > thresholds[start:start + len(w)]
+        stop, error = len(w), None
+        if above.tobytes() != unchecked[:above.size]:
+            stop, error = _first_failure(stack, above, axes[start:start + len(w)], tol)
+        end = start + stop
+        yield from (b.take(coordinates[start:end]) / stack[:stop, 0]).tolist()
+        if error is not None:
+            raise error
+        start = end
+
+
+def _first_failure(
+    b: np.ndarray, above: np.ndarray, axes: Sequence[int], tol: Tolerances
+) -> tuple[int, RaySymError | None]:
+    """The first row of b that fails the slice tests, with its error; ``(len(b), None)`` if none.
+
+    Rows are checked in order with the scalar abs: |b_1| first, then the
+    entries that ``above`` marks past the first, the preselected leaks.
+    """
+    for n, (i, row, marks) in enumerate(zip(axes, b, above)):
+        if abs(row[0]) <= tol.orth_tol:
+            return n, SliceDegenerate(
+                f"image of the probe on axis {i} is orthogonal to the reference axis "
+                f"(|b_1| = {abs(row[0]):.3e})"
+            )
+        for j in np.flatnonzero(marks[1:]) + 1:
+            if abs(row[j]) > tol.orth_tol:
+                return n, CrossTalk(i, int(j), float(abs(row[j])))
+    return len(b), None
 
 
 def slice_coordinates(
@@ -367,8 +415,8 @@ def probe_automorphism(
     in that order: points whose probe rays have the same canonical
     representative share one answer, as do 0.0 and -0.0.  A plain oracle is
     asked the rays one at a time, so a failing probe asks no ray after it;
-    a matrix oracle (``induced_map``) answers them all as one stack first,
-    with the same result or error.  Pointwise probing
+    a matrix oracle (``induced_map``) answers them all as one stack, scored
+    in one pass, with the same result or error.  Pointwise probing
     documents the laws but cannot by itself certify the global preservation
     hypotheses.
     """
@@ -457,9 +505,10 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
 
     The phase is read off the largest-modulus diagonal entry, which stays
     stable even when other diagonal entries are near zero, at any scale of
-    the entries, subnormal included.  Both matrices must be square and
-    nonempty with finite entries (else ValueError) and of one shape (else
-    DimensionMismatch).  Once candidate^dagger reference leaves double range,
+    the entries, subnormal included.  An all-zero diagonal is equally far
+    from every unit phase, so it takes phase 1.  Both matrices must be
+    square and nonempty with finite entries (else ValueError) and of one
+    shape (else DimensionMismatch).  Once candidate^dagger reference leaves double range,
     the residual is inf, with no warning.
     """
     candidate = _square_matrix(candidate, "candidate")
@@ -476,6 +525,6 @@ def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
         if 0.0 < abs(d) < np.finfo(np.float64).tiny:
             # numpy divides by multiplying with 1 / abs(d), which overflows here.
             d = d * 2.0**1022
-        phase = d / abs(d) if abs(d) else 0.0  # a zero diagonal reads no phase
+        phase = d / abs(d) if abs(d) else 1.0
         residual = float(np.max(np.abs(v - phase * np.eye(v.shape[0]))))
     return math.inf if math.isnan(residual) else residual

@@ -517,6 +517,15 @@ class TestConformanceCommand:
         assert (code, err) == (1, "")
         assert grab(out, "check")[5] == ["round-trip", "fail", "inf", "0", "0"]
 
+    def test_round_trip_below_double_range_fails(self, capsys, tmp_path):
+        # candidate^dagger reference underflows to zero, which is no unit-phase match.
+        hadamard = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+        path = write_operator_file(tmp_path / "h.json", 5e-324 * hadamard, "general")
+        code, out, err = run_cli(capsys, "conformance", path)
+        assert (code, err) == (1, "")
+        assert grab(out, "check")[5] == ["round-trip", "fail", "1", "0", "0"]
+        assert grab(out, "overall") == [["fail"]]
+
     def test_diag_general_fails(self, capsys, diag_file):
         code, out, _ = run_cli(capsys, "conformance", diag_file)
         assert code == 1

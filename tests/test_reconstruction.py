@@ -35,7 +35,8 @@ from raysym import (
     slice_coordinates,
     verify_reproduction,
 )
-from raysym.rays import canonical_rays, ray_function, sample_ray
+import raysym.reconstruction
+from raysym.rays import Ray, canonical_rays, ray_function, sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import axis_vector, reference_apply
@@ -866,6 +867,131 @@ class TestMatrixOracleProbeStack:
         assert lazy_rays[-1] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
 
 
+def reference_slice_probes(oracle, basis, points, axes, tol):
+    """The per-row scorer: each distinct probe ray asked and scored alone, in order."""
+    probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
+    probes[:, 0] = 1.0
+    probes[np.arange(len(points)), axes] = points
+    adjoint = basis.columns.conj().T
+    asked = {}
+    for i, row in zip(axes, canonical_rays(probes)):
+        key = (i, row.tobytes())
+        if key not in asked:
+            b = adjoint.dot(oracle.image(Ray._from_canonical(row)).rep)
+            if abs(b[0]) <= tol.orth_tol:
+                raise SliceDegenerate(
+                    f"image of the probe on axis {i} is orthogonal to the reference axis "
+                    f"(|b_1| = {abs(b[0]):.3e})"
+                )
+            for j in range(1, basis.dim):
+                if j != i and abs(b[j]) > tol.orth_tol:
+                    raise CrossTalk(i, j, float(abs(b[j])))
+            asked[key] = complex(b[i] / b[0])
+        yield asked[key]
+
+
+def scored(run):
+    """Bitwise fingerprint of ``run()``'s result, or the type, message and fields of its error."""
+    try:
+        result = run()
+    except RaySymError as err:
+        fields = (err.index, err.leak_index, bits([err.magnitude])) if isinstance(err, CrossTalk) else ()
+        return (type(err).__name__, str(err), err.stage, *fields)
+    if isinstance(result, BasisImages):
+        return bits(result.columns), result.scales.tobytes()
+    if isinstance(result, ProbeResult):
+        return probe_fingerprint(result)
+    return bits([result])
+
+
+#: Probe points at the edges of double range: a signed zero, a tiny imaginary part, the
+#: smallest subnormal; and three generic points.
+EDGE_SAMPLES = (0.3 + 0.7j, -0.0, 1e-300j, 2.0**-1074, -3.0 + 1.0j, 1e-5 - 7.0j)
+
+
+class TestStackedScorer:
+    """Each answer stack is scored in one pass, with the bits of the per-row scorer."""
+
+    @staticmethod
+    def stages(oracle, basis, fixed, tol):
+        dim = basis.dim
+        runs = [lambda: fix_phases(oracle, basis, tol)]
+        runs += [lambda z=z: slice_coordinates(oracle, fixed, z, dim - 1, tol) for z in EDGE_SAMPLES]
+        runs += [
+            lambda i=i, samples=samples: probe_automorphism(oracle, fixed, samples, i, tol)
+            for i in sorted({1, dim - 1})
+            for samples in (EDGE_SAMPLES, DEFAULT_PROBE_GRID)
+        ]
+        return [scored(run) for run in runs]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("kind", ["unitary", "antiunitary", "general", "leak", "leak-loose"])
+    def test_same_bits_as_the_per_row_scorer(self, dim, kind, monkeypatch):
+        u = random_unitary(dim, seed=300 + dim)
+        clean = induced_map(SymmetryOperator(u, antiunitary=(kind == "antiunitary")))
+        tol = LEAK_PROBE_TOL if kind == "leak-loose" else DEFAULT_TOLERANCES
+        if kind == "general":
+            clean = oracle = general_induced_map(u * (1.0 + np.arange(dim) / dim))
+        elif kind.startswith("leak"):
+            # at dim >= 3 the probes on axis 1 leak onto the last axis, the more the larger |z|
+            shear = np.eye(dim, dtype=np.complex128)
+            if dim >= 3:
+                shear[-1, 1] = 1e-5
+            oracle = general_induced_map(u @ shear)
+        else:
+            oracle = clean
+        basis = map_basis(clean, dim)
+        fixed = fix_phases(clean, basis)
+        plain = RayMapOracle(dim, dim, oracle.image)
+        got = [self.stages(o, basis, fixed, tol) for o in (oracle, plain)]
+        monkeypatch.setattr(raysym.reconstruction, "_slice_probes", reference_slice_probes)
+        want = self.stages(plain, basis, fixed, tol)
+        assert got == [want, want]
+        if kind == "leak" and dim >= 3:
+            assert want[0][0] == "CrossTalk"  # fix_phases' unit probe on axis 1
+        if kind == "leak-loose" and dim >= 3:
+            # the unit probes pass; the default grid on axis 1 fails partway, at 1+i
+            assert want[0][0] != "CrossTalk" and want[8][0] == "CrossTalk"
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_a_zero_b1_raises_slice_degenerate_with_no_warning(self, wrap, monkeypatch):
+        # ray(e_1 + e_2) maps to ray(e_2), orthogonal to the reference axis: b_1 is exactly 0
+        oracle = general_induced_map(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        if wrap:
+            oracle = RayMapOracle(2, 2, oracle.image)
+        fixed = fix_phases(identity_oracle(2), map_basis(identity_oracle(2), 2))
+        runs = [
+            lambda: slice_coordinates(oracle, fixed, 1.0, 1),
+            lambda: probe_automorphism(oracle, fixed, (0.5, 1.0)),  # the second row fails
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [scored(run) for run in runs]
+            monkeypatch.setattr(raysym.reconstruction, "_slice_probes", reference_slice_probes)
+            want = [scored(run) for run in runs]
+        message = "image of the probe on axis 1 is orthogonal to the reference axis (|b_1| = 0.000e+00)"
+        assert got == want == [("SliceDegenerate", message, None)] * 2
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_the_callers_error_on_an_earlier_probe_wins(self, wrap, monkeypatch):
+        # axis 1's unit probe reads 1e-4, which fix_phases refuses; axis 2's image
+        # is orthogonal to the reference axis within orth_tol
+        oracle = general_induced_map(random_unitary(3, seed=11) @ np.diag([1.0, 1e-4, 1e4]))
+        if wrap:
+            oracle = RayMapOracle(3, 3, oracle.image)
+        tol = Tolerances(orth_tol=1e-3, recon_tol=1e-4)
+        basis = map_basis(oracle, 3, tol)
+        rays, _ = TestMatrixOracleProbeStack.log_asks(monkeypatch)
+        with pytest.raises(DegenerateProbe) as info:
+            fix_phases(oracle, basis, tol)
+        message = "[stage fix_phases] unit probe on axis 1 returned magnitude 1.000e-04"
+        assert str(info.value) == message
+        # the stack asked both unit probes; a plain oracle no ray past the refused one
+        assert len(set(rays)) == (1 if wrap else 2)
+        with pytest.raises(SliceDegenerate):
+            slice_coordinates(oracle, basis, 1.0, 2, tol)
+
+
 class TestReconstruct:
     def test_identity(self):
         result = reconstruct(identity_oracle(3), 3)
@@ -1094,6 +1220,18 @@ class TestGaugeResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gauge_residual(candidate, reference) == np.inf
+
+    @pytest.mark.parametrize(
+        "candidate, reference, want",
+        [
+            (np.zeros((2, 2)), np.eye(2), 1.0),
+            (HADAMARD_4 / 2, 5e-324 * HADAMARD_4, 1.0),  # the product underflows to zero
+            (np.array([[0.0, 3.0], [0.0, 0.0]]), np.eye(2), 3.0),  # the largest off-diagonal
+        ],
+    )
+    def test_zero_diagonal_is_no_match(self, candidate, reference, want):
+        # A zero diagonal is as far from every unit phase times the identity.
+        assert gauge_residual(candidate, reference) == want
 
     @pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 2.0**-1022 * (1 - 2.0**-52)])
     @pytest.mark.parametrize("phase", [1.0, 1j, np.exp(-2.1j)])
