@@ -1,13 +1,8 @@
 """Reconstruction of unitary/antiunitary symmetry operators from ray maps.
 
-A symmetry of a quantum system acts on rays (one-dimensional subspaces) of a
-finite-dimensional complex Hilbert space.  Given only black-box access to such
-a ray map, this package reconstructs the operator behind it, classifies the
-operator as linear or antilinear, measures how far the map deviates from the
-hypotheses that make the reconstruction exact (orthogonality preservation and
-transition-probability invariance), and verifies that the reconstructed
-operator reproduces the map.  This is Wigner's unitary-antiunitary theorem in
-executable form.
+Given only black-box access to a ray map on C^n, reconstruct the operator
+behind it, classify it as linear or antilinear, measure how far the map
+breaks the hypotheses of Wigner's theorem, and verify the reproduction.
 """
 
 from .conformance import CHECK_NAMES, run_full_conformance

@@ -1,26 +1,12 @@
 """Command-line front end.
 
-Operators are described by JSON files::
-
-    {
-      "dim": 2,
-      "kind": "unitary",                 # "unitary" | "antiunitary" | "general"
-      "matrix": [[[1.0, 0.0], [0.0, 0.0]],
-                 [[0.0, 0.0], [1.0, 0.0]]],
-      "conjugate_first": false           # optional, kind "general" only
-    }
-
-Every matrix entry is an explicit [re, im] pair of finite JSON numbers within
-double range, which keeps the format locale-free and round-trip exact.
-Kinds "unitary" and "antiunitary" are validated at load time (unitarity
-defect at most 1e-8).
-
-Commands print one record per line, tab-delimited, with floats rendered to
-17 significant digits so output is byte-stable and parseable.
-
-Exit codes: 0 success / theorem-conformant, 1 pipeline error or failed
-conformance, 2 diagnostic-only reconstruction, 64 malformed input or usage.
-A reader that closes stdout early also ends the command with exit 1.
+An operator file is a JSON object with ``dim`` (at least 2), ``kind``
+("unitary" or "antiunitary", of unitarity defect at most 1e-8, or "general",
+with an optional boolean ``conjugate_first``) and ``matrix``: ``dim`` rows of
+``dim`` [re, im] pairs of finite JSON numbers.  Commands print tab-delimited
+lines, floats to 17 significant digits.  Exit codes: 0 success /
+theorem-conformant, 1 pipeline error, failed conformance or a reader closing
+stdout early, 2 diagnostic-only reconstruction, 64 malformed input or usage.
 """
 
 from __future__ import annotations
@@ -36,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformance import REPRODUCTION_TRIALS, run_full_conformance
+from .conformance import INVARIANCE_TRIALS, REPRODUCTION_TRIALS, run_full_conformance
 from .errors import OperatorFileError, RaySymError
 from .oracles import ConformanceReport, SymmetryOperator, induced_map
 from .rays import DEFAULT_TOLERANCES, Tolerances
@@ -100,14 +86,7 @@ def _raise_first_fault(rows: list, dim: int) -> None:
 
 
 def _parse_matrix(rows, dim: int) -> np.ndarray:
-    """The ``matrix`` field as a (dim, dim) complex matrix, bit for bit as written.
-
-    A well-formed field is read whole: one type scan of the numbers of each
-    row (JSON integers and floats only), a shape check (``dim`` entries per
-    row, two numbers per entry), one float64 read of the numbers in row-major
-    order, one finiteness test.  Anything else has a faulty field, and the
-    per-entry scan raises OperatorFileError naming the first one.
-    """
+    """The ``matrix`` field, bit for bit as written; OperatorFileError names its first fault."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise OperatorFileError(f"matrix: expected {dim} rows")
     try:
@@ -128,10 +107,7 @@ def _parse_matrix(rows, dim: int) -> np.ndarray:
 
 
 def load_operator_file(path: str) -> SymmetryOperator:
-    """Parse and validate an operator description file.
-
-    Raises OperatorFileError with the failing field named.
-    """
+    """Parse and validate an operator file; OperatorFileError names the failing field."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -224,8 +200,7 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
     ]
     lines += [f"scale\t{i}\t{_fmt(s)}" for i, s in enumerate(result.scales.tolist(), start=1)]
     # One %-format per matrix row, on a template whose "\0" stands for the row
-    # number, applied to Python floats straight from the array, one row at a
-    # time; the format and the + 0.0 are _fmt's.
+    # number; the format and the + 0.0 are _fmt's.
     template = "\n".join([f"matrix\t\0\t{j}\t%.17g\t%.17g" for j in range(1, op.dim + 1)])
     parts = (op.matrix + 0.0).view(np.float64)  # re, im interleaved per row
     lines += [
@@ -336,9 +311,9 @@ def _parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="master seed for randomized checks (default 0)"
     )
     p_conf.add_argument(
-        "--trials", type=int, default=200,
-        help=f"ray-pair trials for the two hypothesis checks, 1 to {MAX_TRIALS} (default 200); "
-        f"reproduction always maps {REPRODUCTION_TRIALS} rays",
+        "--trials", type=int, default=INVARIANCE_TRIALS,
+        help=f"ray-pair trials for the two hypothesis checks, 1 to {MAX_TRIALS} "
+        f"(default %(default)s); reproduction always maps {REPRODUCTION_TRIALS} rays",
     )
     p_conf.set_defaults(func=cmd_conformance)
 

@@ -1,16 +1,8 @@
 """Theorem-level conformance suite.
 
-Packages the hypotheses (orthogonality preservation, transition-probability
-invariance) and the four reconstruction guarantees (completeness of the
-basis images, automorphism laws, unit scales, round-trip equality up to a
-global phase, reproduction of the ray map) as named checks that aggregate
-into one report.
-
-Hypothesis violations detected inside the reconstruction pipeline are not
-exceptions at this level: invalid oracles are first-class inputs, so the
-affected entries are marked failed (residual = inf) and the report records
-which stage aborted.  Errors in building the oracle itself (singular matrix,
-bad arguments) still propagate.
+Packages the hypotheses and the reconstruction guarantees as named checks in
+one report.  A pipeline error is not raised here: it fails what it left
+unreached.
 """
 
 from __future__ import annotations
@@ -27,6 +19,7 @@ from .oracles import (
 )
 from .rays import DEFAULT_TOLERANCES, Tolerances
 from .reconstruction import (
+    REPRODUCTION_TRIALS,
     ReconstructionResult,
     gauge_residual,
     probe_automorphism,
@@ -37,8 +30,8 @@ from .reconstruction import (
 #: Residual bound for the pointwise automorphism-law checks.
 AUTOMORPHISM_LAW_TOL = 1e-10
 
-#: Random rays the reproduction check maps through operator and oracle.
-REPRODUCTION_TRIALS = 100
+#: Ray-pair trials of the two hypothesis checks by default.
+INVARIANCE_TRIALS = 200
 
 #: Declared entry order of a full conformance report.
 CHECK_NAMES = (
@@ -58,11 +51,7 @@ def check_ray_function_invariance(
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
-    """Worst drift |u(image pair) - u(source pair)| over random ray pairs.
-
-    This is the u-drift half of check_orthogonality_preservation with the
-    same arguments, so one sample serves both hypothesis checks.
-    """
+    """The ``ray-function-invariance`` entry of check_orthogonality_preservation."""
     report = check_orthogonality_preservation(oracle, trials, seed, tol)
     return report.entry("ray-function-invariance")
 
@@ -72,10 +61,7 @@ def check_round_trip(
     recon: ReconstructionResult,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckResult:
-    """Kind agreement plus gauge residual against the generating operator.
-
-    Operators of different dimensions raise DimensionMismatch.
-    """
+    """Kind agreement and gauge residual against ``true_op``; DimensionMismatch across sizes."""
     kind_matches = recon.operator.antiunitary == true_op.antiunitary
     residual = gauge_residual(recon.operator.matrix, true_op.matrix)
     return _entry("round-trip", residual, tol.recon_tol, 0, kind_matches)
@@ -85,19 +71,17 @@ def run_full_conformance(
     true_op: SymmetryOperator,
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    invariance_trials: int = 200,
+    invariance_trials: int = INVARIANCE_TRIALS,
 ) -> ConformanceReport:
-    """Run every check against the ray map induced by an operator.
+    """Run every check against the ray map induced by ``true_op``.
 
-    Both hypothesis entries come from one check_orthogonality_preservation
-    sample, and the basis images are mapped once, inside reconstruct.
-    basis-completeness reads the Gram defect from the result, or from the
-    error's ``basis_gram_defect`` when a stage after map_basis raised.  The
-    hypothesis checks draw invariance_trials ray pairs from seed, and
-    reproduction draws REPRODUCTION_TRIALS rays from seed+2, so identical
-    inputs reproduce the report exactly.  Entries come in CHECK_NAMES order;
-    one that a failed stage did not reach fails with residual inf, 0 trials
-    and the run's seed.  A reached round-trip reports seed 0.
+    The hypothesis entries draw ``invariance_trials`` ray pairs from seed, and
+    reproduction REPRODUCTION_TRIALS rays from seed + 2; equal arguments give an
+    equal report.  A run that no stage aborts asks 4 * invariance_trials +
+    2 * dim + 121 + REPRODUCTION_TRIALS rays.  Entries come in CHECK_NAMES order;
+    one that a failed stage left unreached fails with residual inf, 0 trials and
+    the run's seed, and ``error`` holds the stage's message.  Raises ValueError
+    for dim below 2, and what induced_map raises.
     """
     dim = true_op.dim
     if dim < 2:

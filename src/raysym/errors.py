@@ -1,9 +1,10 @@
 """Exception hierarchy for ray-map reconstruction.
 
 Every library error derives from :class:`RaySymError`.  An error raised in
-map_basis, fix_phases or classify_automorphism, whoever called it, carries a
-``stage`` attribute naming that stage and, once the basis images were
-accepted, their ``basis_gram_defect``.
+map_basis, fix_phases or classify_automorphism, whoever called it, names that
+stage in ``stage`` and in its message ("[stage name] ..."), and, once the
+basis images were accepted, carries their ``basis_gram_defect``.
+slice_coordinates and probe_automorphism set no stage of their own.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ class SingularMatrix(RaySymError):
 
 
 class ImagesNotOrthogonal(RaySymError):
-    """Basis-ray images overlap: the oracle violates orthogonality preservation.
-
-    Carries the offending index pair and the transition probability between
-    the two images.
-    """
+    """Basis-ray images i and j overlap with transition probability u_value."""
 
     def __init__(self, i: int, j: int, u_value: float):
         super().__init__(

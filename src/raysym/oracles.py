@@ -1,16 +1,29 @@
-"""Ray-map oracles and the operators that induce them.
+"""Ray-map oracles, the operators that induce them, and the result type of a check.
 
-A ray-map oracle is a black-box map from rays of C^n to rays of C^m.  The
-reconstruction pipeline only ever talks to this interface, so implementations
-cannot leak phase or scale information.  Concrete oracles are induced by
-matrices: a symmetry operator acts as x -> U x (linear) or x -> U conj(x)
-(antilinear), and a general invertible matrix induces a ray map with no
-preservation guarantees, used to exercise the hypothesis-violation
-diagnostics.
+A ray-map oracle is a black-box map from rays of C^n to rays of C^m, and the
+pipeline talks to nothing else.  A symmetry operator induces one as x -> U x
+or x -> U conj(x); a general invertible matrix induces one with no
+preservation guarantees.  Every check reports a :class:`ConformanceReport`.
 
-The package's one result type for a check, a :class:`ConformanceReport` of
-:class:`CheckResult` entries, and the one verdict rule that judges an entry
-live here: the sampled hypothesis check and the conformance suite share them.
+How the library asks an oracle: only ``RayMapOracle``'s private methods call
+``image``, once per ray, in order, with a read-only ray, and a stage asks
+each distinct ray once.
+
+- A stack of rays (a block of a sampled check or of reproduction, or
+  ``map_basis``'s axes) goes to ``_images``.  Each answer's vector is copied
+  into one stack as it arrives, so no answer's Ray is kept, and the answers
+  still pending are canonicalized together in one ``canonical_rays`` pass,
+  with the bits and errors of each answer's own ``rep``.
+- A stage's distinct slice-probe rays go to ``_probe_answers``, which yields
+  stacks of answers, each scored in one pass with the bits of a row-by-row
+  scoring.  A plain oracle yields one-ray stacks, each asked lazily, so a
+  failing probe asks no ray after it.  A matrix oracle answers all of them
+  as one stack: its answers are finite and nonzero, so the stack raises
+  nothing ahead of an earlier probe's error, and only the rays asked past a
+  failing probe differ from a plain oracle's.
+- A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule,
+  so every answer is finite and nonzero at any scale.  Each answer is one
+  BLAS matrix-vector product, unchecked and uncopied until canonicalized.
 """
 
 from __future__ import annotations
@@ -64,11 +77,7 @@ def _square_matrix(m, name: str) -> np.ndarray:
 
 
 def _trial_count(trials) -> int:
-    """``trials`` as a Python int of at least 1, read with ``operator.index``.
-
-    A value of no integral type (a float, a str) raises TypeError naming
-    ``trials``; a count below 1 raises ValueError.
-    """
+    """``trials`` read with ``operator.index``: TypeError naming it, or ValueError below 1."""
     try:
         count = operator.index(trials)
     except TypeError:
@@ -80,12 +89,11 @@ def _trial_count(trials) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SymmetryOperator:
-    """An n x n complex matrix plus an antiunitary flag.
+    """An n x n complex matrix U plus a flag: x -> U x, or x -> U conj(x) when antiunitary.
 
-    Acts on vectors as x -> U x, or x -> U conj(x) when antiunitary, a bool
-    or numpy.bool_ (anything else raises TypeError).  The matrix is stored
-    read-only; the type itself does not require unitarity (diagnostic
-    operators are first-class), see :meth:`unitarity_defect`.
+    ``matrix`` must be square, nonempty and finite (else ValueError), and is
+    stored as a read-only copy; ``antiunitary`` must be a bool or numpy.bool_
+    (else TypeError).  Unitarity is not required.
     """
 
     matrix: np.ndarray
@@ -103,10 +111,7 @@ class SymmetryOperator:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        """Max-norm deviation of U^dagger U from the identity.
-
-        Never NaN: inf, with no warning, once U^dagger U leaves double range.
-        """
+        """Max-norm deviation of U^dagger U from the identity; inf, not NaN, past double range."""
         # The entries are finite, so only an overflow of the Gram product gives inf or NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.matrix.conj().T @ self.matrix
@@ -115,36 +120,15 @@ class SymmetryOperator:
 
 
 class RayMapOracle:
-    """Deterministic black-box map between ray sets.
+    """Deterministic black-box map from rays of dimension ``dim_in`` to ``dim_out``.
 
-    ``dim_in`` and ``dim_out`` must be positive integers of any integral
-    type (``operator.index``); anything else, a float included, raises
-    TypeError.  ``image_fn`` must be total on rays of dimension ``dim_in``
-    and return a :class:`~raysym.rays.Ray` of dimension ``dim_out``.
-    ``image`` raises TypeError, naming the oracle and the type, when it is
-    asked or answers something that is not a Ray, and DimensionMismatch for
-    a Ray of another dimension.  Every answer is checked and prescaled where
-    it is canonicalized, with the errors ``Ray(v)`` raises.
-
-    The library asks in one place, the private methods below: one ``image``
-    call per ray, in order, with read-only rays.  A stack of rays (one block
-    of a sampled check, or ``map_basis``'s axes) is asked row by row; each
-    answer's vector is copied into one stack as it arrives, and no answer's
-    Ray is kept after that.  The rows still pending are then canonicalized
-    in one pass, with the bits each answer's ``rep`` would have.  The
-    distinct rays of a stage's slice probes go to ``_probe_answers``, which
-    answers them in stacks that are each scored in one pass.  A plain
-    oracle answers one ray per stack, each asked when its stack is taken,
-    so a failing probe asks no ray after it, and each answer's ``rep`` is
-    read.  ``induced_map``'s matrix oracles answer them all as one stack.
-    Their answers are finite and nonzero, so that stack raises nothing ahead
-    of an earlier row's scoring error; only the rays asked past a failing
-    probe differ.
-    Oracles carry no state, so concurrent image calls are safe, and the same
-    ray always gets the same answer.  The library
-    relies on that: its slice probes (``fix_phases``,
-    ``probe_automorphism``) ask each distinct probe ray once and reuse the
-    answer.
+    The dimensions are read with ``operator.index`` (TypeError for a float) and
+    must be positive (else ValueError).  ``image_fn`` must be total on Rays of
+    dimension ``dim_in``, answer each with a Ray of dimension ``dim_out``, the
+    same for the same ray, and keep no state, so concurrent ``image`` calls are
+    safe.  ``image`` raises TypeError, naming the oracle and the type, when it
+    is asked or answers something that is not a Ray, and DimensionMismatch for
+    a Ray of another dimension.  How the library asks: see ``raysym.oracles``.
     """
 
     __slots__ = ("dim_in", "dim_out", "_image_fn", "label")
@@ -180,17 +164,13 @@ class RayMapOracle:
         return out
 
     def _images(self, rows: np.ndarray) -> np.ndarray:
-        """Answer reps for a canonical (k, dim_in) stack, gathered by ``_canonical_answers``."""
+        """Answer reps of a canonical (k, dim_in) stack, one ``image`` call per row, in order."""
         rows = rows.view()
         rows.flags.writeable = False  # the oracle never gets a ray it can write into
         return _canonical_answers(self.image, rows, self.dim_out)
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """Stacks of answer reps for a read-only canonical (k, dim_in) stack of distinct probe rays.
-
-        Here each row is asked, in order, when its one-row stack is taken,
-        so a caller that stops at a failing row has asked no ray after it.
-        """
+        """Answer-rep stacks of distinct probe rays; here one row each, asked as it is taken."""
         wrap = Ray._from_canonical
         return (self.image(wrap(row)).rep[None] for row in rows)
 
@@ -212,11 +192,7 @@ class CheckResult:
 def _entry(
     name: str, residual: float, bound: float, seed: int, reached: bool = True, trials: int = 0
 ) -> CheckResult:
-    """The one verdict rule: a check passes when it was reached and its residual is within bound.
-
-    ``reached`` is False when there is nothing to judge: a failed stage never
-    ran the check, map_basis rejected the basis, or the kinds differ.
-    """
+    """The one verdict rule: a check passes when it was reached and its residual is within bound."""
     residual = float(residual)
     return CheckResult(name, reached and residual <= bound, residual, trials, seed)
 
@@ -242,13 +218,7 @@ class ConformanceReport:
 
 
 class _MatrixOracle(RayMapOracle):
-    """``induced_map``'s oracle: its asks have no effect beyond their answers.
-
-    Its answers are finite and nonzero, so canonicalizing them raises
-    nothing.  So the probe rays are asked as one ``_images`` stack, still one
-    ``image`` call per ray, and scored in one pass: no ask can raise ahead
-    of an earlier row's scoring error.
-    """
+    """``induced_map``'s oracle, which answers a stage's probe rays as one ``_images`` stack."""
 
     __slots__ = ()
 
@@ -268,23 +238,12 @@ def _gram_certifies(m: np.ndarray) -> bool:
 def induced_map(op: SymmetryOperator) -> RayMapOracle:
     """Ray map induced by a symmetry operator: ray(x) -> ray(U x) or ray(U conj(x)).
 
-    One matrix-vector product per ray, with ``op.matrix`` prescaled as one
-    row of ``Ray``'s recipe: by the power of two that brings its largest
-    real or imaginary part into [0.5, 1).  It induces the same map, and,
-    once its condition is checked, its product with a unit x is finite and
-    nonzero at any scale of ``op.matrix``.  So each product is the answer,
-    pending and uncopied, and checked where it is canonicalized.  Where the
-    scaled entries and products stay normal, its ``rep`` is
-    ``Ray(op.matrix @ x).rep``.  The oracle asks the slice probes of a stage
-    as one stack (``_MatrixOracle``).
-
-    A matrix whose condition number ``np.linalg.cond(op.matrix)`` is not
-    finite or is at least MAX_CONDITION raises SingularMatrix.  That SVD runs
-    only when the Gershgorin discs of the Gram matrix G = m^dagger m do not
-    certify the condition: when they lie in [lo, hi] with lo > 0 and
-    hi <= 4 lo, the eigenvalues of G are within a factor 4 of each other, so
-    the condition number is at most 2, and the matrix is accepted without
-    it.  Unitary matrices and ``U diag(1 + k/dim)`` pass that way.
+    Raises SingularMatrix when ``np.linalg.cond(op.matrix)`` is not finite or
+    is at least MAX_CONDITION.  That SVD is skipped when the Gershgorin discs of
+    the prescaled Gram matrix lie in [lo, 4 lo] with lo > 0, which bounds the
+    condition number by 2, as for unitary matrices.  Where the prescaled
+    entries and products stay normal, an answer's ``rep`` is
+    ``Ray(op.matrix @ x).rep`` bit for bit.
     """
     m = op.matrix
     if m.any():  # a zero matrix has no prescale; the SVD refuses it
@@ -298,8 +257,7 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
 
     answer = Ray._from_answer
 
-    # ndarray.dot makes the one BLAS matrix-vector call that ``m @ x`` makes,
-    # with less dispatch around it.
+    # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
     if op.antiunitary:
         def image_fn(ray: Ray) -> Ray:
             return answer(m.dot(np.conj(ray.rep)))
@@ -312,9 +270,9 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:
-    """Ray map induced by an arbitrary invertible matrix; no preservation guarantees.
+    """``induced_map(SymmetryOperator(matrix, antiunitary=conjugate_first))``; no guarantees.
 
-    It is ``induced_map`` of ``SymmetryOperator(matrix, antiunitary=conjugate_first)``.
+    ``conjugate_first`` must be a bool (else TypeError naming it).
     """
     flag = _flag(conjugate_first, "conjugate_first")
     return induced_map(SymmetryOperator(matrix, antiunitary=flag))
@@ -337,27 +295,13 @@ def check_orthogonality_preservation(
 ) -> ConformanceReport:
     """Sample evidence that the oracle preserves orthogonality and u-values.
 
-    Each trial draws one random orthogonal ray pair (r, s) and records the
-    transition probability of the images, and one generic random pair (a, b)
-    and records how far the image u-value drifts from the source u-value.
-    The report holds two entries, ``orthogonality-preservation`` and
-    ``ray-function-invariance``, with those worst cases as residuals; each
-    passes when its residual is at most tol.orth_tol.  ``trials`` is read
-    with ``operator.index`` before any ray is asked (TypeError naming it for
-    a float or a str, ValueError below 1), so each entry's ``trials`` is a
-    Python int.  Requires dim_in >= 2.
-
-    Trials run in the blocks of ``rays.sampled_maxima``: one block draws the
-    generators of r, t, a and b of each of its trials, in that order, with
-    one normal draw, and its arrays are released before the next draw.  s is
-    t projected off r; when the projection has |t|^2 <= DEGENERATE_DRAW a
-    fresh t is drawn from the generator, after the block's draw.  The
-    block's r is canonicalized to project t off it; then the block's draw, s
-    in place of t, is canonicalized in one ``canonical_rays`` pass, which
-    gives r the same bits again.  That stack is asked as it stands, in trial
-    order and r, s, a, b within a trial, and its answers are scored with
-    ``ray_functions``.  The block size changes neither the rays asked nor
-    the report.
+    Each of ``trials`` trials draws, from ``seed``, an orthogonal ray pair and a
+    generic pair, and asks their 4 rays.  Entry ``orthogonality-preservation``
+    holds the worst u of an orthogonal pair's images, and
+    ``ray-function-invariance`` the worst drift of a generic pair's u; each
+    passes within tol.orth_tol.  Equal arguments give an equal report.  Before
+    any ask, ``trials`` is read with ``operator.index`` (TypeError naming it,
+    ValueError below 1), and dim_in below 2 raises ValueError.
     """
     trials = _trial_count(trials)
     dim = oracle.dim_in
@@ -388,13 +332,9 @@ def _preservation_block(
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a complex Ginibre matrix.
+    """Haar-random dim x dim unitary from ``seed``, via QR; ValueError for dim below 1.
 
-    The R-diagonal phases are folded back into Q so the distribution is
-    exactly Haar rather than QR-convention dependent.  The QR runs in
-    LAPACK/BLAS, so a seed repeats the matrix bit for bit only on one
-    LAPACK/BLAS kernel; another one (another OpenBLAS core type, say) may
-    change its last bits.
+    A seed repeats the matrix bit for bit only on one LAPACK/BLAS kernel.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")

@@ -1,26 +1,11 @@
-"""Complex vectors and rays of C^n.
-
-A ray is a one-dimensional subspace of C^n, stored here as a canonical unit
-representative: the vector is normalized and rotated so that its first
-component of significant modulus is real and positive.  ``Ray(v)`` and its
-alias ``canonical_ray(v)`` accept any nonzero finite vector, at any scale,
-subnormal components included; only a vector whose components are all
-exactly zero raises ZeroVector.  ``Ray(v)`` validates ``v`` at once and keeps
-a private copy, and canonicalizes on first use of the representative, so
-every Ray reads as canonical.  With that convention two vectors generate the
-same ray exactly when their canonical representatives agree componentwise.
-``canonical_rays`` applies the same recipe to every row of a (k, n) stack
-and ``ray_functions`` scores stacks row by row; the sampled checks use them
-to handle a block of trials per array operation, and canonicalize a block's
-oracle answers in one such pass.  ``ray_function`` scores one pair as a
-one-row stack.
+"""Rays of C^n: canonical representatives, stacks of them, transition probabilities.
 
 The transition probability between two rays r, s with generators e, f is
 
     u(r, s) = <e,f><f,e> / (<e,e><f,f>)
 
-which is independent of the choice of generators and always lies in [0, 1].
-Orthogonality of rays means u(r, s) = 0 up to tolerance.
+which is independent of the generators and lies in [0, 1].  Orthogonality of
+rays means u(r, s) = 0 up to tolerance.
 """
 
 from __future__ import annotations
@@ -36,11 +21,7 @@ from .errors import DimensionMismatch, ZeroVector
 #: Modulus threshold for picking the phase-pivot component of a unit vector.
 PIVOT_TOL = 1e-9
 
-#: Fewest trials per block of the sampled checks.  A block holds
-#: max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials: 200 trials at dims up to 16
-#: draw one block, dims of 128 and more keep 32-trial blocks.  That bounds
-#: the checks' working memory whatever the trial count, and spends each
-#: block's fixed cost of array calls on as many trials as the budget allows.
+#: Fewest trials per block of the sampled checks (see ``sampled_maxima``).
 SAMPLE_BLOCK = 32
 
 #: Trials times dimension per block of the sampled checks.
@@ -49,16 +30,14 @@ _SAMPLE_BUDGET = 4096
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the reconstruction pipeline.
+    """Numerical tolerances, each strictly between 0 and 1e-2 (else ValueError).
 
-    orth_tol bounds what still counts as orthogonal, in the unit each check
-    reads: map_basis and the two sampled checks compare it with transition
-    probabilities (and their drift); the slice probes compare it with
-    amplitudes: |b_1| and the cross-talk |b_j| of a unit image in
-    slice_coordinates, and the unit-probe magnitude |c_i| = |b_i| / |b_1| in
-    fix_phases.
-    recon_tol bounds reconstruction residuals (basis Gram defect, scales,
-    classification, gauge).
+    orth_tol bounds what counts as orthogonal, in the unit each reader compares:
+    transition probabilities (and their drift) in map_basis and the sampled
+    checks; amplitudes in the slice probes, that is |b_1| and the cross-talk
+    |b_j| of a unit image, and the unit-probe magnitude |c_i| = |b_i| / |b_1|.
+    recon_tol bounds reconstruction residuals: basis Gram defect, scales,
+    classification and gauge.
     """
 
     orth_tol: float = 1e-9
@@ -81,25 +60,15 @@ _new = object.__new__
 class Ray:
     """Canonical unit representative of a one-dimensional subspace of C^n.
 
-    ``Ray(v)`` accepts any nonzero finite 1-d vector ``v``.  The
-    representative ``rep`` is ``v`` normalized to unit norm, with the global
-    phase rotated so the first component of modulus > PIVOT_TOL is real and
-    positive.  It is invariant (within 1e-12) under scaling of ``v`` by any
-    nonzero complex number, and canonicalization is idempotent at the same
-    tolerance.
-
-    ``Ray(v)`` validates at once: it raises ValueError for input that is not
-    a nonempty finite 1-d vector, and ZeroVector when every component of
-    ``v`` is exactly zero.  It keeps a private copy of ``v``, so changing
-    ``v`` afterwards changes nothing, and canonicalizes on first use of
-    ``rep`` (or of the repr); ``dim`` is known at once.
-    A pending vector is checked and prescaled where it is canonicalized:
-    alone, or with a stack of oracle answers in one ``canonical_rays`` pass,
-    which gives the same bits.  So a matrix oracle's unchecked answer raises
-    ``Ray(v)``'s errors there.  A Ray is canonical once ``_rep`` is set; the
-    vector it was made from stays in ``_pending``.  Concurrent first reads of
-    one Ray may each canonicalize it, and they store the same bits, so every
-    read sees the same bytes.
+    ``Ray(v)`` keeps a private copy of any nonzero finite 1-d vector, at any
+    scale.  It raises ValueError for anything else, and ZeroVector when every
+    component is exactly zero.  The read-only ``rep``, made on first use, scales
+    every real and imaginary part by the power of two that brings the largest
+    into [0.5, 1), normalizes, and rotates the global phase so the first
+    component of modulus > PIVOT_TOL is real and positive.  Two vectors generate
+    one ray exactly when their reps agree.  ``rep`` is invariant (within 1e-12)
+    under complex scaling of ``v``, and bit for bit under exact power-of-two
+    scaling; ``canonical_rays`` and concurrent first reads give the same bits.
     """
 
     __slots__ = ("_rep", "_pending")
@@ -185,11 +154,7 @@ def canonical_ray(v: np.ndarray) -> Ray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.dot`` of two (k, n) stacks.
-
-    The stacked matmul makes one BLAS dot per row, the call ``np.dot`` and
-    ``np.vdot`` make, so each entry is theirs on the two rows.
-    """
+    """Row-wise ``np.dot`` of two (k, n) stacks, each entry with ``np.dot``'s bits on its rows."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -201,14 +166,9 @@ def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def canonical_rays(v: np.ndarray) -> np.ndarray:
     """Canonical representatives of the rays generated by the rows of a (k, n) stack.
 
-    Row j of the read-only result is ``Ray(v[j]).rep``: the same power-of-two
-    prescale, norm (two real dots per row), pivot, phase rotation and pivot
-    modulus, one array operation per step for the whole stack.  A one-row
-    stack takes ``Ray``'s own scalar recipe instead, the same bits at a
-    fraction of the fixed cost of the array pass, so a caller with one row
-    needs no path of its own.  Raises ValueError for a stack that is not 2-d
-    with nonempty rows; at the first row that is exactly zero or not finite,
-    it raises what ``Ray`` raises for that row.
+    Row j of the read-only result is ``Ray(v[j]).rep`` bit for bit.  Raises
+    ValueError unless ``v`` is 2-d with nonempty rows, and, at the first row
+    that is exactly zero or not finite, what ``Ray`` raises for that row.
     """
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
@@ -233,11 +193,9 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     rows = np.arange(rep.shape[0])
     pivot = (np.abs(rep) > PIVOT_TOL).argmax(axis=1)
     entry = rep[rows, pivot]
-    # Each step mirrors Ray so that rows agree bit for bit: np.hypot is the
-    # modulus Ray's scalar abs() computes (np.abs of a complex array may
-    # differ in the last bit), and the product is out of place as in Ray (an
-    # in-place product of a 1 x 1 stack takes another numpy loop, which can
-    # round differently).
+    # Each step mirrors Ray, so that rows agree bit for bit: np.hypot is Ray's scalar
+    # abs() (np.abs of a complex array may differ in the last bit), and the product
+    # is out of place as in Ray (an in-place 1 x 1 product can round differently).
     rep = rep * (entry.conj() / np.hypot(entry.real, entry.imag))[:, None]
     entry = rep[rows, pivot]
     rep[rows, pivot] = np.hypot(entry.real, entry.imag)
@@ -246,16 +204,7 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
 
 
 def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Canonical (k, dim) stack of the answers ``ask`` gives to the k canonical ``rows``.
-
-    ``ask`` gets each row in order, wrapped as a Ray with no copy, and row j
-    of the result is the j-th answer's ``rep`` bit for bit.  Each answer's
-    vector (its ``rep``, or the vector still pending) is copied into the
-    stack as it arrives, so no answer outlives the next ask; the pending
-    rows are then checked, prescaled and canonicalized together, and the
-    first bad one raises what ``Ray`` raises.  The answers themselves stay
-    pending.
-    """
+    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``."""
     k = rows.shape[0]
     stack = np.empty((k, dim), dtype=np.complex128)
     pending = []
@@ -276,13 +225,7 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def ray_function(r: Ray, s: Ray) -> float:
-    """Transition probability u(r, s) between two rays.
-
-    Symmetric in its arguments, independent of the representative choice, and
-    clipped into [0, 1] to absorb last-bit rounding of the Cauchy-Schwarz
-    bound: the one row of ``ray_functions`` on the two representatives.
-    Raises TypeError, naming the type, for an argument that is not a Ray.
-    """
+    """Transition probability u(r, s) of two Rays (else TypeError): one row of ``ray_functions``."""
     for x in (r, s):
         if not isinstance(x, Ray):
             raise TypeError(f"ray_function expects Rays, got {type(x).__name__}")
@@ -290,11 +233,10 @@ def ray_function(r: Ray, s: Ray) -> float:
 
 
 def ray_functions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise transition probabilities u(a[j], b[j]) of two (k, n) stacks.
+    """Row-wise u(a[j], b[j]) of the rays two (k, n) stacks generate, clipped into [0, 1].
 
-    Entry j is u of the rays with generators a[j] and b[j], clipped into
-    [0, 1].  Each inner product is one BLAS dot per row, the call ``np.vdot``
-    makes, so an entry equals the scalar formula on those two rows bit for bit.
+    Each entry has the bits of the formula on its two rows with ``np.vdot``.
+    Raises DimensionMismatch when the row lengths differ.
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"rays have dimensions {a.shape[1]} and {b.shape[1]}")
@@ -318,16 +260,11 @@ def sampled_maxima(trials: int, per_trial: int, dim: int, seed: int, score) -> l
     """Running maxima of ``score(block, rng)`` over the sampled blocks of ``trials`` trials.
 
     ``rng`` is ``np.random.default_rng(seed)``.  A block holds
-    max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials, the last one the rest.
-    Each block is a (k, per_trial, dim) stack from one
-    ``rng.standard_normal((k, 2 * per_trial, dim))`` call: the normals that k
-    trials of ``per_trial`` consecutive ``sample_state`` calls draw, in the
-    same order, so entry [j, m] equals the m-th state of trial j.
-    Consecutive draws continue one stream, so the block size changes no
-    number.  ``score`` may draw from ``rng`` after its block, and returns a
-    tuple of Python floats; each maximum starts at 0.0.  The next block is
-    drawn once ``score`` has returned, and no reference to a scored block
-    is kept.
+    max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim) trials, the last one the rest, and
+    is released before the next is drawn.  It is the (k, per_trial, dim) stack
+    of the states that k trials of ``per_trial`` ``sample_state`` calls draw, so
+    the block size changes no number.  ``score`` may draw from ``rng`` after its
+    block, and returns a tuple of floats; each maximum starts at 0.0.
     """
     rng = np.random.default_rng(seed)
     step = max(SAMPLE_BLOCK, _SAMPLE_BUDGET // dim)
@@ -340,9 +277,5 @@ def sampled_maxima(trials: int, per_trial: int, dim: int, seed: int, score) -> l
 
 
 def _states(z: np.ndarray) -> np.ndarray:
-    """The states of a (k, 2 * per_trial, dim) normal draw, paired as in ``sample_state``.
-
-    The one site of the complex-normal formula for a draw of many states;
-    ``random_unitary`` takes its Ginibre matrix from it too.
-    """
+    """The states of a (k, 2 * per_trial, dim) normal draw, paired as in ``sample_state``."""
     return (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)

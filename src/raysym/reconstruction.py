@@ -1,49 +1,20 @@
-"""Reconstruction of a symmetry operator from a ray-map oracle.
+"""Reconstruction of a symmetry operator from a ray-map oracle, in four stages.
 
-The pipeline turns a black-box ray map into an explicit operator in four
-stages, each consuming only oracle answers:
+1. ``map_basis`` asks every coordinate-axis ray and checks, from the Gram
+   matrix of the images alone, that they form an orthonormal, complete system.
+2. ``slice_coordinates`` asks the ray of e_1 + z e_i and reads the image's
+   i-th coordinate on the slice where the first one equals 1.  Orthogonality
+   preservation confines the image to the plane of image axes 1 and i, so the
+   probe returns c_i f(z): a per-axis constant times a field automorphism f.
+3. ``fix_phases`` probes z = 1 on every axis and absorbs the unit phase of
+   c_i = r_i w_i into image axis i, so that later probes read r_i f(z).
+4. ``classify_automorphism`` probes z = i.  Transition-probability invariance
+   forces f to be the identity or complex conjugation, and that one probe
+   decides which; conjugation makes the operator antiunitary.
 
-1. ``map_basis`` sends every coordinate axis ray through the oracle and
-   checks, from the Gram matrix of the images alone, that they form an
-   orthonormal, complete system (this is the isomorphism statement made
-   executable).
-2. ``slice_coordinates`` probes the oracle with rays generated by
-   e_1 + z e_i and reads off the i-th coordinate of the image on the affine
-   slice where the first coordinate equals 1.  Orthogonality preservation
-   forces the image to live in the plane spanned by the first and i-th image
-   axes, so the probe returns c_i f(z): a per-axis constant times a field
-   automorphism applied to z.
-3. ``fix_phases`` probes z = 1 on every axis, splits c_i = r_i w_i into a
-   positive scale and a unit phase, and absorbs the phase into the stored
-   image axis, after which probes read r_i f(z) with r_i > 0.  The
-   phase-fixed basis it returns carries the scales r_i, and every later
-   stage reads them from there.
-4. ``classify_automorphism`` probes z = i; transition-probability invariance
-   pins |f(z)| = |z| and forces f to be the identity or complex conjugation,
-   so the single probe decides which: conjugation makes the operator
-   antiunitary.
-
-Every stage asks through :class:`RayMapOracle`'s one ask path.  Stages 2-4
-and ``probe_automorphism`` share one probe path: a stage makes the rays of
-all its probe points in one pass, then asks each distinct ray once and
-scores each stack of answers in one pass, with the bits of a row-by-row
-scoring.  Values reach the stage point by point, and the first failing probe
-raises at its own turn, after every earlier value.  A plain oracle answers
-one ray per stack, asked as that stack is scored, so a failing probe asks no
-ray after it.  ``induced_map``'s matrix oracles answer the distinct rays as
-one stack; their answers are finite and nonzero, so the stack raises nothing
-ahead of a scoring error, and every result and error keeps its bits.
-
-The assembled operator has the phase-fixed image axes as columns and the
-antiunitary flag set by the classification.  When every scale r_i is 1
-within tolerance the operator is unitary (or antiunitary), and it reproduces
-the oracle up to one global phase if the oracle meets the theorem's
-hypotheses, which these 2*dim probes alone cannot establish; otherwise the
-result is flagged diagnostic-only and records how far the scales deviate.
-
-Stages 1, 3 and 4 name themselves, whoever calls them: a RaySymError raised
-inside one carries the stage's name and, after map_basis, the basis Gram
-defect.  slice_coordinates and probe_automorphism name none of their errors.
+The operator has the phase-fixed image axes as columns.  It reproduces the
+oracle up to a global phase only if every scale r_i is 1 and the oracle meets
+the theorem's hypotheses, which the 2*dim probes alone cannot establish.
 """
 
 from __future__ import annotations
@@ -86,21 +57,18 @@ DEFAULT_PROBE_GRID = (
     -0.4931 - 1.0211j,
 )
 
+#: Random rays verify_reproduction maps through operator and oracle by default.
+REPRODUCTION_TRIALS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class BasisImages:
     """Images of the coordinate-axis rays, stored as matrix columns, with their scales.
 
-    ``columns`` starts as the canonical representatives returned by the
-    oracle; fix_phases returns a copy with the probe phases absorbed and the
-    scales r_i it measured on them.  ``gram_defect`` is the max-norm
-    deviation of the images' Gram matrix from the identity, measured once by
-    map_basis and carried along unchanged.  ``columns`` must be square,
-    nonempty and finite, and ``scales`` of shape ``(dim,)``, each finite and
-    positive (else ValueError); ``dim`` is read from the columns.  Omitted
-    scales are all ones, as on the basis map_basis returns: a probe of a
-    basis not yet phase-fixed reads raw slice coordinates.  Both arrays are
-    stored as private read-only copies.
+    ``gram_defect`` is the max-norm deviation of the images' Gram matrix from
+    the identity.  ``columns`` must be square, nonempty and finite, and
+    ``scales`` of shape ``(dim,)``, finite and positive (else ValueError);
+    omitted scales are all ones.  Both are stored as read-only copies.
     """
 
     columns: np.ndarray
@@ -137,19 +105,11 @@ class ProbeResult:
 class ReconstructionResult:
     """Operator reconstructed from an oracle, with its phase-fixed basis and diagnostics.
 
-    ``basis`` holds the phase-fixed image axes, the Gram defect map_basis
-    measured and the scales fix_phases measured, ready for
-    probe_automorphism; ``scales`` is ``basis.scales`` (``scales[0]`` is 1
-    by convention) and ``max_scale_deviation`` is max |scales - 1|.
-    ``unitary_valid`` is set when every scale is 1 within recon_tol; with the
-    classified automorphism, that is all the 2*dim probes certify.  It is
-    not a preservation verdict: check_orthogonality_preservation and
-    verify_reproduction test the oracle's hypotheses and the operator's
-    reproduction of the map.  When a scale deviates, the operator columns
-    are still the phase-fixed image axes but the result is diagnostic-only.
-    ``classification_residual`` is the distance of the probed f(i) to the i
-    or -i that classify_automorphism accepted; the automorphism it classified
-    is ``operator.antiunitary``: conjugation exactly when it is set.
+    ``scales`` is ``basis.scales`` (``scales[0]`` is 1), ``max_scale_deviation``
+    is max |scales - 1|, and ``unitary_valid`` is set when that is within
+    recon_tol; it is not a preservation verdict (see verify_reproduction).
+    ``classification_residual`` is the distance of the probed f(i) from the i or
+    -i that classify_automorphism accepted.
     """
 
     operator: SymmetryOperator
@@ -179,16 +139,13 @@ def _stage(name: str, gram_defect: float | None = None):
 
 
 def map_basis(oracle: RayMapOracle, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> BasisImages:
-    """Send every coordinate-axis ray through the oracle and validate the images.
+    """Ask the dim coordinate-axis rays and validate their images as a basis.
 
-    Both checks read the one Gram matrix G of the image representatives.
-    Since u(i, j) = |G[i, j]|^2 / (G[i, i] G[j, j]), the images must be
-    pairwise orthogonal within tol.orth_tol (else ImagesNotOrthogonal,
-    carrying the first offending pair in row-major order).  They must also
-    form a complete system: G equal to the identity within tol.recon_tol
-    (else IncompleteImage).  No separate rank test is needed, because that
-    bound puts every eigenvalue of G within dim * tol.recon_tol of 1, so the
-    images span the target space.
+    Before any ask it raises ValueError for dim below 2 and DimensionMismatch
+    unless the oracle maps dimension dim to dim.  A pair of images with u above
+    tol.orth_tol raises ImagesNotOrthogonal (the first in row-major order), and
+    a Gram defect max |G - I| above tol.recon_tol raises IncompleteImage; that
+    bound makes the images span the space.
     """
     if dim < 2:
         raise ValueError(f"reconstruction requires dimension at least 2, got {dim}")
@@ -230,16 +187,11 @@ def _slice_probes(
     axes: Sequence[int],
     tol: Tolerances,
 ) -> Iterator[complex]:
-    """``slice_coordinates`` at each point ``points[j]`` on axis ``axes[j]``, in order.
+    """``slice_coordinates`` at each ``points[j]`` on axis ``axes[j]``, yielded in order.
 
-    One ``canonical_rays`` pass makes every probe ray.  A ray is asked only
-    at its first occurrence on its axis: the oracle's ``_probe_answers`` gets
-    the distinct rays in that order and answers them in stacks, one ray per
-    stack for a plain oracle and all of them at once for a matrix oracle.
-    Each stack is scored in one pass, and its values are yielded point by
-    point; the first failing row raises when its point's turn comes, so an
-    error the caller raises on an earlier value wins, and a plain oracle is
-    asked no ray after the failing one.
+    Points whose probe rays are equal on one axis share one ask, at the first.
+    A failing probe raises at its own turn, after every earlier value, so an
+    error the caller raises on an earlier value wins.
     """
     probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
     probes[:, 0] = 1.0
@@ -265,15 +217,9 @@ def _scored_rows(
 ) -> Iterator[complex]:
     """Slice coordinate b_i / b_1 of each answer row, stack by stack; row n probes ``axes[n]``.
 
-    Each stack takes one stacked product b = adjoint w, whose rows have the
-    bits of ``adjoint.dot(w)``, and one comparison of |b| with per-entry
-    thresholds.  The array abs can differ from the scalar abs in the last
-    bit, so it only preselects: a |b_1| up to 2 orth_tol, or a |b_j| above
-    orth_tol / 2 off axes 1 and i, sends the stack to the scalar abs, which
-    decides row by row and is reported.  The rows before the first failing
-    one are divided in one array division, with the bits of the scalar
-    ``b_i / b_1``, and yielded; then the failing row raises, and no later
-    stack is taken.
+    Values have the bits of the scalar ``adjoint.dot(w)`` and ``b_i / b_1``.  The
+    array abs may differ from the scalar abs in the last bit, so its thresholds
+    only preselect rows for ``_first_failure``.
     """
     n, dim = len(axes), basis.dim
     adjoint = basis.columns.conj().T
@@ -303,11 +249,7 @@ def _scored_rows(
 def _first_failure(
     b: np.ndarray, above: np.ndarray, axes: Sequence[int], tol: Tolerances
 ) -> tuple[int, RaySymError | None]:
-    """The first row of b that fails the slice tests, with its error; ``(len(b), None)`` if none.
-
-    Rows are checked in order with the scalar abs: |b_1| first, then the
-    entries that ``above`` marks past the first, the preselected leaks.
-    """
+    """First row failing the slice tests (scalar abs), with its error; else (len(b), None)."""
     for n, (i, row, marks) in enumerate(zip(axes, b, above)):
         if abs(row[0]) <= tol.orth_tol:
             return n, SliceDegenerate(
@@ -327,17 +269,12 @@ def slice_coordinates(
     i: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> complex:
-    """Coordinate of the image of ray(e_1 + z e_i) on the slice x_1' = 1.
+    """Coordinate b_i / b_1 of the image of ray(e_1 + z e_i) on the slice x_1' = 1; asks one ray.
 
-    Expands the image representative w in the basis columns, b_j = <col_j, w>.
-    Both tests compare tol.orth_tol with amplitudes |b_j| of the unit vector
-    w, not with transition probabilities |b_j|^2.  The source ray is not
-    orthogonal to the first axis, so |b_1| must exceed tol.orth_tol (else
-    SliceDegenerate); orthogonality preservation confines the image to the
-    plane of axes 1 and i, so every other |b_j| must stay within tol.orth_tol
-    of zero (else CrossTalk, naming the lowest such axis).  Returns b_i / b_1.
-    ``i`` must be an integer in [1, dim - 1] (else TypeError or ValueError,
-    before the ray is asked).
+    b_j = <col_j, w> expands the image rep w in the basis columns.  Raises
+    SliceDegenerate when |b_1| <= tol.orth_tol, and CrossTalk, naming the lowest
+    such axis, when a |b_j| off axes 1 and i exceeds it.  ``i`` must be an
+    integer in [1, dim - 1] (else TypeError or ValueError, before the ask).
     """
     i = _check_probe_index(basis.dim, i)
     return next(_slice_probes(oracle, basis, [complex(z)], [i], tol))
@@ -348,15 +285,13 @@ def fix_phases(
     basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BasisImages:
-    """Probe z = 1 on every axis and absorb the probe phases into the columns.
+    """Probe z = 1 on axes 1 to dim - 1 (dim - 1 rays) and absorb the probe phases.
 
-    The unit probe returns c_i = r_i w_i.  r_i = |c_i| is a ratio of
-    amplitudes, |b_i| / |b_1|, not a transition probability, and must exceed
-    tol.orth_tol (else DegenerateProbe).  Multiplying column i by w_i makes
-    subsequent slice coordinates read r_i f(z); in particular re-probing
-    z = 1 returns the positive real r_i.  Returns the phase-fixed basis,
-    which holds the scales it measured, with scales[0] = 1 by convention;
-    the scales of the given basis are not read.
+    Column i is multiplied by the unit phase w_i of the probe value
+    c_i = r_i w_i, so that later probes read r_i f(z).  Raises DegenerateProbe
+    when r_i <= tol.orth_tol, besides slice_coordinates' errors.  Returns the
+    phase-fixed basis with the scales r_i (scales[0] = 1); the given basis's
+    scales are not read.
     """
     dim = basis.dim
     columns = basis.columns.copy()
@@ -377,14 +312,12 @@ def classify_automorphism(
     fixed_basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[bool, float]:
-    """Decide identity versus conjugation from a single probe of the imaginary unit.
+    """Decide identity versus conjugation from one probe, z = i on axis 1 (one ray).
 
-    The probe value on axis 1 is normalized by the basis's own scale r_1 to
-    f(i).  It must land on i (identity, returned as ``False``) or on -i
-    (conjugation, returned as ``True``: the operator is antiunitary) within
-    tol.recon_tol, and the flag is returned with that distance; anything
-    else means the oracle is inconsistent with an orthogonality-preserving
-    map (NotWignerLike).
+    f(i) is the probe value over the basis's scale r_1.  Returns the pair
+    (antiunitary, distance): False when f(i) is within tol.recon_tol of i, True
+    when within it of -i.  Otherwise raises NotWignerLike, besides
+    slice_coordinates' errors.
     """
     with _stage("classify_automorphism", fixed_basis.gram_defect):
         f_val = slice_coordinates(oracle, fixed_basis, 1j, 1, tol) / fixed_basis.scales[1]
@@ -401,24 +334,15 @@ def probe_automorphism(
     i: int = 1,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProbeResult:
-    """Pointwise probe of the coordinate automorphism with law residuals.
+    """Pointwise probe of the coordinate automorphism on axis ``i``, with law residuals.
 
-    Evaluates f(z) = slice coordinate / r_i, with r_i read from
-    ``fixed_basis.scales``, at every sample, then for every unordered sample
-    pair (a, b) at a+b and a*b, and records the worst additivity residual
-    |f(a+b) - f(a) - f(b)| and multiplicativity residual |f(ab) - f(a) f(b)|.
-    ``i`` must be an integer in [1, dim - 1] (else TypeError or ValueError),
-    and there must be at least one sample, every point finite (else
-    ValueError): a probe of no sample would report laws it never probed.
-    All of this is checked before any ray is asked.  Oracles are
-    deterministic, so each probe ray is asked once, at its first occurrence
-    in that order: points whose probe rays have the same canonical
-    representative share one answer, as do 0.0 and -0.0.  A plain oracle is
-    asked the rays one at a time, so a failing probe asks no ray after it;
-    a matrix oracle (``induced_map``) answers them all as one stack, scored
-    in one pass, with the same result or error.  Pointwise probing
-    documents the laws but cannot by itself certify the global preservation
-    hypotheses.
+    Tabulates f(z) = slice coordinate / ``fixed_basis.scales[i]`` at every
+    sample, and probes a+b and a*b for every unordered pair of samples (a sample
+    with itself included) for the worst residuals |f(a+b) - f(a) - f(b)| and
+    |f(ab) - f(a) f(b)|.  Asks one ray per distinct probe ray: 121 for
+    DEFAULT_PROBE_GRID.  Before any ask it raises TypeError or ValueError unless
+    ``i`` is an integer in [1, dim - 1], and ValueError for no sample or a
+    non-finite point.  Pointwise probes cannot certify the hypotheses.
     """
     i = _check_probe_index(fixed_basis.dim, i)
     r = float(fixed_basis.scales[i])
@@ -448,10 +372,9 @@ def reconstruct(
     dim: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ReconstructionResult:
-    """Run the full pipeline: basis images, phase fixing, classification, assembly.
+    """Run map_basis, fix_phases and classify_automorphism, and assemble the operator.
 
-    Uses exactly dim + (dim - 1) + 1 = 2*dim oracle calls.  Errors carry
-    the name of the stage that raised them.
+    Asks exactly 2*dim rays when it succeeds, and raises what the stages raise.
     """
     fixed = fix_phases(oracle, map_basis(oracle, dim, tol), tol)
     antiunitary, classification_residual = classify_automorphism(oracle, fixed, tol)
@@ -466,22 +389,15 @@ def reconstruct(
 def verify_reproduction(
     op: SymmetryOperator,
     oracle: RayMapOracle,
-    trials: int = 100,
+    trials: int = REPRODUCTION_TRIALS,
     seed: int = 0,
 ) -> float:
-    """Worst-case 1 - u(ray(op x), oracle image) over random rays.
+    """Worst 1 - u(ray(op x), oracle image of ray(x)) over ``trials`` random rays from ``seed``.
 
-    Zero means the operator reproduces the ray map exactly; values at
-    rounding level certify reproduction up to the global phase.  ``trials``
-    is read with ``operator.index`` before any ray is asked (TypeError
-    naming it for a float or a str, ValueError below 1).
-
-    Trials run in the blocks of ``rays.sampled_maxima``, each released
-    before the next draw: one normal draw gives the block's source rays, the
-    operator maps the whole stack (one matrix-vector product per row: U x,
-    or U conj(x) when antiunitary), and the oracle is asked the block's
-    sources as one stack, in trial order.  The block size changes neither
-    the rays asked nor the result.
+    Asks ``trials`` rays; equal arguments give an equal result.  Rounding-level
+    values certify reproduction up to a global phase.  Before any ask it raises
+    DimensionMismatch unless the oracle maps op.dim to op.dim, and reads
+    ``trials`` with ``operator.index`` (TypeError naming it, ValueError below 1).
     """
     if oracle.dim_in != op.dim or oracle.dim_out != op.dim:
         raise DimensionMismatch(f"an operator of dimension {op.dim} cannot reproduce {oracle!r}")
@@ -503,13 +419,10 @@ def _reproduction_block(op: SymmetryOperator, oracle: RayMapOracle, v: np.ndarra
 def gauge_residual(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Deviation of candidate^dagger reference from a unit-phase multiple of the identity.
 
-    The phase is read off the largest-modulus diagonal entry, which stays
-    stable even when other diagonal entries are near zero, at any scale of
-    the entries, subnormal included.  An all-zero diagonal is equally far
-    from every unit phase, so it takes phase 1.  Both matrices must be
-    square and nonempty with finite entries (else ValueError) and of one
-    shape (else DimensionMismatch).  Once candidate^dagger reference leaves double range,
-    the residual is inf, with no warning.
+    The phase is that of the largest-modulus diagonal entry, subnormal included,
+    and 1 for an all-zero diagonal.  Both matrices must be square, nonempty and
+    finite (else ValueError) and of one shape (else DimensionMismatch).  The
+    residual is inf, with no warning, once the product leaves double range.
     """
     candidate = _square_matrix(candidate, "candidate")
     reference = _square_matrix(reference, "reference")

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import raysym
+import raysym.cli
 
 PUBLIC_NAMES = [
     "BasisImages",
@@ -164,3 +165,37 @@ def test_every_public_name_has_a_reader_or_a_readme_line():
     readme = README.read_text(encoding="utf-8")
     unused = [name for name in raysym.__all__ if name not in read]
     assert [name for name in unused if not re.search(rf"\b{name}\b", readme)] == []
+
+
+def test_every_public_class_and_function_keeps_its_docstring():
+    # A dataclass without a docstring gets its signature, "Name(field: type, ...)", as __doc__.
+    undocumented = [
+        name
+        for name in raysym.__all__
+        if inspect.isclass(obj := getattr(raysym, name)) or inspect.isfunction(obj)
+        if not (obj.__doc__ or "").strip() or obj.__doc__.startswith(f"{name}(")
+    ]
+    assert undocumented == []
+
+
+def test_default_trial_counts_are_stated_once():
+    args = raysym.cli._parser().parse_args(["conformance", "operator.json"])
+    conformance = inspect.signature(raysym.run_full_conformance).parameters
+    reproduction = inspect.signature(raysym.verify_reproduction).parameters
+    assert args.trials == conformance["invariance_trials"].default
+    assert reproduction["trials"].default == raysym.reconstruction.REPRODUCTION_TRIALS
+
+
+def test_readme_example_runs_and_holds_its_comments():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    result, report = namespace["result"], namespace["report"]
+    assert result.operator.antiunitary is True
+    assert result.unitary_valid is True
+    assert raysym.gauge_residual(result.operator.matrix, namespace["u"]) < 1e-12
+    assert namespace["antiunitary"] is True
+    assert namespace["residual"] < 1e-12
+    assert report.passed is True
+    assert report.entry("round-trip").passed is True
