@@ -45,7 +45,6 @@ from .rays import (
     _canonical_answers,
     _prescaled_rows,
     _states,
-    _vdots,
     canonical_rays,
     ray_functions,
     sample_state,
@@ -320,8 +319,8 @@ def _preservation_block(
     k, _, dim = v.shape
     r = canonical_rays(v[:, 0])
     t = v[:, 1]  # a view: s takes t's place in the block's draw
-    t -= _vdots(r, t)[:, None] * r
-    for j in np.flatnonzero(_vdots(t, t).real <= DEGENERATE_DRAW):
+    t -= np.vecdot(r, t)[:, None] * r
+    for j in np.flatnonzero(np.vecdot(t, t).real <= DEGENERATE_DRAW):
         t[j] = _orthogonal_state(r[j], rng)
     sources = canonical_rays(v.reshape(4 * k, dim))
     images = oracle._images(sources).reshape(k, 4, oracle.dim_out)

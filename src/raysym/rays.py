@@ -11,6 +11,7 @@ rays means u(r, s) = 0 up to tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -71,7 +72,7 @@ class Ray:
     scaling; ``canonical_rays`` and concurrent first reads give the same bits.
     """
 
-    __slots__ = ("_rep", "_pending")
+    __slots__ = ("_rep", "_pending", "_dim")
 
     def __init__(self, v: np.ndarray):
         v = np.array(v, dtype=np.complex128, order="C")  # the private copy
@@ -79,6 +80,7 @@ class Ray:
             raise ValueError("expected a nonempty 1-d vector")
         _top_exponent(v)
         self._pending = v
+        self._dim = len(v)
         self._rep = None
 
     @classmethod
@@ -86,6 +88,7 @@ class Ray:
         """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
         ray = _new(cls)
         ray._pending = ray._rep = rep
+        ray._dim = len(rep)
         return ray
 
     @classmethod
@@ -93,6 +96,7 @@ class Ray:
         """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check."""
         ray = _new(cls)
         ray._pending = w
+        ray._dim = len(w)
         ray._rep = None
         return ray
 
@@ -104,9 +108,8 @@ class Ray:
             rep = self._rep = _canonical_row(self._pending)
         return rep
 
-    @property
-    def dim(self) -> int:
-        return len(self._pending)
+    # A C-level getter, as every oracle ask reads dim twice.
+    dim = property(operator.attrgetter("_dim"), doc="Length of the vector (read-only).")
 
     def __repr__(self) -> str:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
@@ -153,16 +156,6 @@ def canonical_ray(v: np.ndarray) -> Ray:
     return Ray(v)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.dot`` of two (k, n) stacks, each entry with ``np.dot``'s bits on its rows."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.vdot`` of two (k, n) stacks."""
-    return _dots(a.conj(), b)
-
-
 def canonical_rays(v: np.ndarray) -> np.ndarray:
     """Canonical representatives of the rays generated by the rows of a (k, n) stack.
 
@@ -180,25 +173,35 @@ def _prescaled_rows(v: np.ndarray) -> np.ndarray:
     """A new copy of a C-contiguous (k, n) stack, each row checked and prescaled as ``Ray`` does."""
     parts = v.view(np.float64)
     top = np.abs(parts).max(axis=1)
-    rejected = ~(np.isfinite(top) & (top > 0.0))
-    if rejected.any():
+    # NaN fails both comparisons, so this range check passes exactly the valid
+    # stacks; the initial values let it pass an empty one.
+    if not (top.min(initial=math.inf) > 0.0 and top.max(initial=0.0) < math.inf):
+        rejected = ~(np.isfinite(top) & (top > 0.0))
         _top_exponent(v[rejected.argmax()])  # raises ZeroVector or ValueError for this row
     return np.ldexp(parts, -np.frexp(top)[1][:, None]).view(np.complex128)
 
 
 def _canonical_rows(w: np.ndarray) -> np.ndarray:
     """``canonical_rays`` after the prescale: norm, pivot and phase rotation of each row."""
-    norm = np.sqrt(_dots(w.real, w.real) + _dots(w.imag, w.imag))  # as np.linalg.norm
+    norm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))  # as np.linalg.norm
     rep = w / norm[:, None]
-    rows = np.arange(rep.shape[0])
-    pivot = (np.abs(rep) > PIVOT_TOL).argmax(axis=1)
-    entry = rep[rows, pivot]
     # Each step mirrors Ray, so that rows agree bit for bit: np.hypot is Ray's scalar
-    # abs() (np.abs of a complex array may differ in the last bit), and the product
-    # is out of place as in Ray (an in-place 1 x 1 product can round differently).
-    rep = rep * (entry.conj() / np.hypot(entry.real, entry.imag))[:, None]
-    entry = rep[rows, pivot]
-    rep[rows, pivot] = np.hypot(entry.real, entry.imag)
+    # abs() (np.abs of a complex array may differ in the last bit), only a first
+    # modulus above 2 * PIVOT_TOL skips the scan, and the product is out of place
+    # as in Ray (an in-place 1 x 1 product can round differently).
+    pivot = np.s_[:, 0]
+    entry = rep[pivot]
+    modulus = np.hypot(entry.real, entry.imag)
+    if modulus.min(initial=1.0) <= 2.0 * PIVOT_TOL:
+        scan = np.flatnonzero(modulus <= 2.0 * PIVOT_TOL)
+        column = np.zeros(len(rep), dtype=np.intp)
+        column[scan] = (np.abs(rep[scan]) > PIVOT_TOL).argmax(axis=1)
+        pivot = (np.arange(len(rep)), column)
+        entry = rep[pivot]
+        modulus = np.hypot(entry.real, entry.imag)
+    rep = rep * (entry.conj() / modulus)[:, None]
+    entry = rep[pivot]
+    rep[pivot] = np.hypot(entry.real, entry.imag)
     rep.flags.writeable = False
     return rep
 
@@ -240,9 +243,9 @@ def ray_functions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"rays have dimensions {a.shape[1]} and {b.shape[1]}")
-    ip = _vdots(a, b)
+    ip = np.vecdot(a, b)  # np.vdot's conjugated BLAS dot, row by row
     num = ip.real * ip.real + ip.imag * ip.imag
-    den = _vdots(a, a).real * _vdots(b, b).real
+    den = np.vecdot(a, a).real * np.vecdot(b, b).real
     return np.clip(num / den, 0.0, 1.0)
 
 

@@ -292,6 +292,16 @@ class TestRayConstructor:
         with pytest.raises(ValueError):
             r.rep[0] = 5.0
 
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_dim_is_the_read_only_length_of_every_kind_of_ray(self, dim):
+        v = random_state(dim, seed=dim)
+        rays = (Ray(v), Ray._from_canonical(canonical_rays(v[None])[0]), Ray._from_answer(v.copy()))
+        for ray in rays:
+            assert ray.dim == dim
+            with pytest.raises(AttributeError):
+                ray.dim = dim + 1
+            assert ray.dim == dim
+
 
 class TestRayFunction:
     def test_identical_rays(self):
@@ -446,6 +456,21 @@ class TestCanonicalRays:
                 [2.0**-1023 * (1.0 - 1.0j), 2.0**-1060, 0.0, -3e-320j],
                 [1e300, -1e-300, 2e300j, 0.0],
                 [-2.2e-308j, 1e-310, 5e-324, 0.0],
+            ]
+        )
+    )
+    @example(  # one stack whose first parts skip the pivot scan and need it, in turn
+        np.array(
+            [
+                [0.6 + 0.8j, -0.0, 0.5, -0j],  # far above PIVOT_TOL
+                [1.0, 0.0, -0.0j, 0.0],  # a probe-style row e_1 + (-0) e_3
+                [PIVOT_TOL * (1.0 + 5e-7), 1.0, -0.0, 0j],  # just above: scanned, pivot 0
+                [PIVOT_TOL * (1.0 - 5e-7) * 1j, -0.6, 0.8j, 0.0],  # just below: pivot 1
+                [-0.0, -0j, 2.0, 1j],  # signed zeros: pivot 2
+                [PIVOT_TOL * 0.5 * np.exp(0.3j), 0.0, 0.0, -3.0],  # below: pivot 3
+                [-3.0 * PIVOT_TOL, 1.0, 0.0, 0.0],  # above 2 * PIVOT_TOL: not scanned
+                [1.5j * PIVOT_TOL, 1.0, 0.0, 0.0],  # between 1 and 2 PIVOT_TOL: scanned
+                [1e200 * (0.3 - 0.4j), -0.0, 1e200, -0j],
             ]
         )
     )
