@@ -121,6 +121,20 @@ class TestInducedMap:
         expected = canonical_ray(axis_vector(2, 1))
         np.testing.assert_allclose(img.rep, expected.rep, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_every_kind_of_asked_ray_gets_the_same_answer(self, dim, antiunitary):
+        # The answer reads a ray's stored rep, or makes it for a pending Ray(v).
+        oracle = induced_map(SymmetryOperator(random_unitary(dim, seed=dim), antiunitary))
+        v = np.random.default_rng(dim).standard_normal(2 * dim).view(np.complex128) * 3.0
+        pending, read = Ray(v), Ray(v)
+        read.rep
+        assert pending._rep is None and read._rep is not None
+        wrapped = Ray._from_canonical(canonical_rays(v[None])[0])
+        answers = [oracle.image(ray).rep.tobytes() for ray in (pending, read, wrapped)]
+        assert answers == [answers[0]] * 3
+        assert pending.rep.tobytes() == wrapped.rep.tobytes()
+
     def test_rejects_singular_matrix(self):
         with pytest.raises(SingularMatrix):
             induced_map(SymmetryOperator(np.diag([1.0, 0.0])))

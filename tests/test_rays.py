@@ -446,8 +446,33 @@ def scaled_stacks(draw):
     return np.array(rows)
 
 
+def fold_stack(dim, faulty):
+    """Four valid rows of length dim, the second with a subnormal largest part.
+
+    A ``faulty`` stack also has a middle row with a NaN last imaginary part, a
+    zero row after it, and a row with a -inf real part, so its first bad row is
+    the NaN one.
+    """
+    rows = [random_state(dim, seed=10 * dim + j) for j in range(4)]
+    rows[1] = rows[1] * 2.0**-1030
+    rows[3] = rows[3] * 1e200
+    if faulty:
+        nan, neg_inf = rows[2].copy(), rows[3].copy()
+        nan[-1] = complex(nan[-1].real, np.nan)
+        neg_inf[0] = complex(-np.inf, neg_inf[0].imag)
+        rows[2:2] = [nan, np.zeros(dim)]
+        rows.insert(-1, neg_inf)
+    return np.array(rows)
+
+
 class TestCanonicalRays:
     @given(scaled_stacks())
+    # _prescaled_rows takes the row maxima of up to 16 float columns by a fold
+    # down the columns, and of wider stacks row by row: dims 8 and 9 straddle it.
+    @example(fold_stack(8, faulty=True))
+    @example(fold_stack(8, faulty=False))
+    @example(fold_stack(9, faulty=True))
+    @example(fold_stack(9, faulty=False))
     @example(  # rows whose largest part is subnormal, between rows whose largest part is normal
         np.array(
             [
