@@ -10,12 +10,11 @@ How the library asks an oracle: only ``RayMapOracle``'s private methods call
 each distinct ray once.
 
 - A stack of rays (a block of a sampled check or of reproduction, or
-  ``map_basis``'s axes) goes to ``_images``.  Its loop wraps each row as a
-  Ray with ``Ray._from_canonical``'s assignments, inline.  Each answer's
-  vector is copied into one stack as it arrives, so no answer's Ray is kept,
-  and the answers still pending are canonicalized together in one
-  ``canonical_rays`` pass, with the bits and errors of each answer's own
-  ``rep``.
+  ``map_basis``'s axes) goes to ``_images``, whose loop wraps each row as a
+  Ray with no constructor frame.  Each answer's vector is copied into one
+  stack as it arrives, so no answer's Ray is kept, and the answers still
+  pending are canonicalized together in one ``canonical_rays`` pass, with
+  the bits and errors of each answer's own ``rep``.
 - A stage's distinct slice-probe rays go to ``_probe_answers``, which yields
   stacks of answers, each scored in one pass with the bits of a row-by-row
   scoring.  A plain oracle yields one-ray stacks, each asked lazily, so a
@@ -25,11 +24,9 @@ each distinct ray once.
   failing probe differ from a plain oracle's.
 - A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule,
   so every answer is finite and nonzero at any scale.  Each answer is one
-  BLAS matrix-vector product of the asked ray's stored ``rep`` (made first
-  for a pending ``Ray(v)``), conjugated first only when antiunitary, and
-  wrapped with ``Ray._from_answer``'s assignments, inline: unchecked and
-  uncopied until canonicalized.  So an ask from the library runs no Ray
-  constructor frame, on either side.
+  BLAS matrix-vector product of the asked ray's ``rep``, conjugated first
+  only when antiunitary, and a pending Ray made with no constructor frame:
+  unchecked and uncopied until canonicalized.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .rays import (
     Ray,
     Tolerances,
     _canonical_answers,
-    _new,
+    _matvec_answers,
     _prescaled_rows,
     _states,
     canonical_rays,
@@ -261,23 +258,9 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
                 f"matrix condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
             )
 
-    dim, antiunitary = op.dim, op.antiunitary
-
-    def image_fn(ray: Ray) -> Ray:
-        x = ray._rep  # set on every ray the library asks
-        if x is None:
-            x = ray.rep
-        if antiunitary:
-            x = np.conj(x)
-        answer = _new(Ray)  # Ray._from_answer(m @ x), inline: no frame per answer
-        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
-        answer._pending = m.dot(x)
-        answer._dim = dim
-        answer._rep = None
-        return answer
-
-    kind = "antilinear" if antiunitary else "linear"
-    return _MatrixOracle(dim, dim, image_fn, label=f"{kind}[dim={dim}]")
+    kind = "antilinear" if op.antiunitary else "linear"
+    image_fn = _matvec_answers(m, op.antiunitary)
+    return _MatrixOracle(op.dim, op.dim, image_fn, label=f"{kind}[dim={op.dim}]")
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:

@@ -54,7 +54,8 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-#: Builds a Ray with no ``__init__``, for the private wraps below.
+#: Builds a Ray with no ``__init__``: the private wraps below, and, inline with
+#: no frame per ray, the ask loop ``_canonical_answers`` and ``_matvec_answers``.
 _new = object.__new__
 
 
@@ -85,10 +86,7 @@ class Ray:
 
     @classmethod
     def _from_canonical(cls, rep: np.ndarray) -> "Ray":
-        """Wrap a read-only row of ``canonical_rays`` output, with no second pass.
-
-        ``_canonical_answers`` makes the same three assignments inline.
-        """
+        """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
         ray = _new(cls)
         ray._pending = ray._rep = rep
         ray._dim = len(rep)
@@ -96,10 +94,7 @@ class Ray:
 
     @classmethod
     def _from_answer(cls, w: np.ndarray) -> "Ray":
-        """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check.
-
-        ``induced_map``'s answer makes the same three assignments inline.
-        """
+        """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check."""
         ray = _new(cls)
         ray._pending = w
         ray._dim = len(w)
@@ -179,11 +174,12 @@ def _prescaled_rows(v: np.ndarray) -> np.ndarray:
     """A new copy of a C-contiguous (k, n) stack, each row checked and prescaled as ``Ray`` does."""
     parts = v.view(np.float64)
     # Row maxima, the same bits either way: a max is exact, and both propagate
-    # NaN.  max(axis=1) runs numpy's inner loop once per row.  Up to 16 float
-    # columns (dim 8), one np.maximum fold down the columns of a transposed
-    # copy is 3-7x cheaper on 100-800 rows; wider, the copy costs more than it
-    # saves (1.5x slower at dim 64).
-    if parts.shape[1] <= 16:
+    # NaN.  max(axis=1) runs numpy's inner loop once per row, so up to dim 16
+    # a fold down the columns of a transposed copy is cheaper; past it the copy
+    # costs more.  Timed on this function at the benchmark's stack shapes, the
+    # fold takes 0.5-0.8x the time at dims 8 and 16 on 16-800 rows (1.1-1.3x
+    # on fewer), 1.0-1.1x at dim 32 and 1.2-1.8x at dims 64-256.
+    if parts.shape[1] <= 32:
         top = np.maximum.reduce(np.abs(parts.T, order="C"))
     else:
         top = np.abs(parts).max(axis=1)
@@ -226,7 +222,7 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
     stack = np.empty((k, dim), dtype=np.complex128)
     pending = []
     for j, row in enumerate(rows):
-        ray = _new(Ray)  # Ray._from_canonical(row), inline: no frame per ask
+        ray = _new(Ray)  # Ray._from_canonical(row)
         ray._pending = ray._rep = row
         ray._dim = n
         answer = ask(ray)
@@ -241,6 +237,29 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
         stack[pending] = canonical_rays(stack[pending])
     stack.flags.writeable = False
     return stack
+
+
+def _matvec_answers(m: np.ndarray, antiunitary: bool):
+    """A matrix oracle's ``image_fn``: the pending answer ``m @ x`` to a ray with rep x.
+
+    x is conjugated first when ``antiunitary``.
+    """
+    dim = len(m)
+
+    def image_fn(ray: Ray) -> Ray:
+        x = ray._rep  # set on every ray the library asks
+        if x is None:
+            x = ray.rep
+        if antiunitary:
+            x = np.conj(x)
+        answer = _new(Ray)  # Ray._from_answer(m @ x)
+        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
+        answer._pending = m.dot(x)
+        answer._dim = dim
+        answer._rep = None
+        return answer
+
+    return image_fn
 
 
 def ray_function(r: Ray, s: Ray) -> float:

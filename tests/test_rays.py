@@ -467,12 +467,12 @@ def fold_stack(dim, faulty):
 
 class TestCanonicalRays:
     @given(scaled_stacks())
-    # _prescaled_rows takes the row maxima of up to 16 float columns by a fold
-    # down the columns, and of wider stacks row by row: dims 8 and 9 straddle it.
-    @example(fold_stack(8, faulty=True))
-    @example(fold_stack(8, faulty=False))
-    @example(fold_stack(9, faulty=True))
-    @example(fold_stack(9, faulty=False))
+    # _prescaled_rows takes the row maxima of up to 32 float columns by a fold
+    # down the columns, and of wider stacks row by row: dims 16 and 17 straddle it.
+    @example(fold_stack(16, faulty=True))
+    @example(fold_stack(16, faulty=False))
+    @example(fold_stack(17, faulty=True))
+    @example(fold_stack(17, faulty=False))
     @example(  # rows whose largest part is subnormal, between rows whose largest part is normal
         np.array(
             [
