@@ -12,9 +12,11 @@ each distinct ray once.
 - A stack of rays (a block of a sampled check or of reproduction, or
   ``map_basis``'s axes) goes to ``_images``, whose loop wraps each row as a
   Ray with no constructor frame.  Each answer's vector is copied into one
-  stack as it arrives, so no answer's Ray is kept, and the answers still
-  pending are canonicalized together in one ``canonical_rays`` pass, with
-  the bits and errors of each answer's own ``rep``.
+  stack as it arrives, so no answer's Ray is kept; a matrix oracle's
+  pending products of their own rows are only noted, and made after the
+  loop (below).  The answers still pending are canonicalized together in
+  one ``canonical_rays`` pass, with the bits and errors of each answer's
+  own ``rep``.
 - A stage's distinct slice-probe rays go to ``_probe_answers``, which yields
   stacks of answers, each scored in one pass with the bits of a row-by-row
   scoring.  A plain oracle yields one-ray stacks, each asked lazily, so a
@@ -23,10 +25,12 @@ each distinct ray once.
   nothing ahead of an earlier probe's error, and only the rays asked past a
   failing probe differ from a plain oracle's.
 - A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule,
-  so every answer is finite and nonzero at any scale.  Each answer is one
-  BLAS matrix-vector product of the asked ray's ``rep``, conjugated first
-  only when antiunitary, and a pending Ray made with no constructor frame:
-  unchecked and uncopied until canonicalized.
+  so every answer is finite and nonzero at any scale.  Each answer is a
+  pending product, a Ray made with no constructor frame that holds the
+  matrix and the asked ray's ``rep``.  Read alone, its ``rep`` canonicalizes
+  one BLAS matrix-vector ``dot`` of that rep, conjugated first only when
+  antiunitary.  The products of one ``_images`` stack are made together by
+  one stacked product, whose rows have each lone ``dot``'s bits.
 """
 
 from __future__ import annotations

@@ -55,7 +55,8 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 #: Builds a Ray with no ``__init__``: the private wraps below, and, inline with
-#: no frame per ray, the ask loop ``_canonical_answers`` and ``_matvec_answers``.
+#: no frame per ray, the ask loop ``_canonical_answers`` and the pending
+#: ``_Product`` answers of ``_matvec_answers``.
 _new = object.__new__
 
 
@@ -217,10 +218,15 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
 
 
 def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``."""
+    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``.
+
+    Pending products of their own asked row by one matrix and flag, the first
+    such answer's, are computed after the loop by one stacked product.
+    """
     k, n = rows.shape
     stack = np.empty((k, dim), dtype=np.complex128)
-    pending = []
+    pending, products = [], []
+    matrix = conj = None
     for j, row in enumerate(rows):
         ray = _new(Ray)  # Ray._from_canonical(row)
         ray._pending = ray._rep = row
@@ -230,7 +236,23 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
         if rep is None:
             pending.append(j)
             rep = answer._pending
+            if type(answer) is _Product:  # a plain answer pays this one test
+                if rep is row:
+                    if matrix is None:
+                        matrix, conj = answer._matrix, answer._conj
+                    if answer._matrix is matrix and answer._conj is conj:
+                        products.append(j)
+                        continue
+                rep = answer._vector()  # another ray's or another matrix's product
         stack[j] = rep
+    if products:
+        x = rows if len(products) == k else rows[products]
+        x = np.conj(x) if conj else np.ascontiguousarray(x)
+        # One BLAS gemv per row, each with the bits of the lone answer's ``dot``.
+        if len(products) == k:
+            np.matmul(matrix, x[:, :, None], out=stack[:, :, None])  # no second k x dim array
+        else:
+            stack[products] = np.matmul(matrix, x[:, :, None])[:, :, 0]
     if len(pending) == k:
         return canonical_rays(stack)
     if pending:
@@ -239,22 +261,45 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
     return stack
 
 
+class _Product(Ray):
+    """A matrix oracle's pending answer: the ray of ``_matrix @ x``, or of ``_matrix @ conj(x)``.
+
+    x, the asked ray's rep, is ``_pending``; the product is made when ``rep``
+    is first read, or by the ask loop together with the rest of its stack.
+    """
+
+    __slots__ = ("_matrix", "_conj")
+
+    def _vector(self) -> np.ndarray:
+        x = self._pending
+        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
+        return self._matrix.dot(np.conj(x) if self._conj else x)
+
+    @property
+    def rep(self) -> np.ndarray:
+        """The canonical representative (read-only array)."""
+        rep = self._rep
+        if rep is None:
+            rep = self._rep = _canonical_row(self._vector())
+        return rep
+
+
 def _matvec_answers(m: np.ndarray, antiunitary: bool):
-    """A matrix oracle's ``image_fn``: the pending answer ``m @ x`` to a ray with rep x.
+    """A matrix oracle's ``image_fn``: the pending product ``m @ x`` for a ray with rep x.
 
     x is conjugated first when ``antiunitary``.
     """
     dim = len(m)
+    conj = bool(antiunitary)
 
     def image_fn(ray: Ray) -> Ray:
         x = ray._rep  # set on every ray the library asks
         if x is None:
             x = ray.rep
-        if antiunitary:
-            x = np.conj(x)
-        answer = _new(Ray)  # Ray._from_answer(m @ x)
-        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
-        answer._pending = m.dot(x)
+        answer = _new(_Product)
+        answer._pending = x
+        answer._matrix = m
+        answer._conj = conj
         answer._dim = dim
         answer._rep = None
         return answer

@@ -1,4 +1,7 @@
+import gc
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from raysym import (
     verify_reproduction,
 )
 from raysym.oracles import MAX_CONDITION
-from raysym.rays import canonical_rays, ray_function, sample_ray
+from raysym.rays import _matvec_answers, canonical_rays, ray_function, sample_ray
 
 from conftest import axis_vector
 
@@ -424,6 +427,178 @@ def test_matrix_answers_are_the_rays_of_the_matmul(dim, antiunitary, scale):
     for r, w in zip(rays, want):
         assert oracle.image(r).rep.tobytes() == w.tobytes()
     assert oracle._images(rows).tobytes() == np.array(want).tobytes()
+
+
+def _stack_rows(dim, k, seed):
+    """k canonical rows, a third with pivot past coordinate 0 (a zero or sub-PIVOT_TOL lead)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    if dim > 1:
+        z[: k // 6, 0] = 0.0
+        z[k // 6 : k // 3, 0] *= 1e-12
+    return canonical_rays(z)
+
+
+def _ginibre(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+#: Matrix oracles by kind: (dim) -> oracle.
+PRODUCT_ORACLES = {
+    "unitary": lambda dim: induced_map(SymmetryOperator(random_unitary(dim, seed=dim))),
+    "antiunitary": lambda dim: induced_map(SymmetryOperator(random_unitary(dim, seed=dim), True)),
+    "general": lambda dim: general_induced_map(_ginibre(dim, dim)),
+    "general-2**600": lambda dim: general_induced_map(2.0**600 * _ginibre(dim, dim), True),
+    "antiunitary-2**-600": lambda dim: induced_map(
+        SymmetryOperator(2.0**-600 * random_unitary(dim, seed=dim), True)
+    ),
+}
+
+
+class TestStackedProducts:
+    """A matrix oracle answers with pending products; a stack of them is one stacked product."""
+
+    @staticmethod
+    def logged(image_fn):
+        """An ``image_fn`` over ``image_fn(j, ray)`` that logs each asked rep, answer and pending flag."""
+        asked, answers, pending = [], [], []
+
+        def ask(ray):
+            asked.append(ray.rep.tobytes())
+            answers.append(image_fn(len(answers), ray))
+            pending.append(answers[-1]._rep is None)
+            return answers[-1]
+
+        return asked, answers, pending, ask
+
+    @pytest.mark.parametrize("kind", PRODUCT_ORACLES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 64])
+    def test_stack_rows_are_the_lone_answers(self, dim, kind, monkeypatch):
+        oracle = PRODUCT_ORACLES[kind](dim)
+        rows = _stack_rows(dim, 30, seed=dim)
+        lone = [oracle.image(Ray._from_canonical(row)) for row in rows]
+        assert all(answer._rep is None for answer in lone)
+        want = np.array([answer.rep for answer in lone])
+        # The stack makes no lone product: every row comes from the stacked one.
+        lone_products = [0]
+        vector = type(lone[0])._vector
+
+        def counted(answer):
+            lone_products[0] += 1
+            return vector(answer)
+
+        monkeypatch.setattr(type(lone[0]), "_vector", counted)
+        got = oracle._images(rows)
+        assert lone_products[0] == 0
+        assert got.tobytes() == want.tobytes()
+        for probes in (rows, rows[:1]):
+            (answers,) = oracle._probe_answers(probes)
+            assert answers.tobytes() == want[: len(probes)].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "alternating-oracles",
+            "one-other-ray",
+            "mixed-with-plain",
+            "plain-first",
+            "one-matrix-both-flags",
+        ],
+    )
+    def test_other_answers_keep_their_own_rep(self, pattern, dim):
+        linear = PRODUCT_ORACLES["unitary"](dim)
+        antilinear = induced_map(SymmetryOperator(_ginibre(dim, 7), True))
+        another = general_induced_map(_ginibre(dim, 9))  # linear too, by another matrix
+        rng = np.random.default_rng(dim)
+        other = Ray._from_canonical(_stack_rows(dim, 1, seed=99)[0])
+        # The one matrix an oracle answers by, both as it is and conjugating first.
+        m = _ginibre(dim, 8)
+        both_flags = [_matvec_answers(m, flag) for flag in (False, True)]
+        vs = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
+
+        def read(v):
+            ray = Ray(v)
+            ray.rep
+            return ray
+
+        image_fn = {
+            "alternating-oracles": lambda j, ray: (linear, antilinear)[j % 2].image(ray),
+            "one-other-ray": lambda j, ray: linear.image(other),
+            "mixed-with-plain": lambda j, ray: (
+                linear.image(ray),
+                Ray(vs[j]),
+                another.image(ray),
+                read(vs[j]),
+                linear.image(other),
+                antilinear.image(ray),
+            )[j % 6],
+            "plain-first": lambda j, ray: Ray(vs[j]) if j < 3 else antilinear.image(ray),
+            "one-matrix-both-flags": lambda j, ray: both_flags[j % 2](ray),
+        }[pattern]
+        rows = _stack_rows(dim, 12, seed=dim + 1)
+        asked, answers, pending, ask = self.logged(image_fn)
+        got = RayMapOracle(dim, dim, ask)._images(rows)
+        assert asked == [row.tobytes() for row in rows]
+        assert sum(pending) >= 10  # only a read Ray(v) answer has its rep when it is given
+        # The stack sets no answer's rep; each row is what that answer reads alone.
+        assert [a._rep is None for a in answers] == pending
+        assert got.tobytes() == np.array([a.rep for a in answers]).tobytes()
+
+    def test_no_product_is_kept_alive(self):
+        # The stack notes a product's row, not the product: at dim 2 one block holds every trial.
+        inner = induced_map(SymmetryOperator(random_unitary(2, seed=4), True))
+        counts = []
+
+        def live():
+            return sum(isinstance(obj, Ray) for obj in gc.get_objects())
+
+        def image_fn(ray):
+            answer = inner.image(ray)
+            counts.append(live() if len(counts) % 50 == 49 else None)
+            return answer
+
+        gc.collect()
+        before = live()
+        check_orthogonality_preservation(RayMapOracle(2, 2, image_fn), 200, seed=1)
+        counts = [c for c in counts if c is not None]
+        assert len(counts) == 16
+        # The ray being asked, its answer and at most the answer before it.
+        assert max(counts) - before <= 3
+
+    @pytest.mark.parametrize("antiunitary", [False, True], ids=["linear", "antilinear"])
+    def test_concurrent_first_reads_of_a_product_see_the_same_bytes(self, antiunitary):
+        # More threads than cores and a short switch interval, so the reads
+        # interleave inside the product's first canonicalization.
+        oracle = induced_map(SymmetryOperator(random_unitary(64, seed=5), antiunitary))
+        rows = _stack_rows(64, 20, seed=6)
+        want = oracle._images(rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for row, expected in zip(rows, want):
+                answer = oracle.image(Ray._from_canonical(row))
+                barrier = threading.Barrier(4)
+                seen, errors = [], []
+
+                def read(answer=answer, barrier=barrier, seen=seen, errors=errors):
+                    try:
+                        barrier.wait(timeout=10)
+                        seen.append(answer.rep.tobytes())
+                    except Exception as err:  # reported by the assertion below
+                        errors.append(err)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert seen == [expected.tobytes()] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOrthogonalityPreservation:
