@@ -12,11 +12,9 @@ each distinct ray once.
 - A stack of rays (a block of a sampled check or of reproduction, or
   ``map_basis``'s axes) goes to ``_images``, whose loop wraps each row as a
   Ray with no constructor frame.  Each answer's vector is copied into one
-  stack as it arrives, so no answer's Ray is kept; a matrix oracle's
-  pending products of their own rows are only noted, and made after the
-  loop (below).  The answers still pending are canonicalized together in
-  one ``canonical_rays`` pass, with the bits and errors of each answer's
-  own ``rep``.
+  stack as it arrives, so no answer's Ray is kept, and the answers still
+  pending are canonicalized together in one ``canonical_rays`` pass, with
+  the bits and errors of each answer's own ``rep``.
 - A stage's distinct slice-probe rays go to ``_probe_answers``, which yields
   stacks of answers, each scored in one pass with the bits of a row-by-row
   scoring.  A plain oracle yields one-ray stacks, each asked lazily, so a
@@ -25,12 +23,13 @@ each distinct ray once.
   nothing ahead of an earlier probe's error, and only the rays asked past a
   failing probe differ from a plain oracle's.
 - A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule,
-  so every answer is finite and nonzero at any scale.  Each answer is a
-  pending product, a Ray made with no constructor frame that holds the
-  matrix and the asked ray's ``rep``.  Read alone, its ``rep`` canonicalizes
-  one BLAS matrix-vector ``dot`` of that rep, conjugated first only when
-  antiunitary.  The products of one ``_images`` stack are made together by
-  one stacked product, whose rows have each lone ``dot``'s bits.
+  so every answer is finite and nonzero at any scale.  A lone ``image``
+  answers a pending product, a Ray made with no constructor frame that holds
+  the matrix and the asked ray's ``rep``; its ``rep`` canonicalizes one BLAS
+  matrix-vector ``dot`` of that rep, conjugated first only when antiunitary.
+  Its ``_images`` asks each row as above but reads no answer: the stack is
+  one stacked product, whose rows have each lone ``dot``'s bits, and one
+  ``canonical_rays`` pass.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
+    _asked,
     _canonical_answers,
     _matvec_answers,
     _prescaled_rows,
@@ -172,8 +172,6 @@ class RayMapOracle:
 
     def _images(self, rows: np.ndarray) -> np.ndarray:
         """Answer reps of a canonical (k, dim_in) stack, one ``image`` call per row, in order."""
-        rows = rows.view()
-        rows.flags.writeable = False  # the oracle never gets a ray it can write into
         return _canonical_answers(self.image, rows, self.dim_out)
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -225,12 +223,32 @@ class ConformanceReport:
 
 
 class _MatrixOracle(RayMapOracle):
-    """``induced_map``'s oracle, which answers a stage's probe rays as one ``_images`` stack."""
+    """``induced_map``'s oracle: ray(x) -> ray(m x), or ray(m conj(x)) when ``conj``, m prescaled.
 
-    __slots__ = ()
+    It answers each stack, a stage's probe rays included, as one stacked product.
+    """
+
+    __slots__ = ("_matrix", "_conj")
+
+    def __init__(self, m: np.ndarray, conj: bool, label: str):
+        super().__init__(len(m), len(m), _matvec_answers(m, conj), label)
+        self._matrix, self._conj = m, conj
+
+    def _images(self, rows: np.ndarray) -> np.ndarray:
+        """``RayMapOracle._images``' stack and ``image`` calls; no answer is read."""
+        for _ in _asked(self.image, rows):
+            pass
+        return _product_rays(self._matrix, rows, self._conj)
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         return iter((self._images(rows),))
+
+
+def _product_rays(m: np.ndarray, x: np.ndarray, conj: bool) -> np.ndarray:
+    """Reps of the rays of ``m @ x``, or of ``m @ conj(x)``, for each row x of a (k, n) stack."""
+    x = np.conj(x) if conj else np.ascontiguousarray(x)
+    # One BLAS gemv per row, each with the bits of a lone answer's ``dot``.
+    return canonical_rays(np.matmul(m, x[:, :, None])[:, :, 0])
 
 
 def _gram_certifies(m: np.ndarray) -> bool:
@@ -263,8 +281,7 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
             )
 
     kind = "antilinear" if op.antiunitary else "linear"
-    image_fn = _matvec_answers(m, op.antiunitary)
-    return _MatrixOracle(op.dim, op.dim, image_fn, label=f"{kind}[dim={op.dim}]")
+    return _MatrixOracle(m, op.antiunitary, label=f"{kind}[dim={op.dim}]")
 
 
 def general_induced_map(matrix: np.ndarray, conjugate_first: bool = False) -> RayMapOracle:

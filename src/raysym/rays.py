@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -54,9 +55,9 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-#: Builds a Ray with no ``__init__``: the private wraps below, and, inline with
-#: no frame per ray, the ask loop ``_canonical_answers`` and the pending
-#: ``_Product`` answers of ``_matvec_answers``.
+#: Builds a Ray with no ``__init__``: ``_from_canonical``, and, inline with no
+#: frame per ray, the asked rows of ``_asked`` and the lone ``_Product``
+#: answers of ``_matvec_answers``.
 _new = object.__new__
 
 
@@ -91,15 +92,6 @@ class Ray:
         ray = _new(cls)
         ray._pending = ray._rep = rep
         ray._dim = len(rep)
-        return ray
-
-    @classmethod
-    def _from_answer(cls, w: np.ndarray) -> "Ray":
-        """Wrap a fresh contiguous 1-d complex128 vector, pending, with no copy and no check."""
-        ray = _new(cls)
-        ray._pending = w
-        ray._dim = len(w)
-        ray._rep = None
         return ray
 
     @property
@@ -217,43 +209,29 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``.
-
-    Pending products of their own asked row by one matrix and flag, the first
-    such answer's, are computed after the loop by one stacked product.
-    """
-    k, n = rows.shape
-    stack = np.empty((k, dim), dtype=np.complex128)
-    pending, products = [], []
-    matrix = conj = None
-    for j, row in enumerate(rows):
+def _asked(ask, rows: np.ndarray) -> Iterator[Ray]:
+    """The answers ``ask`` gives the canonical ``rows``, in order, each row asked when taken."""
+    rows = rows.view()
+    rows.flags.writeable = False  # the oracle never gets a ray it can write into
+    n = rows.shape[1]
+    for row in rows:
         ray = _new(Ray)  # Ray._from_canonical(row)
         ray._pending = ray._rep = row
         ray._dim = n
-        answer = ask(ray)
+        yield ask(ray)
+
+
+def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
+    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``."""
+    stack = np.empty((len(rows), dim), dtype=np.complex128)
+    pending = []
+    for j, answer in enumerate(_asked(ask, rows)):
         rep = answer._rep
         if rep is None:
             pending.append(j)
             rep = answer._pending
-            if type(answer) is _Product:  # a plain answer pays this one test
-                if rep is row:
-                    if matrix is None:
-                        matrix, conj = answer._matrix, answer._conj
-                    if answer._matrix is matrix and answer._conj is conj:
-                        products.append(j)
-                        continue
-                rep = answer._vector()  # another ray's or another matrix's product
         stack[j] = rep
-    if products:
-        x = rows if len(products) == k else rows[products]
-        x = np.conj(x) if conj else np.ascontiguousarray(x)
-        # One BLAS gemv per row, each with the bits of the lone answer's ``dot``.
-        if len(products) == k:
-            np.matmul(matrix, x[:, :, None], out=stack[:, :, None])  # no second k x dim array
-        else:
-            stack[products] = np.matmul(matrix, x[:, :, None])[:, :, 0]
-    if len(pending) == k:
+    if len(pending) == len(rows):
         return canonical_rays(stack)
     if pending:
         stack[pending] = canonical_rays(stack[pending])
@@ -262,42 +240,31 @@ def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _Product(Ray):
-    """A matrix oracle's pending answer: the ray of ``_matrix @ x``, or of ``_matrix @ conj(x)``.
+    """A matrix oracle's lone answer: the ray of ``_matrix @ _x``, or of ``_matrix @ conj(_x)``.
 
-    x, the asked ray's rep, is ``_pending``; the product is made when ``rep``
-    is first read, or by the ask loop together with the rest of its stack.
+    ``_x`` is the asked ray's rep.  The product is the pending vector, so
+    ``rep`` and the plain ask loop read it as they read any pending answer's.
     """
 
-    __slots__ = ("_matrix", "_conj")
+    __slots__ = ("_x", "_matrix", "_conj")
 
-    def _vector(self) -> np.ndarray:
-        x = self._pending
+    @property
+    def _pending(self) -> np.ndarray:
+        x = self._x
         # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
         return self._matrix.dot(np.conj(x) if self._conj else x)
 
-    @property
-    def rep(self) -> np.ndarray:
-        """The canonical representative (read-only array)."""
-        rep = self._rep
-        if rep is None:
-            rep = self._rep = _canonical_row(self._vector())
-        return rep
 
-
-def _matvec_answers(m: np.ndarray, antiunitary: bool):
-    """A matrix oracle's ``image_fn``: the pending product ``m @ x`` for a ray with rep x.
-
-    x is conjugated first when ``antiunitary``.
-    """
+def _matvec_answers(m: np.ndarray, conj: bool):
+    """A matrix oracle's ``image_fn``: the lone ``_Product`` of m and the asked ray's rep."""
     dim = len(m)
-    conj = bool(antiunitary)
 
     def image_fn(ray: Ray) -> Ray:
         x = ray._rep  # set on every ray the library asks
         if x is None:
             x = ray.rep
         answer = _new(_Product)
-        answer._pending = x
+        answer._x = x
         answer._matrix = m
         answer._conj = conj
         answer._dim = dim

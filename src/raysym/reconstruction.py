@@ -38,7 +38,7 @@ from .errors import (
     RaySymError,
     SliceDegenerate,
 )
-from .oracles import RayMapOracle, SymmetryOperator, _square_matrix, _trial_count
+from .oracles import RayMapOracle, SymmetryOperator, _product_rays, _square_matrix, _trial_count
 from .rays import DEFAULT_TOLERANCES, Tolerances, canonical_rays, ray_functions, sampled_maxima
 
 #: Probe points for automorphism-law checks: 0, +-1, +-i, 1+i and six generic points.
@@ -410,8 +410,7 @@ def verify_reproduction(
 def _reproduction_block(op: SymmetryOperator, oracle: RayMapOracle, v: np.ndarray) -> float:
     """Worst 1 - u(ray(op x), oracle image) over the sources of one (k, 1, dim) block."""
     sources = canonical_rays(v[:, 0])
-    x = np.conj(sources) if op.antiunitary else sources
-    mapped = canonical_rays(np.matmul(op.matrix, x[:, :, None])[:, :, 0])
+    mapped = _product_rays(op.matrix, sources, op.antiunitary)
     images = oracle._images(sources)
     return float((1.0 - ray_functions(mapped, images)).max())
 

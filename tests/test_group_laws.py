@@ -2,7 +2,10 @@
 
 Wigner maps compose and invert as their operators do, so reconstruct needs no
 reference implementation here.  Every map is a plain-callable oracle built
-from Haar-random unitaries: x -> U x, or U conj(x) when antiunitary.
+from Haar-random unitaries: x -> U x, or U conj(x) when antiunitary, on
+vectors, or, for a composition, as ``a.image(b.image(ray))`` of two
+``induced_map`` oracles, so that a matrix oracle is asked another one's lazy
+answer.
 
 - reconstruct(A o B) is U_A U_B up to a phase, or U_A conj(U_B) when A is
   antiunitary, and its antiunitary flag is the XOR of the two flags;
@@ -15,7 +18,16 @@ from Haar-random unitaries: x -> U x, or U conj(x) when antiunitary.
 import numpy as np
 import pytest
 
-from raysym import DEFAULT_TOLERANCES, Ray, RayMapOracle, gauge_residual, random_unitary, reconstruct
+from raysym import (
+    DEFAULT_TOLERANCES,
+    Ray,
+    RayMapOracle,
+    SymmetryOperator,
+    gauge_residual,
+    induced_map,
+    random_unitary,
+    reconstruct,
+)
 
 DIMS = (2, 3, 8, 64)
 FLAGS = (False, True)
@@ -57,9 +69,16 @@ def assert_reconstructs(result, matrix, antiunitary):
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("a_anti", FLAGS)
 @pytest.mark.parametrize("b_anti", FLAGS)
-def test_composition(dim, a_anti, b_anti):
+@pytest.mark.parametrize("maps", ["vectors", "induced-maps"])
+def test_composition(maps, dim, a_anti, b_anti):
     u_a, u_b = random_unitary(dim, seed=100 + dim), random_unitary(dim, seed=200 + dim)
-    result = reconstruct(oracle(dim, wigner_map(u_a, a_anti), wigner_map(u_b, b_anti)), dim)
+    if maps == "vectors":
+        composed = oracle(dim, wigner_map(u_a, a_anti), wigner_map(u_b, b_anti))
+    else:
+        a = induced_map(SymmetryOperator(u_a, a_anti))
+        b = induced_map(SymmetryOperator(u_b, b_anti))
+        composed = RayMapOracle(dim, dim, lambda ray: a.image(b.image(ray)))
+    result = reconstruct(composed, dim)
     want = u_a @ (np.conj(u_b) if a_anti else u_b)
     assert_reconstructs(result, want, a_anti != b_anti)
 

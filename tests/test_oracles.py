@@ -457,7 +457,7 @@ PRODUCT_ORACLES = {
 
 
 class TestStackedProducts:
-    """A matrix oracle answers with pending products; a stack of them is one stacked product."""
+    """A matrix oracle answers a lone ray with a pending product, and a stack with one product."""
 
     @staticmethod
     def logged(image_fn):
@@ -482,19 +482,19 @@ class TestStackedProducts:
         want = np.array([answer.rep for answer in lone])
         # The stack makes no lone product: every row comes from the stacked one.
         lone_products = [0]
-        vector = type(lone[0])._vector
+        product = type(lone[0])._pending.fget
 
         def counted(answer):
             lone_products[0] += 1
-            return vector(answer)
+            return product(answer)
 
-        monkeypatch.setattr(type(lone[0]), "_vector", counted)
+        monkeypatch.setattr(type(lone[0]), "_pending", property(counted))
         got = oracle._images(rows)
-        assert lone_products[0] == 0
         assert got.tobytes() == want.tobytes()
         for probes in (rows, rows[:1]):
             (answers,) = oracle._probe_answers(probes)
             assert answers.tobytes() == want[: len(probes)].tobytes()
+        assert lone_products[0] == 0
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     @pytest.mark.parametrize(
@@ -547,7 +547,7 @@ class TestStackedProducts:
         assert got.tobytes() == np.array([a.rep for a in answers]).tobytes()
 
     def test_no_product_is_kept_alive(self):
-        # The stack notes a product's row, not the product: at dim 2 one block holds every trial.
+        # The plain loop copies each product and keeps none: at dim 2 one block holds every trial.
         inner = induced_map(SymmetryOperator(random_unitary(2, seed=4), True))
         counts = []
 

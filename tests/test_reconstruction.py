@@ -799,18 +799,24 @@ class TestMatrixOracleProbeStack:
     def log_asks(monkeypatch):
         """From here on, log every asked ray's bytes and the row count of every ``_images`` stack."""
         rays, stacks = [], []
-        image, images = RayMapOracle.image, RayMapOracle._images
+        image = RayMapOracle.image
 
         def logged_image(oracle, ray):
             rays.append(ray.rep.tobytes())
             return image(oracle, ray)
 
-        def logged_images(oracle, rows):
-            stacks.append(rows.shape[0])
-            return images(oracle, rows)
+        def logged(images):
+            def logged_images(oracle, rows):
+                stacks.append(rows.shape[0])
+                return images(oracle, rows)
+
+            return logged_images
 
         monkeypatch.setattr(RayMapOracle, "image", logged_image)
-        monkeypatch.setattr(RayMapOracle, "_images", logged_images)
+        # Wherever ``_images`` is defined: a matrix oracle answers its stacks itself.
+        for cls in (RayMapOracle, *RayMapOracle.__subclasses__()):
+            if "_images" in vars(cls):
+                monkeypatch.setattr(cls, "_images", logged(vars(cls)["_images"]))
         return rays, stacks
 
     @staticmethod
