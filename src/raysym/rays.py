@@ -55,6 +55,12 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+#: Longest vector that ``Ray(v)`` first checks by one scalar norm of its parts.
+#: Timed against ``_top_exponent`` on one vector at a time, the norm takes 0.45-0.6x
+#: its time at 2-8 components, 0.73x at 12, 0.83x at 16, 0.93x at 20 and 1.03-1.14x
+#: at 24-32.
+_SCALAR_CHECK_MAX = 16
+
 #: Builds a Ray with no ``__init__``: ``_from_canonical``, and, inline with no
 #: frame per ray, the asked rows of ``_asked`` and the lone ``_Product``
 #: answers of ``_matvec_answers``.
@@ -81,9 +87,13 @@ class Ray:
         v = np.array(v, dtype=np.complex128, order="C")  # the private copy
         if v.ndim != 1 or v.size == 0:
             raise ValueError("expected a nonempty 1-d vector")
-        _top_exponent(v)
+        n = len(v)
+        # A norm strictly between 0 and inf passes only valid vectors; _top_exponent
+        # decides on the rest: zero, NaN or inf parts, or a norm that overflows.
+        if n > _SCALAR_CHECK_MAX or not 0.0 < math.hypot(*v.view(np.float64).tolist()) < math.inf:
+            _top_exponent(v)
         self._pending = v
-        self._dim = len(v)
+        self._dim = n
         self._rep = None
 
     @classmethod

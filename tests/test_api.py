@@ -199,3 +199,8 @@ def test_readme_example_runs_and_holds_its_comments():
     assert namespace["residual"] < 1e-12
     assert report.passed is True
     assert report.entry("round-trip").passed is True
+    plain, plain_result = namespace["plain"], namespace["plain_result"]
+    assert plain_result.unitary_valid is True
+    assert raysym.gauge_residual(plain_result.operator.matrix, namespace["u3"]) < 1e-12
+    assert raysym.verify_reproduction(plain_result.operator, plain) < 1e-12
+    assert raysym.check_orthogonality_preservation(plain, trials=50, seed=1).passed is True

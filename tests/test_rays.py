@@ -17,9 +17,12 @@ from raysym import (
     ZeroVector,
     canonical_ray,
 )
+from raysym import rays
 from raysym.rays import (
+    _SCALAR_CHECK_MAX,
     PIVOT_TOL,
     SAMPLE_BLOCK,
+    _top_exponent,
     canonical_rays,
     ray_function,
     ray_functions,
@@ -201,6 +204,48 @@ class TestRayConstructor:
         for bad in (np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.eye(2), np.array([])):
             with pytest.raises(ValueError):
                 Ray(bad)
+
+    @staticmethod
+    def boundary_vectors(n):
+        """(v, whether |v| overflows): both sides of each outcome of Ray's scalar check."""
+        for part in (np.nan, np.inf, -np.inf):
+            for position in sorted({0, n - 1}):
+                for bad in (part, complex(0.0, part)):
+                    v = np.ones(n, dtype=np.complex128)
+                    v[position] = bad
+                    yield v, False
+        zeros = np.zeros(2 * n)
+        zeros[::3] = -0.0
+        yield zeros.view(np.complex128), False  # signed zeros
+        yield np.ldexp(np.arange(1.0, 2 * n + 1), -1074).view(np.complex128), False  # all subnormal
+        yield np.full(n, 1.7e308 + 1.7e308j), True
+        big = np.full(n, 1.7e308 + 0j)
+        big[-1] = 1.7e308j
+        yield big, n > 1
+        yield np.arange(1.0, 2 * n + 1).view(np.complex128), False
+
+    @pytest.mark.parametrize("n", range(1, _SCALAR_CHECK_MAX + 2))
+    def test_scalar_check_decides_as_top_exponent(self, n, monkeypatch):
+        # Up to _SCALAR_CHECK_MAX components, Ray checks a vector by one scalar
+        # norm and calls _top_exponent only for what that does not pass: zero or
+        # non-finite parts, or a norm that overflows.  Past it, always.
+        calls = []
+        monkeypatch.setattr(rays, "_top_exponent", lambda v: calls.append(v) or _top_exponent(v))
+        for v, overflows in self.boundary_vectors(n):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    _top_exponent(v)
+                except (ValueError, ZeroVector) as err:
+                    with pytest.raises(type(err)) as info:
+                        Ray(v)
+                    assert type(info.value) is type(err) and str(info.value) == str(err)
+                    assert len(calls) == 1
+                    continue
+                ray = Ray(v)
+                assert len(calls) == (n > _SCALAR_CHECK_MAX or overflows)
+                assert ray.rep.tobytes() == reference_ray_rep(v).tobytes()
 
     def test_idempotent(self):
         rng = np.random.default_rng(41)
