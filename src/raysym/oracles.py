@@ -123,7 +123,9 @@ class SymmetryOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.matrix.conj().T @ self.matrix
             defect = float(np.max(np.abs(gram - np.eye(self.dim))))
-        return math.inf if math.isnan(defect) else defect
+        defect = math.inf if math.isnan(defect) else defect
+        object.__setattr__(self, "_defect", defect)  # induced_map's certificate reads it
+        return defect
 
 
 class RayMapOracle:
@@ -266,14 +268,17 @@ def induced_map(op: SymmetryOperator) -> RayMapOracle:
     Raises SingularMatrix when ``np.linalg.cond(op.matrix)`` is not finite or
     is at least MAX_CONDITION.  That SVD is skipped when the Gershgorin discs of
     the prescaled Gram matrix lie in [lo, 4 lo] with lo > 0, which bounds the
-    condition number by 2, as for unitary matrices.  Where the prescaled
-    entries and products stay normal, an answer's ``rep`` is
+    condition number by 2, as for unitary matrices.  A unitarity defect d that
+    ``op.unitarity_defect`` has already computed certifies the same when
+    dim * d <= 0.6, since the discs of U^dagger U then lie in [0.4, 1.6], and
+    that Gram product is not formed again.  Where the prescaled entries and
+    products stay normal, an answer's ``rep`` is
     ``Ray(op.matrix @ x).rep`` bit for bit.
     """
     m = op.matrix
     if m.any():  # a zero matrix has no prescale; the SVD refuses it
         m = _prescaled_rows(m.reshape(1, -1)).reshape(m.shape)
-    if not _gram_certifies(m):
+    if not (op.dim * op.__dict__.get("_defect", math.inf) <= 0.6 or _gram_certifies(m)):
         cond = np.linalg.cond(op.matrix)
         if not np.isfinite(cond) or cond >= MAX_CONDITION:
             raise SingularMatrix(

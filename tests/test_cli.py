@@ -24,7 +24,7 @@ from raysym import (
     random_unitary,
     reconstruct,
 )
-from raysym import cli
+from raysym import cli, oracles
 from raysym.cli import (
     MAX_TRIALS,
     UsageError,
@@ -127,6 +127,37 @@ def reference_fmt(x):
     if x == 0.0:
         x = 0.0
     return f"{x:.17g}"
+
+
+def printed_parts(values):
+    """The re and im fields of the matrix lines of ``values``, zero-padded to a square
+    matrix of at least dim 2, in order; and the padded values themselves."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    dim = max(2, math.isqrt(-(-len(values) // 2) - 1) + 1)
+    padded = np.zeros(2 * dim * dim)
+    padded[: len(values)] = values
+    text = "\n".join(cli._matrix_block(padded.view(np.complex128).reshape(dim, dim)))
+    return [field for line in text.split("\n") for field in line.split("\t")[3:]], padded.tolist()
+
+
+#: One dimension whose whole matrix is one chunk of the matrix-line printer.
+CHUNK_SIDE = math.isqrt(cli._BLOCK_PARTS // 2)
+
+#: Parts that ``_fmt`` prints in scientific notation.
+FALLBACKS = [1e-5, -9.9999999999999991e-5, 5e-324, 1e17, -1.7976931348623157e308]
+
+
+def with_fallbacks_at_chunk_ends(m):
+    """``m`` with a part that ``_fmt`` prints in scientific notation at the first and last
+    part of each chunk of rows the matrix-line printer works in."""
+    m = m.copy()
+    dim = len(m)
+    rows = max(1, cli._BLOCK_PARTS // (2 * dim))
+    for k, top in enumerate(range(0, dim, rows)):
+        last = min(top + rows, dim) - 1
+        m[top, 0] = complex(FALLBACKS[k % 5], m[top, 0].imag)
+        m[last, dim - 1] = complex(m[last, dim - 1].real, FALLBACKS[(k + 2) % 5])
+    return m
 
 
 def reference_render_tail(result):
@@ -239,6 +270,17 @@ class TestLoadOperatorFile:
         op = load_operator_file(write_operator_file(tmp_path / "u.json", u, "unitary"))
         assert np.allclose(op.matrix, u, atol=1e-15)
         assert not op.antiunitary
+
+    @pytest.mark.parametrize("kind, products", [("unitary", 0), ("antiunitary", 0), ("general", 1)])
+    def test_a_unitary_file_forms_its_gram_product_once(self, monkeypatch, tmp_path, kind, products):
+        # Loading checks the defect of a unitary or antiunitary file, and that
+        # certifies its condition number too; a general file's is certified apart.
+        calls = []
+        certifies = oracles._gram_certifies
+        monkeypatch.setattr(oracles, "_gram_certifies", lambda m: calls.append(m) or certifies(m))
+        u = random_unitary(4, seed=2)
+        induced_map(load_operator_file(write_operator_file(tmp_path / "u.json", u, kind)))
+        assert len(calls) == products
 
     def test_antiunitary_kind_sets_the_flag(self, anti_identity_file):
         assert load_operator_file(anti_identity_file).antiunitary
@@ -436,26 +478,58 @@ class TestReconstructCommand:
             classification_residual=-0.0,
             unitary_valid=False,
         )
-        # Each matrix row renders as one newline-joined string, so compare text.
+        # The matrix lines render as one newline-joined string per chunk of rows, so compare text.
         text = "\n".join(render_reconstruction(result)[7:])
         assert text == "\n".join(reference_render_tail(result))
         assert "matrix\t1\t1\t0\t0" in text.split("\n")
 
-    @pytest.mark.parametrize("dim, sprinkle", [(12, False), (64, False), (129, True)])
+    @pytest.mark.parametrize(
+        "dim, sprinkle",
+        [(12, False), (64, False), (129, True), (256, True),
+         (CHUNK_SIDE - 1, True), (CHUNK_SIDE, True), (CHUNK_SIDE + 1, True)],
+    )
     def test_render_matches_the_per_entry_loop_on_a_reconstruction(self, dim, sprinkle):
+        # CHUNK_SIDE rows make one whole chunk; one row more makes two.
+        assert cli._BLOCK_PARTS // (2 * CHUNK_SIDE) == CHUNK_SIDE
         u = random_unitary(dim, seed=4) * (1.0 + np.arange(dim) / dim)
         result = reconstruct(induced_map(SymmetryOperator(u)), dim)
         if sprinkle:
             # Signed zeros, the smallest subnormal and huge entries, at row ends and inside.
-            m = result.operator.matrix.copy()
+            m = with_fallbacks_at_chunk_ends(result.operator.matrix)
             for k, value in enumerate([-0.0, 5e-324, -5e-324, 1e300, -1e300]):
-                for i, j in ((k, 0), (k + 1, dim - 1), (dim - 1 - k, 3 * k + 1)):
+                for i, j in ((k, 1), (k + 1, dim - 2), (dim - 1 - k, 3 * k + 1)):
                     m[i, j] = complex(value, -value)
-            m[dim - 1, dim - 1] = complex(-0.0, -0.0)
-            assert np.signbit(m[0, 0].real) and np.signbit(m[dim - 1, dim - 1].imag)
+            m[dim - 1, dim - 2] = complex(-0.0, -0.0)
+            assert np.signbit(m[0, 1].real) and np.signbit(m[dim - 1, dim - 2].imag)
             result = dataclasses.replace(result, operator=SymmetryOperator(m))
         text = "\n".join(render_reconstruction(result)[7:])
         assert text == "\n".join(reference_render_tail(result))
+
+
+class TestMatrixLineDigits:
+    """Each printed part is ``_fmt``'s text, also where the array passes come closest to wrong."""
+
+    @settings(deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_part(self, values):
+        printed, parts = printed_parts(values)
+        assert printed == [reference_fmt(x) for x in parts]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Halfway cases of the 17th digit: M / 2**18 in [0.1, 1) with M odd, and more.
+            np.arange(1, 2**18, 31) / 2.0**18,
+            # A power of ten and its neighbours, where log10 can be one off.
+            [np.nextafter(10.0**k, to) for k in range(-6, 18) for to in (-np.inf, 0.0, np.inf)],
+            [2.0**53 - 2, 2.0**53 + 2, 2.0**53, 1e16, 0.0, -0.0, 5e-324, 1.7976931348623157e308],
+        ],
+        ids=["dyadic-ties", "powers-of-ten", "edges"],
+    )
+    def test_families(self, values):
+        values = np.concatenate([values, np.negative(values)])
+        printed, parts = printed_parts(values)
+        assert printed == [reference_fmt(x) for x in parts]
 
     def test_out_of_range_integer_exits_64(self, capsys, tmp_path):
         text = next(case[1] for case in MALFORMED_MATRICES if case[0] == "huge-integer")
