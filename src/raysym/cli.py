@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import fmt as _fmt, matrix_lines
 from .conformance import INVARIANCE_TRIALS, REPRODUCTION_TRIALS, run_full_conformance
 from .errors import OperatorFileError, RaySymError
 from .oracles import ConformanceReport, SymmetryOperator, induced_map
@@ -47,184 +48,9 @@ MAX_TRIALS = 1_000_000
 
 _NUMBER_TYPES = {int, float}
 
-#: Matrix parts that ``_matrix_block`` prints per pass.  A pass's arrays then
-#: stay near 1 MB; 4096 was the fastest of 2048 to 16384 at dims 64 to 256.
-_BLOCK_PARTS = 4096
-
-#: 2**27 + 1, which splits a double into two halves of 26 bits (Veltkamp).
-_SPLITTER = 134217729.0
-
 
 class UsageError(Exception):
     """Bad flags or arguments; maps to exit code 64."""
-
-
-def _fmt(x: float) -> str:
-    """``x`` to 17 significant digits; + 0.0 turns -0.0 into 0.0."""
-    return "%.17g" % (x + 0.0)
-
-
-@functools.cache
-def _block_tables() -> tuple[np.ndarray, ...]:
-    """``_print_parts``' tables, built by numpy on first use.
-
-    A part's slot is six little-endian uint64 words: its first word (a tab,
-    the sign and, below 1, "0." and zeros, right-aligned before the lead
-    digit), digits 1-16, a dot, and digits 1-16 again.  A mask keeps what the
-    part's exponent and trailing zeros print; the NULs left are dropped.
-    """
-    ten = np.arange(10)
-    # The four ASCII digits of 0000-9999 as the low half of a word.
-    halves = np.add.outer(ten, ten << 8).ravel(), np.add.outer(ten << 16, ten << 24).ravel()
-    low_quads = np.add.outer(*halves).ravel().astype(np.uint64) + np.uint64(0x30303030)
-    # Trailing zero digits of 00-99 and of 0000-9999, 4 for 0000.
-    pair_zeros = np.outer(1 + (ten == 0), ten == 0).ravel()
-    quad_zeros = (pair_zeros + np.outer(pair_zeros, np.arange(100) == 0)).ravel()
-    exponent = np.arange(-4, 17)[:, None, None]
-    byte, negative = np.arange(8), np.arange(2)[:, None]
-    short = np.where(exponent < 0, 1 - exponent, 0)  # length of "0." and the zeros after it
-    # First words by 2 * (exponent + 4) + sign, with "0" for the lead digit.
-    first_words = np.where(
-        byte >= 7 - short,
-        np.where(byte == 8 - short, ord("."), ord("0")),
-        np.where(byte == 6 - short - negative, ord("\t"), ord("-") * (byte == 6 - short) * negative),
-    ).astype(np.uint8).view("<u8").ravel()
-    # Masks by 17 * (exponent + 4) + trailing zeros.
-    zeros, digit = np.arange(17)[None, :, None], np.arange(16)
-    keep = np.zeros((21, 17, 48), bool)
-    keep[..., :8] = True
-    keep[..., 8:24] = np.where(exponent < 0, digit < 16 - zeros, digit < exponent)
-    keep[..., 24] = ((exponent >= 0) & (16 - zeros > exponent))[..., 0]
-    keep[..., 32:] = (exponent >= 0) & (digit >= exponent) & (digit < 16 - zeros)
-    masks = (keep * np.uint8(255)).view("<u8").reshape(21 * 17, 6)
-    # 10**k for k up to 22, each exact, and its Veltkamp split into halves of 26 bits.
-    pow10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
-    high = _SPLITTER * pow10 - (_SPLITTER * pow10 - pow10)
-    tables = low_quads, low_quads << np.uint64(32), quad_zeros, first_words, masks, np.stack(
-        [pow10, high, pow10 - high]
-    )
-    for table in tables:  # every caller shares them
-        table.flags.writeable = False
-    return tables
-
-
-def _rounded(a: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> np.ndarray:
-    """``a * 10**k`` rounded half to even, as int64, exact where the product is at least 2**53."""
-    b, b_high, b_low = pow10[0][k], pow10[1][k], pow10[2][k]
-    p = a * b
-    c = _SPLITTER * a
-    a_high = c - (c - a)
-    a_low = a - a_high
-    err = a_high * b_high - p
-    err += a_high * b_low
-    err += a_low * b_high
-    err += a_low * b_low
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
-
-
-def _print_parts(parts: np.ndarray, slots: np.ndarray) -> None:
-    """Write each part as a tab and ``_fmt``'s text into its 48-byte slot, NUL-padded.
-
-    ``parts`` is a (rows, 2 * dim) float64 block and ``slots`` the
-    (rows, dim, 12) uint64 view of its lines' slots.
-    """
-    low_quads, high_quads, quad_zeros, first_words, masks, pow10 = _block_tables()
-    x = parts.ravel()
-    a = np.abs(x)
-    e = np.zeros_like(a)
-    np.log10(a, out=e, where=a != 0.0)
-    np.floor(e, out=e)
-    far = ~((e >= -5.0) & (e <= 16.0))  # NaN included
-    np.copyto(a, 1.0, where=far)
-    np.copyto(e, 0.0, where=far)
-    e = e.astype(np.int64)
-    d = _rounded(a, 16 - e, pow10)
-    off = np.flatnonzero((d - 10**16).view(np.uint64) >= 9 * 10**16)
-    off = off[d[off] != 0]
-    if off.size:  # log10 put e one off: move it, once
-        e[off] += np.where(d[off] >= 10**17, 1, -1)
-        d[off] = _rounded(a[off], np.clip(16 - e[off], 0, 22), pow10)
-    far |= (e < -4) | (e > 16)
-    np.clip(e, -4, 16, out=e)
-
-    high = d // 10**8
-    low = d - high * 10**8
-    lead = high // 10**8
-    high -= lead * 10**8
-    q_high, q_low = high // 10**4, low // 10**4
-    r_high, r_low = high - q_high * 10**4, low - q_low * 10**4
-    zeros = quad_zeros[r_low]
-    z = np.flatnonzero(r_low == 0)
-    if z.size:  # digits 13-16 are zeros: count on through digits 1-12
-        q, rh, qh = q_low[z], r_high[z], q_high[z]
-        zeros[z] = 4 + quad_zeros[q] + (q == 0) * (quad_zeros[rh] + (rh == 0) * quad_zeros[qh])
-
-    words = np.empty((x.size, 6), np.uint64)
-    first = first_words.take(2 * (e + 4) + (x < 0))
-    first += lead.view(np.uint64) << np.uint64(56)
-    words[:, 0] = first
-    words[:, 1::3] = (low_quads.take(q_high) | high_quads.take(r_high))[:, None]
-    words[:, 2::3] = (low_quads.take(q_low) | high_quads.take(r_low))[:, None]
-    words[:, 3] = ord(".")
-    words &= masks.take(17 * (e + 4) + zeros, axis=0)
-    slots[...] = words.reshape(slots.shape)
-
-    slow = np.flatnonzero(far)
-    if slow.size:
-        texts = np.array([b"\t" + _fmt(v).encode() for v in x[slow].tolist()], "S48")
-        byte_slots = slots.view(np.uint8).reshape(slots.shape[:2] + (2, 48))
-        byte_slots[np.unravel_index(slow, byte_slots.shape[:3])] = texts.view(np.uint8).reshape(-1, 48)
-
-
-def _matrix_block(matrix: np.ndarray) -> list[str]:
-    """The ``matrix\\ti\\tj\\tre\\tim`` lines of a square complex matrix, one string per chunk.
-
-    Each part prints byte for byte as ``_fmt`` prints it.  ``%.17g`` prints
-    a nonzero x as its 17-digit rounding D * 10**(e - 16), D in [10**16,
-    10**17), and in fixed notation when the exponent e is in [-4, 16].  Those
-    parts are computed here in array passes, exactly:
-
-    - 10**k is an exact double for k up to 22.  So for k = 16 - e, Dekker's
-      TwoProduct (Veltkamp splits; no overflow or underflow in this range)
-      gives |x| * 10**k = p + err exactly, with p = fl(|x| * 10**k).
-    - Where |x| * 10**k >= 10**16 > 2**53, p is an even integer, so
-      p + rint(err) is that product rounded half to even, as ``%.17g``
-      rounds it.
-    - e starts as floor(log10 |x|), which can be one off next to a power of
-      ten; a D outside [10**16, 10**17) moves e by one and is computed once
-      more.  Once is enough: no double lies within 8e-17 (relative) below
-      10**m for m in [-5, 17], so a D computed one exponent too high is at
-      most 10**16 - 1, never 10**16.
-
-    Zeros print "0".  Every other part (e outside [-4, 16], which ``%.17g``
-    prints in scientific notation; subnormals; huge values) goes through
-    ``_fmt``, one value at a time.  The lines are built as bytes in fixed
-    slots, _BLOCK_PARTS parts per pass, and the NULs that pad the slots are
-    dropped in one compaction per chunk of rows.
-    """
-    dim = len(matrix)
-    parts = np.ascontiguousarray(matrix).view(np.float64)  # re, im interleaved per row
-    rows = max(1, _BLOCK_PARTS // (2 * dim))
-    width = len(str(dim))
-    labels = np.array([b"%d" % k for k in range(1, dim + 1)], f"S{width}")
-    labels = labels.view(np.uint8).reshape(dim, width)
-    # Each line: "\nmatrix\t", i, "\t", j, the re slot and the im slot.  The
-    # padding goes before "\n", so that the slots are 8-byte aligned.
-    prefix = -(-(9 + 2 * width) // 8) * 8
-    at = prefix - (9 + 2 * width)
-    frame = np.zeros((rows, dim, prefix + 96), np.uint8)
-    frame[..., at : at + 8] = np.frombuffer(b"\nmatrix\t", np.uint8)
-    frame[..., at + 8 + width] = ord("\t")
-    frame[..., at + 9 + width : prefix] = labels
-    frame[0, 0, at] = 0  # a chunk starts without "\n"
-    chunks = []
-    for top in range(0, dim, rows):
-        block = frame[: min(rows, dim - top)]
-        block[..., at + 8 : at + 8 + width] = labels[top : top + len(block), None]
-        _print_parts(parts[top : top + len(block)], block[..., prefix:].view(np.uint64))
-        text = block.reshape(-1)
-        chunks.append(str(text[text != 0], "ascii"))
-    return chunks
 
 
 def _require_number(value, field: str) -> float:
@@ -369,7 +195,7 @@ def render_reconstruction(result: ReconstructionResult) -> list[str]:
         f"classification-residual\t{_fmt(result.classification_residual)}",
     ]
     lines += [f"scale\t{i}\t{_fmt(s)}" for i, s in enumerate(result.scales.tolist(), start=1)]
-    return lines + _matrix_block(op.matrix)
+    return lines + matrix_lines(op.matrix)
 
 
 def render_conformance(report: ConformanceReport) -> list[str]:

@@ -24,7 +24,7 @@ from raysym import (
     random_unitary,
     reconstruct,
 )
-from raysym import cli, oracles
+from raysym import _text, cli, oracles
 from raysym.cli import (
     MAX_TRIALS,
     UsageError,
@@ -136,23 +136,23 @@ def printed_parts(values):
     dim = max(2, math.isqrt(-(-len(values) // 2) - 1) + 1)
     padded = np.zeros(2 * dim * dim)
     padded[: len(values)] = values
-    text = "\n".join(cli._matrix_block(padded.view(np.complex128).reshape(dim, dim)))
+    text = "\n".join(_text.matrix_lines(padded.view(np.complex128).reshape(dim, dim)))
     return [field for line in text.split("\n") for field in line.split("\t")[3:]], padded.tolist()
 
 
 #: One dimension whose whole matrix is one chunk of the matrix-line printer.
-CHUNK_SIDE = math.isqrt(cli._BLOCK_PARTS // 2)
+CHUNK_SIDE = math.isqrt(_text.BLOCK_PARTS // 2)
 
-#: Parts that ``_fmt`` prints in scientific notation.
+#: Parts that ``fmt`` prints in scientific notation.
 FALLBACKS = [1e-5, -9.9999999999999991e-5, 5e-324, 1e17, -1.7976931348623157e308]
 
 
 def with_fallbacks_at_chunk_ends(m):
-    """``m`` with a part that ``_fmt`` prints in scientific notation at the first and last
+    """``m`` with a part that ``fmt`` prints in scientific notation at the first and last
     part of each chunk of rows the matrix-line printer works in."""
     m = m.copy()
     dim = len(m)
-    rows = max(1, cli._BLOCK_PARTS // (2 * dim))
+    rows = max(1, _text.BLOCK_PARTS // (2 * dim))
     for k, top in enumerate(range(0, dim, rows)):
         last = min(top + rows, dim) - 1
         m[top, 0] = complex(FALLBACKS[k % 5], m[top, 0].imag)
@@ -272,7 +272,8 @@ class TestLoadOperatorFile:
         assert not op.antiunitary
 
     @pytest.mark.parametrize("kind, products", [("unitary", 0), ("antiunitary", 0), ("general", 1)])
-    def test_a_unitary_file_forms_its_gram_product_once(self, monkeypatch, tmp_path, kind, products):
+    def test_a_unitary_file_forms_its_gram_product_once(self, monkeypatch, tmp_path, kind,
+                                                         products):
         # Loading checks the defect of a unitary or antiunitary file, and that
         # certifies its condition number too; a general file's is certified apart.
         calls = []
@@ -490,7 +491,7 @@ class TestReconstructCommand:
     )
     def test_render_matches_the_per_entry_loop_on_a_reconstruction(self, dim, sprinkle):
         # CHUNK_SIDE rows make one whole chunk; one row more makes two.
-        assert cli._BLOCK_PARTS // (2 * CHUNK_SIDE) == CHUNK_SIDE
+        assert _text.BLOCK_PARTS // (2 * CHUNK_SIDE) == CHUNK_SIDE
         u = random_unitary(dim, seed=4) * (1.0 + np.arange(dim) / dim)
         result = reconstruct(induced_map(SymmetryOperator(u)), dim)
         if sprinkle:
@@ -507,10 +508,10 @@ class TestReconstructCommand:
 
 
 class TestMatrixLineDigits:
-    """Each printed part is ``_fmt``'s text, also where the array passes come closest to wrong."""
+    """Each printed part is ``fmt``'s text, also where the array passes come closest to wrong."""
 
     @settings(deadline=None)
-    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_any_finite_part(self, values):
         printed, parts = printed_parts(values)
         assert printed == [reference_fmt(x) for x in parts]
