@@ -37,7 +37,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     ten = np.arange(10)
     # The four ASCII digits of 0000-9999 as the low half of a word.
     halves = np.add.outer(ten, ten << 8).ravel(), np.add.outer(ten << 16, ten << 24).ravel()
-    low_quads = np.add.outer(*halves).ravel().astype(np.uint64) + np.uint64(0x30303030)
+    quads = np.add.outer(*halves).ravel().astype(np.uint64) + np.uint64(0x30303030)
     # Trailing zero digits of 00-99 and of 0000-9999, 4 for 0000.
     pair_zeros = np.outer(1 + (ten == 0), ten == 0).ravel()
     quad_zeros = (pair_zeros + np.outer(pair_zeros, np.arange(100) == 0)).ravel().astype(np.uint8)
@@ -62,9 +62,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     # 10**k for k up to 22, each exact, and its Veltkamp split into halves of 26 bits.
     pow10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
     high = _SPLITTER * pow10 - (_SPLITTER * pow10 - pow10)
-    tables = low_quads, low_quads << np.uint64(32), quad_zeros, first_words, masks, np.stack(
-        [pow10, high, pow10 - high]
-    )
+    tables = quads, quad_zeros, first_words, masks, np.stack([pow10, high, pow10 - high])
     for table in tables:  # every caller shares them
         table.flags.writeable = False
     return tables
@@ -90,7 +88,7 @@ def _print_parts(parts: np.ndarray, slots: np.ndarray) -> None:
     ``parts`` is a (rows, 2 * dim) float64 block and ``slots`` the
     (rows, dim, 12) uint64 view of its lines' slots.
     """
-    low_quads, high_quads, quad_zeros, first_words, masks, pow10 = _tables()
+    quads, quad_zeros, first_words, masks, pow10 = _tables()
     x = parts.ravel()
     a = np.abs(x)
     e = np.zeros_like(a)
@@ -125,8 +123,8 @@ def _print_parts(parts: np.ndarray, slots: np.ndarray) -> None:
     first = first_words.take(2 * (e + 4) + (x < 0))
     first += lead.view(np.uint64) << np.uint64(56)
     words[:, 0] = first
-    words[:, 1::3] &= (low_quads.take(q_high) | high_quads.take(r_high))[:, None]
-    words[:, 2::3] &= (low_quads.take(q_low) | high_quads.take(r_low))[:, None]
+    words[:, 1::3] &= (quads.take(q_high) | quads.take(r_high) << np.uint64(32))[:, None]
+    words[:, 2::3] &= (quads.take(q_low) | quads.take(r_low) << np.uint64(32))[:, None]
     words[:, 3] &= ord(".")
     slots[...] = words.reshape(slots.shape)
 
