@@ -76,12 +76,10 @@ __all__ = [
     "SymmetryOperator",
     "Tolerances",
     "ZeroVector",
-    "canonical_ray",
     "check_orthogonality_preservation",
     "classify_automorphism",
     "fix_phases",
     "gauge_residual",
-    "general_induced_map",
     "induced_map",
     "map_basis",
     "probe_automorphism",

@@ -5,31 +5,27 @@ pipeline talks to nothing else.  A symmetry operator induces one as x -> U x
 or x -> U conj(x); a general invertible matrix induces one with no
 preservation guarantees.  Every check reports a :class:`ConformanceReport`.
 
-How the library asks an oracle: only ``RayMapOracle``'s private methods call
-``image``, once per ray, in order, with a read-only ray, and a stage asks
-each distinct ray once.
+How the library asks an oracle: ``RayMapOracle._asked`` is the one place
+that calls ``image``, once per row of a canonical stack, in order, as each
+row is taken, with the row as a read-only Ray made with no constructor
+frame.  A stage asks each distinct ray once, through one of two methods:
 
-- A stack of rays (a block of a sampled check or of reproduction, or
-  ``map_basis``'s axes) goes to ``_images``, whose loop wraps each row as a
-  Ray with no constructor frame.  Each answer's vector is copied into one
-  stack as it arrives, so no answer's Ray is kept, and the answers still
-  pending are canonicalized together in one ``canonical_rays`` pass, with
-  the bits and errors of each answer's own ``rep``.
-- A stage's distinct slice-probe rays go to ``_probe_answers``, which yields
-  stacks of answers, each scored in one pass with the bits of a row-by-row
-  scoring.  A plain oracle yields one-ray stacks, each asked lazily, so a
-  failing probe asks no ray after it.  A matrix oracle answers all of them
-  as one stack: its answers are finite and nonzero, so the stack raises
-  nothing ahead of an earlier probe's error, and only the rays asked past a
-  failing probe differ from a plain oracle's.
-- A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule,
-  so every answer is finite and nonzero at any scale.  A lone ``image``
-  answers a pending product, a Ray made with no constructor frame that holds
-  the matrix and the asked ray's ``rep``; its ``rep`` canonicalizes one BLAS
-  matrix-vector ``dot`` of that rep, conjugated first only when antiunitary.
-  Its ``_images`` asks each row as above but reads no answer: the stack is
-  one stacked product, whose rows have each lone ``dot``'s bits, and one
-  ``canonical_rays`` pass.
+- ``_images`` answers a stack (a block of a sampled check or of
+  reproduction, or ``map_basis``'s axes).  Each answer's vector is copied
+  into one stack as it arrives, so no answer's Ray is kept, and the answers
+  still pending are canonicalized in one ``canonical_rays`` pass, with the
+  bits and errors of each answer's own ``rep``.
+- ``_probe_answers`` yields answer stacks for a stage's distinct slice-probe
+  rays, each scored in one pass with the bits of a row-by-row scoring.  A
+  plain oracle yields one-ray stacks, so a failing probe asks no ray after it.
+
+A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule, so
+every answer is finite and nonzero at any scale.  A lone answer is a pending
+``_Product``, whose ``rep`` canonicalizes one BLAS ``dot`` of the asked rep,
+conjugated first only when antiunitary.  A stack, probe rays included, is
+asked with no answer read and answered by one stacked product, whose rows
+have each lone ``dot``'s bits; since no answer raises, only the rays asked
+past a failing probe differ from a plain oracle's.
 """
 
 from __future__ import annotations
@@ -48,9 +44,6 @@ from .rays import (
     DEFAULT_TOLERANCES,
     Ray,
     Tolerances,
-    _asked,
-    _canonical_answers,
-    _matvec_answers,
     _prescaled_rows,
     _states,
     canonical_rays,
@@ -64,6 +57,9 @@ MAX_CONDITION = 1e12
 
 #: Squared norm at or below which a projected draw is degenerate and is redrawn.
 DEGENERATE_DRAW = 1e-12
+
+#: Makes a Ray with no ``__init__`` or frame: each row ``_asked`` asks, each lone ``_Product``.
+_new = object.__new__
 
 
 def _flag(value, name: str) -> bool:
@@ -172,14 +168,37 @@ class RayMapOracle:
             )
         return out
 
+    def _asked(self, rows: np.ndarray) -> Iterator[Ray]:
+        """The answers to the canonical ``rows``, in order, each row asked when it is taken."""
+        rows = rows.view()
+        rows.flags.writeable = False  # the oracle never gets a ray it can write into
+        n = rows.shape[1]
+        for row in rows:
+            ray = _new(Ray)  # Ray._from_canonical(row)
+            ray._pending = ray._rep = row
+            ray._dim = n
+            yield self.image(ray)
+
     def _images(self, rows: np.ndarray) -> np.ndarray:
         """Answer reps of a canonical (k, dim_in) stack, one ``image`` call per row, in order."""
-        return _canonical_answers(self.image, rows, self.dim_out)
+        stack = np.empty((len(rows), self.dim_out), dtype=np.complex128)
+        pending = []
+        for j, answer in enumerate(self._asked(rows)):
+            rep = answer._rep
+            if rep is None:
+                pending.append(j)
+                rep = answer._pending
+            stack[j] = rep
+        if len(pending) == len(rows):
+            return canonical_rays(stack)
+        if pending:
+            stack[pending] = canonical_rays(stack[pending])
+        stack.flags.writeable = False
+        return stack
 
     def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """Answer-rep stacks of distinct probe rays; here one row each, asked as it is taken."""
-        wrap = Ray._from_canonical
-        return (self.image(wrap(row)).rep[None] for row in rows)
+        return (answer.rep[None] for answer in self._asked(rows))
 
     def __repr__(self) -> str:
         return f"RayMapOracle({self.label}, {self.dim_in} -> {self.dim_out})"
@@ -224,21 +243,44 @@ class ConformanceReport:
         raise KeyError(name)
 
 
-class _MatrixOracle(RayMapOracle):
-    """``induced_map``'s oracle: ray(x) -> ray(m x), or ray(m conj(x)) when ``conj``, m prescaled.
+class _Product(Ray):
+    """A matrix oracle's lone answer, pending ``_matrix @ _x`` or ``_matrix @ conj(_x)``."""
 
-    It answers each stack, a stage's probe rays included, as one stacked product.
-    """
+    __slots__ = ("_x", "_matrix", "_conj")
+
+    @property
+    def _pending(self) -> np.ndarray:
+        x = self._x
+        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
+        return self._matrix.dot(np.conj(x) if self._conj else x)
+
+
+class _MatrixOracle(RayMapOracle):
+    """``induced_map``'s oracle: ray(x) -> ray(m x), or ray(m conj(x)) when ``conj``, m prescaled."""
 
     __slots__ = ("_matrix", "_conj")
 
     def __init__(self, m: np.ndarray, conj: bool, label: str):
-        super().__init__(len(m), len(m), _matvec_answers(m, conj), label)
+        dim = len(m)
+
+        def image_fn(ray: Ray) -> Ray:
+            x = ray._rep  # set on every ray the library asks
+            if x is None:
+                x = ray.rep
+            answer = _new(_Product)
+            answer._x = x
+            answer._matrix = m
+            answer._conj = conj
+            answer._dim = dim
+            answer._rep = None
+            return answer
+
+        super().__init__(dim, dim, image_fn, label)
         self._matrix, self._conj = m, conj
 
     def _images(self, rows: np.ndarray) -> np.ndarray:
         """``RayMapOracle._images``' stack and ``image`` calls; no answer is read."""
-        for _ in _asked(self.image, rows):
+        for _ in self._asked(rows):
             pass
         return _product_rays(self._matrix, rows, self._conj)
 

@@ -11,8 +11,8 @@ rays means u(r, s) = 0 up to tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -34,6 +34,7 @@ _SAMPLE_BUDGET = 4096
 class Tolerances:
     """Numerical tolerances, each strictly between 0 and 1e-2 (else ValueError).
 
+    A field that is not a real number raises TypeError naming it and its type.
     orth_tol bounds what counts as orthogonal, in the unit each reader compares:
     transition probabilities (and their drift) in map_basis and the sampled
     checks; amplitudes in the slice probes, that is |b_1| and the cross-talk
@@ -48,6 +49,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("orth_tol", "recon_tol"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
             if not 0.0 < value < 1e-2:
                 raise ValueError(f"{name} must lie strictly between 0 and 1e-2, got {value}")
 
@@ -60,11 +63,6 @@ DEFAULT_TOLERANCES = Tolerances()
 #: its time at 2-8 components, 0.73x at 12, 0.83x at 16, 0.93x at 20 and 1.03-1.14x
 #: at 24-32.
 _SCALAR_CHECK_MAX = 16
-
-#: Builds a Ray with no ``__init__``: ``_from_canonical``, and, inline with no
-#: frame per ray, the asked rows of ``_asked`` and the lone ``_Product``
-#: answers of ``_matvec_answers``.
-_new = object.__new__
 
 
 class Ray:
@@ -99,7 +97,7 @@ class Ray:
     @classmethod
     def _from_canonical(cls, rep: np.ndarray) -> "Ray":
         """Wrap a read-only row of ``canonical_rays`` output, with no second pass."""
-        ray = _new(cls)
+        ray = object.__new__(cls)
         ray._pending = ray._rep = rep
         ray._dim = len(rep)
         return ray
@@ -217,71 +215,6 @@ def _canonical_rows(w: np.ndarray) -> np.ndarray:
     rep[pivot] = np.hypot(entry.real, entry.imag)
     rep.flags.writeable = False
     return rep
-
-
-def _asked(ask, rows: np.ndarray) -> Iterator[Ray]:
-    """The answers ``ask`` gives the canonical ``rows``, in order, each row asked when taken."""
-    rows = rows.view()
-    rows.flags.writeable = False  # the oracle never gets a ray it can write into
-    n = rows.shape[1]
-    for row in rows:
-        ray = _new(Ray)  # Ray._from_canonical(row)
-        ray._pending = ray._rep = row
-        ray._dim = n
-        yield ask(ray)
-
-
-def _canonical_answers(ask, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of the answers ``ask`` gives the canonical ``rows``, in order, each row its ``rep``."""
-    stack = np.empty((len(rows), dim), dtype=np.complex128)
-    pending = []
-    for j, answer in enumerate(_asked(ask, rows)):
-        rep = answer._rep
-        if rep is None:
-            pending.append(j)
-            rep = answer._pending
-        stack[j] = rep
-    if len(pending) == len(rows):
-        return canonical_rays(stack)
-    if pending:
-        stack[pending] = canonical_rays(stack[pending])
-    stack.flags.writeable = False
-    return stack
-
-
-class _Product(Ray):
-    """A matrix oracle's lone answer: the ray of ``_matrix @ _x``, or of ``_matrix @ conj(_x)``.
-
-    ``_x`` is the asked ray's rep.  The product is the pending vector, so
-    ``rep`` and the plain ask loop read it as they read any pending answer's.
-    """
-
-    __slots__ = ("_x", "_matrix", "_conj")
-
-    @property
-    def _pending(self) -> np.ndarray:
-        x = self._x
-        # ndarray.dot makes the BLAS matrix-vector call of ``m @ x``, with less dispatch.
-        return self._matrix.dot(np.conj(x) if self._conj else x)
-
-
-def _matvec_answers(m: np.ndarray, conj: bool):
-    """A matrix oracle's ``image_fn``: the lone ``_Product`` of m and the asked ray's rep."""
-    dim = len(m)
-
-    def image_fn(ray: Ray) -> Ray:
-        x = ray._rep  # set on every ray the library asks
-        if x is None:
-            x = ray.rep
-        answer = _new(_Product)
-        answer._x = x
-        answer._matrix = m
-        answer._conj = conj
-        answer._dim = dim
-        answer._rep = None
-        return answer
-
-    return image_fn
 
 
 def ray_function(r: Ray, s: Ray) -> float:

@@ -203,7 +203,6 @@ def _slice_probes(
         first.setdefault(key, j)
     if len(first) < len(rows):  # copy only where some ray repeats
         rows = rows[list(first.values())]
-        rows.flags.writeable = False  # the oracle never gets a ray it can write into
     scored = _scored_rows(oracle._probe_answers(rows), basis, [i for i, _ in first], tol)
     values: dict[tuple[int, bytes], complex] = {}
     for key in keys:

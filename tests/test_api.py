@@ -30,12 +30,10 @@ PUBLIC_NAMES = [
     "SymmetryOperator",
     "Tolerances",
     "ZeroVector",
-    "canonical_ray",
     "check_orthogonality_preservation",
     "classify_automorphism",
     "fix_phases",
     "gauge_residual",
-    "general_induced_map",
     "induced_map",
     "map_basis",
     "probe_automorphism",
@@ -49,7 +47,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Removing or adding a public name is an API change: update this list and the README with it.
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(raysym.__all__) == PUBLIC_NAMES
 
 
@@ -119,22 +117,42 @@ def test_pipeline_modules_never_name_ray():
 
 
 def test_only_ray_map_oracle_calls_image():
-    # The library asks an oracle in one place: inside RayMapOracle's own methods.
-    inside, outside = [], []
+    # The library asks an oracle in one place: RayMapOracle._asked makes the only image call.
+    calls = []
     for path in sorted(SOURCES.glob("*.py")):
         tree = parse(path.name)
         owner = {
-            id(inner)
-            for node in tree.body
-            if isinstance(node, ast.ClassDef) and node.name == "RayMapOracle"
-            for inner in ast.walk(node)
+            id(inner): f"{cls.name}.{method.name}"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for inner in ast.walk(method)
         }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "image":
-                where = f"{path.name}:{node.lineno}"
-                (inside if id(node) in owner else outside).append(where)
-    assert outside == []
-    assert inside and all(where.startswith("oracles.py:") for where in inside)
+        calls += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "image"
+        ]
+    assert calls == [("oracles.py", "RayMapOracle._asked")]
+
+
+def test_rays_module_holds_no_oracle_code():
+    # rays.py holds rays only: it names no image and subclasses no Ray.
+    tree = parse("rays.py")
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "image")
+        or (isinstance(node, ast.Attribute) and node.attr == "image")
+    ]
+    subclasses = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Ray" for base in node.bases)
+    ]
+    assert named == [] and subclasses == []
 
 
 def test_only_rays_calls_frexp_or_ldexp():

@@ -15,6 +15,7 @@ from raysym import (
     SymmetryOperator,
     canonical_ray,
     check_orthogonality_preservation,
+    classify_automorphism,
     fix_phases,
     gauge_residual,
     general_induced_map,
@@ -23,10 +24,11 @@ from raysym import (
     probe_automorphism,
     random_unitary,
     reconstruct,
+    slice_coordinates,
     verify_reproduction,
 )
-from raysym.oracles import MAX_CONDITION
-from raysym.rays import _matvec_answers, canonical_rays, ray_function, sample_ray
+from raysym.oracles import MAX_CONDITION, _MatrixOracle
+from raysym.rays import canonical_rays, ray_function, sample_ray
 
 from conftest import axis_vector
 
@@ -391,6 +393,9 @@ ASK_SITES = {
     "verify_reproduction": (
         lambda oracle, fixed: verify_reproduction(SymmetryOperator(np.eye(3)), oracle, 5)
     ),
+    "slice_coordinates": lambda oracle, fixed: slice_coordinates(oracle, fixed, 0.5j, 2),
+    "classify_automorphism": lambda oracle, fixed: classify_automorphism(oracle, fixed),
+    "reconstruct": lambda oracle, fixed: reconstruct(oracle, 3),
 }
 
 
@@ -515,7 +520,7 @@ class TestStackedProducts:
         other = Ray._from_canonical(_stack_rows(dim, 1, seed=99)[0])
         # The one matrix an oracle answers by, both as it is and conjugating first.
         m = _ginibre(dim, 8)
-        both_flags = [_matvec_answers(m, flag) for flag in (False, True)]
+        both_flags = [_MatrixOracle(m, flag, "m")._image_fn for flag in (False, True)]
         vs = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
 
         def read(v):

@@ -2,6 +2,7 @@ import sys
 import threading
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -813,3 +814,17 @@ class TestTolerances:
     def test_rejects_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
             Tolerances(**bad)
+
+    @pytest.mark.parametrize("field", ["orth_tol", "recon_tol"])
+    @pytest.mark.parametrize(
+        "value, type_name",
+        [("1e-9", "str"), (None, "NoneType"), ([1e-9], "list"), (np.array([1e-9, 1e-9]), "ndarray")],
+        ids=["str", "None", "list", "array"],
+    )
+    def test_rejects_a_field_that_is_not_a_real_number(self, field, value, type_name):
+        with pytest.raises(TypeError, match=rf"^{field} must be a real number, got {type_name}$"):
+            Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("value", [1e-9, np.float64(1e-9), np.float32(1e-9), Fraction(1, 10**9)])
+    def test_accepts_any_real_number_in_range(self, value):
+        assert Tolerances(orth_tol=value).orth_tol == value
