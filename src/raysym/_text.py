@@ -1,13 +1,16 @@
-"""Numbers as the CLI prints them: ``%.17g``, one value or a whole matrix block.
+"""Numbers as the CLI prints and reads them, one value or a whole matrix block.
 
 ``matrix_lines`` prints a matrix's ``dim**2`` lines in array passes, byte
-for byte as ``fmt`` prints each part; its docstring gives the exactness
-argument.
+for byte as ``fmt`` (``%.17g``) prints each part.  ``matrix_parts`` reads an
+operator file's ``matrix`` field in array passes, bit for bit as ``json.loads``
+reads each part, or refuses it.  Each docstring gives its exactness argument.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import re
 
 import numpy as np
 
@@ -16,8 +19,21 @@ import numpy as np
 #: more heap resident after the passes, which raised a later peak RSS.
 BLOCK_PARTS = 2048
 
+#: Characters of the ``matrix`` field that ``matrix_parts`` reads per pass,
+#: each block cut after a comma.  Its arrays then stay near 1 MB; one pass over
+#: a dim-256 field raised the benchmark's peak RSS by about 30 MB.
+BLOCK_BYTES = 1 << 17
+
 #: 2**27 + 1, which splits a double into two halves of 26 bits (Veltkamp).
 _SPLITTER = 134217729.0
+
+#: A JSON number, in ASCII digits only.
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+#: The separators before a part, little-endian: within a pair, between pairs
+#: of a row, between rows, and before the first part.
+_PAIR, _NEXT, _ROW, _OPEN = (int.from_bytes(gap, "little") for gap in (b",", b"],[", b"]],[[", b"[[["))
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
 def fmt(x: float) -> str:
@@ -185,3 +201,160 @@ def matrix_lines(matrix: np.ndarray) -> list[str]:
         text = block.reshape(-1)
         chunks.append(str(text[text != 0], "ascii"))
     return chunks
+
+
+@functools.cache
+def _read_tables() -> tuple[np.ndarray, ...]:
+    """``matrix_parts``' tables, built by numpy on first use.
+
+    The masks of a word's low 0-8 bytes; by fraction length k = 0-23 (23
+    stands for any other), the masks of the digit bytes of the fraction's
+    last 24 bytes read as three little-endian words; and 10**k up to k = 18.
+    """
+    masks = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+    digits = np.clip(np.arange(24)[:, None] - np.array([16, 8, 0]), 0, 8)
+    digits[23] = 0
+    tens = np.array([10**k for k in range(19)] + [0] * 5, np.uint64)
+    tables = masks, ~masks[8 - digits], tens
+    for table in tables:  # every caller shares them
+        table.flags.writeable = False
+    return tables
+
+
+def _records(buf: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-byte record at each byte of ``buf``, for gathers at any offset."""
+    return np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buf, 0, (1,))
+
+
+def matrix_parts(span: str, dim: int) -> np.ndarray | None:
+    """The ``2 * dim**2`` float64 parts of a ``matrix`` field's text, or None.
+
+    ``span`` is the field from its ``[`` to its last ``]``.  The parts come
+    re, im, row by row, each with the bits that ``json.loads`` gives it
+    (``float`` of the text, or of the ``int`` for an integer).  None means
+    that this reader could not show that, and the caller reads the file as
+    JSON instead.
+
+    - *Structure.*  With JSON whitespace dropped, the separators must be
+      those of ``[[[re,im],...],...]`` with ``dim`` rows of ``dim`` pairs.
+      Whitespace that splits a number refuses the field.
+    - *Conversion.*  A part ``-?D.F`` with one digit D and k <= 22 fraction
+      digits is x = M / 10**k, M = D * 10**k + F < 2**64, summed from 8
+      digits a word (SWAR).  q = fl(fl(M) / 10**k) lies within 1.5 ulp(q)
+      of x: fl(M) is off by 2**-53 relative, the quotient by half an ulp.
+      10**k is exact, so Dekker's TwoProduct on ``_tables``' Veltkamp split
+      gives q * 10**k = p + err exactly; M - p is exact too (Sterbenz, with
+      M split at bit 11 to stay exact above 2**53).  So t = (M - p - err) /
+      (ulp(q) * 10**k), the error x - q in ulps, is off by a few units of
+      2**-52 at most, and x rounds to q + rint(t) * ulp(q) when t is not
+      within 2**-30 of a half and q is no power of two: with |rint(t)| <= 1,
+      x then stays in q's binade or rounds up to its top.  No x here is a
+      tie: the denominator 10**k has fewer than 53 factors of 2.
+    - *The rest.*  Every other part (an integer, whose ``-0`` reads as +0.0;
+      an exponent; a longer one; one of the cases above) must match the
+      JSON number grammar, and is read by ``float`` or ``int`` one at a
+      time.  A part these refuse, or an infinite one, refuses the field.
+
+    The field is read in blocks of about BLOCK_BYTES characters, each cut
+    after a comma and begun where the last part before it ended.  Nothing
+    sized by ``dim`` is built before the parts are counted.
+    """
+    count = 2 * dim * dim
+    if count > len(span) or not span.isascii():  # every part takes a character
+        return None
+    masks, digit_masks, tens = _read_tables()
+    pow10 = _tables()[4]
+    period = 2 * dim
+    blocks, done, start, end = [], 0, 0, len(span)
+    while True:
+        stop = end if start + BLOCK_BYTES >= end else span.rfind(",", start, start + BLOCK_BYTES) + 1
+        text = span[start:stop].encode()
+        packed = text.replace(b" ", b"")
+        if b"\n" in packed or b"\r" in packed or b"\t" in packed:
+            packed = packed.translate(None, b"\t\n\r")
+        # The packed block, after 24 ASCII zeros (for the fraction words of
+        # its first part) and before 8 NULs (for the separator word of its last).
+        buf = np.empty(len(packed) + 32, np.uint8)
+        buf[:24] = ord("0")
+        buf[-8:] = 0
+        chars = buf[24:-8]
+        chars[:] = np.frombuffer(packed, np.uint8)
+        part = (chars != ord(",")) & ((chars | 6) != ord("_"))  # not ",", "[" or "]"
+        edges = np.flatnonzero(part[1:] != part[:-1]) + 25
+        n = len(edges) >> 1
+        if n == 0 or len(edges) & 1 or part[0] or done + n > count:
+            return None
+        if len(packed) < len(text):  # no whitespace inside a part
+            raw = np.frombuffer(text, np.uint8)
+            apart = (raw > ord(" ")) & (raw != ord(",")) & ((raw | 6) != ord("_"))
+            if np.count_nonzero(apart[1:] > apart[:-1]) != n:
+                return None
+        first, after = edges[0::2], edges[1::2]
+        # Each part's separator, from the end of the part before it.
+        gap = np.empty_like(first)
+        gap[0] = 24
+        gap[1:] = after[:-1]
+        want = np.full(n, _PAIR, np.uint64)
+        want[done & 1 :: 2] = _NEXT
+        want[-done % period :: period] = _ROW
+        if done == 0:
+            want[0] = _OPEN
+        seps = _records(buf, 8)[gap].view(np.uint64) & masks.take(np.minimum(first - gap, 8))
+        if not (seps == want).all() or stop == end and packed[after[-1] - 24 :] != b"]]]":
+            return None
+
+        negative = buf[first] == ord("-")
+        lead = first + negative
+        k = np.minimum((after - lead - 2).view(np.uint64), 23)
+        words = _records(buf, 24)[after - 24].view(np.uint64).reshape(n, 3) ^ _ASCII_ZEROS
+        words &= digit_masks.take(k, axis=0)
+        bad = (words | (words + np.uint64(0x0606060606060606))) & np.uint64(0xF0F0F0F0F0F0F0F0)
+        words = (words * np.uint64(10 << 8 | 1) >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF)
+        words = (words * np.uint64(100 << 16 | 1) >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF)
+        words = words * np.uint64(10000 << 32 | 1) >> np.uint64(32)
+        d = buf[lead] - np.uint8(ord("0"))
+        top = words[:, 0]
+        fast = (buf[lead + 1] == ord(".")) & (d <= 9) & ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0)
+        fast &= (k - np.uint64(1) < 22) & (top <= 1843) & ((d == 0) | (k <= 18))  # M < 2**64
+        m = top * np.uint64(10**16) + words[:, 1] * np.uint64(10**8) + words[:, 2]
+        m += d * tens.take(k)
+
+        b, b_high, b_low = pow10.take(np.minimum(k, 22), axis=1)
+        q = m.astype(np.float64) / b
+        p = q * b
+        c = _SPLITTER * q
+        q_high = c - (c - q)
+        q_low = q - q_high
+        err = q_high * b_high - p
+        err += q_high * b_low
+        err += q_low * b_high
+        err += q_low * b_low
+        residual = (m & np.uint64(2**64 - 2048)).astype(np.float64) - p
+        residual += (m & np.uint64(2047)).astype(np.float64)
+        residual -= err
+        bits = q.view(np.uint64)
+        ulp = (bits & np.uint64(0x7FF << 52)).view(np.float64) * 2.0**-52
+        t = residual / np.maximum(ulp * b, 2.0**-1074)  # q = 0 only for M = 0
+        j = np.rint(t)
+        fast &= np.abs(np.abs(t - j) - 0.5) >= 2.0**-30
+        fast &= ((bits & np.uint64(2**52 - 1)) != 0) | (m == 0)
+        x = q + j * ulp
+        x.view(np.uint64)[...] |= negative.astype(np.uint64) << np.uint64(63)
+
+        for i in np.flatnonzero(~fast).tolist():
+            token = packed[first[i] - 24 : after[i] - 24]
+            if not _JSON_NUMBER.fullmatch(token):
+                return None
+            try:
+                value = float(token) if token.strip(b"-0123456789") else float(int(token))
+            except (ValueError, OverflowError):  # beyond the digit limit or double range
+                return None
+            if not math.isfinite(value):
+                return None
+            x[i] = value
+        blocks.append(x)
+        done += n
+        if stop == end:
+            break
+        start += len(text.rstrip(b" \t\n\r,[]"))
+    return np.concatenate(blocks) if done == count else None

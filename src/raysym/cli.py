@@ -16,13 +16,14 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt as _fmt, matrix_lines
+from ._text import fmt as _fmt, matrix_lines, matrix_parts
 from .conformance import INVARIANCE_TRIALS, REPRODUCTION_TRIALS, run_full_conformance
 from .errors import OperatorFileError, RaySymError
 from .oracles import ConformanceReport, SymmetryOperator, induced_map
@@ -47,6 +48,15 @@ _KINDS = ("unitary", "antiunitary", "general")
 MAX_TRIALS = 1_000_000
 
 _NUMBER_TYPES = {int, float}
+
+#: Shortest file text, in characters, that ``load_operator_file`` first reads
+#: through ``matrix_parts``.  Timed against the JSON read on unitary files, the
+#: whole load took 1.2x its time at 6.5 KB (dim 12), 0.92x at 11.5 KB (dim 16),
+#: 0.75x at 18 KB (dim 20) and 0.6x at 46 KB (dim 32).
+_ARRAY_READ_MIN = 1 << 14
+
+#: After the ``"matrix"`` key: the colon and the field's opening bracket.
+_MATRIX_VALUE = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
 
 
 class UsageError(Exception):
@@ -102,28 +112,25 @@ def _parse_matrix(rows, dim: int) -> np.ndarray:
     raise AssertionError("matrix: the whole-array read refused a field with no fault")
 
 
-def load_operator_file(path: str) -> SymmetryOperator:
-    """Parse and validate an operator file; OperatorFileError names the failing field."""
+def _loads(text: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise OperatorFileError(f"input: cannot read {path}: {err.strerror or err}") from err
-    except UnicodeDecodeError as err:
-        raise OperatorFileError(f"input: cannot read {path}: {err}") from err
-    try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise OperatorFileError(f"input: not valid JSON: {err}") from err
     except (ValueError, RecursionError) as err:
         # an integer beyond Python's digit limit, or nesting beyond its recursion limit
         raise OperatorFileError(f"input: cannot read JSON: {err}") from err
+
+
+def _checked_fields(data) -> tuple[int, str, bool]:
+    """The file's ``dim``, ``kind`` and antiunitary flag; OperatorFileError names a bad field."""
     if not isinstance(data, dict):
         raise OperatorFileError("input: top level must be an object")
 
     allowed = {"dim", "kind", "matrix", "conjugate_first"}
     for key in data:
         if key not in allowed:
-            raise OperatorFileError(f"{key}: unknown field")
+            raise OperatorFileError(f"{key if key.isprintable() else repr(key)}: unknown field")
     for key in ("dim", "kind", "matrix"):
         if key not in data:
             raise OperatorFileError(f"{key}: missing required field")
@@ -146,9 +153,10 @@ def load_operator_file(path: str) -> SymmetryOperator:
             raise OperatorFileError(
                 f"conjugate_first: expected a boolean, got {conjugate_first!r}"
             )
+    return dim, kind, kind == "antiunitary" or (kind == "general" and conjugate_first)
 
-    matrix = _parse_matrix(data["matrix"], dim)
-    antiunitary = kind == "antiunitary" or (kind == "general" and conjugate_first)
+
+def _operator(matrix: np.ndarray, kind: str, antiunitary: bool) -> SymmetryOperator:
     op = SymmetryOperator(matrix=matrix, antiunitary=antiunitary)
     if kind in ("unitary", "antiunitary"):
         defect = op.unitarity_defect()
@@ -158,6 +166,54 @@ def load_operator_file(path: str) -> SymmetryOperator:
                 f"(defect {defect:.3e} exceeds {LOAD_UNITARY_TOL:.0e})"
             )
     return op
+
+
+def _array_read(text: str) -> SymmetryOperator | None:
+    """The operator of a file whose ``matrix`` field ``matrix_parts`` reads, or None.
+
+    The rest of the file goes through ``json.loads`` and the field checks with
+    the field's text replaced by ``0``.  The file must hold one ``"matrix"``
+    and no backslash, so that this text is the top-level field's value.  Any
+    refusal, error or defect over the bound gives None, and the caller reads
+    the whole file as JSON, for the same operator or the same error.
+    """
+    key = text.find('"matrix"')
+    value = _MATRIX_VALUE.match(text, key + 8) if key >= 0 else None
+    if value is None or text.count('"matrix"') != 1 or "\\" in text:
+        return None
+    start = value.end() - 1
+    ends = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
+    stop = text.rfind("]", start, min(ends, default=len(text))) + 1
+    if not stop:
+        return None
+    try:
+        data = _loads(text[:start] + "0" + text[stop:])
+        dim, kind, antiunitary = _checked_fields(data)
+        if type(data["matrix"]) is not int:  # "0" ran on into a longer number
+            return None
+        parts = matrix_parts(text[start:stop], dim)
+        return None if parts is None else _operator(
+            parts.view(np.complex128).reshape(dim, dim), kind, antiunitary
+        )
+    except OperatorFileError:
+        return None
+
+
+def load_operator_file(path: str) -> SymmetryOperator:
+    """Parse and validate an operator file; OperatorFileError names the failing field."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise OperatorFileError(f"input: cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise OperatorFileError(f"input: cannot read {path}: {err}") from err
+    if len(text) >= _ARRAY_READ_MIN:
+        op = _array_read(text)
+        if op is not None:
+            return op
+    data = _loads(text)
+    dim, kind, antiunitary = _checked_fields(data)
+    return _operator(_parse_matrix(data["matrix"], dim), kind, antiunitary)
 
 
 def parse_samples(text: str) -> tuple[complex, ...]:

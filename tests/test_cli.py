@@ -1,12 +1,15 @@
 import contextlib
 import dataclasses
+import decimal
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -34,7 +37,7 @@ from raysym.cli import (
     render_reconstruction,
 )
 
-from conftest import write_operator_file
+from conftest import matrix_pairs, write_operator_file
 
 DIAG_121 = np.diag([1.0, 2.0, 1.0])
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -252,6 +255,21 @@ def diag_file(tmp_path):
     return write_operator_file(tmp_path / "diag.json", DIAG_121, "general")
 
 
+@pytest.fixture(params=["json", "array"], scope="class")
+def both_reads(request):
+    """Each read that ``load_operator_file`` may take: JSON alone, or the array read first.
+
+    The tests that use it have small files, far below the crossover, so
+    without the "array" run none would reach ``matrix_parts``.  That run sets
+    the crossover to 0; each file must then load to the same bits, or fail
+    with the same message.  Class scope, so that hypothesis tests can use it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "array":
+            patch.setattr(cli, "_ARRAY_READ_MIN", 0)
+        yield request.param
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -290,6 +308,7 @@ class TestLoadOperatorFile:
         path = write_operator_file(tmp_path / "g.json", np.eye(2), "general", conjugate_first=True)
         assert load_operator_file(path).antiunitary
 
+    @pytest.mark.usefixtures("both_reads")
     @pytest.mark.parametrize(
         "mutate, named_field",
         [
@@ -319,6 +338,7 @@ class TestLoadOperatorFile:
             load_operator_file(str(path))
         assert named_field in str(info.value)
 
+    @pytest.mark.usefixtures("both_reads")
     @pytest.mark.parametrize(
         "matrix_text, message", [case[1:] for case in MALFORMED_MATRICES],
         ids=[case[0] for case in MALFORMED_MATRICES],
@@ -329,6 +349,7 @@ class TestLoadOperatorFile:
             load_operator_file(path)
         assert str(info.value) == message
 
+    @pytest.mark.usefixtures("both_reads")
     @pytest.mark.parametrize(
         "matrix_text", [BEYOND_DIGIT_LIMIT, BEYOND_NESTING_LIMIT], ids=["digits", "nesting"]
     )
@@ -337,6 +358,7 @@ class TestLoadOperatorFile:
         with pytest.raises(OperatorFileError, match="^input: cannot read JSON: "):
             load_operator_file(path)
 
+    @pytest.mark.usefixtures("both_reads")
     @given(field=matrix_fields())
     def test_matches_the_per_entry_parse(self, tmp_path_factory, field):
         dim, rows = field
@@ -356,6 +378,7 @@ class TestLoadOperatorFile:
             got = load_operator_file(str(path)).matrix
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
+    @pytest.mark.usefixtures("both_reads")
     def test_keeps_every_bit_of_special_values(self, tmp_path):
         text = "[[[-0.0, 5e-324], [1e300, -1e-310]], [[2, -0.0], [9007199254740993, 0]]]"
         op = load_operator_file(write_matrix_text(tmp_path / "m.json", text))
@@ -392,6 +415,7 @@ class TestOperatorFileBytes:
         assert err.count("\n") == 1
 
     # Each example overwrites the one file and reads its own output, so sharing the fixtures is safe.
+    @pytest.mark.usefixtures("both_reads")
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.one_of(st.binary(max_size=64), mutated_files()))
     def test_fuzzed_file_exits_with_a_code_and_at_most_one_error_line(self, capsys, tmp_path, data):
@@ -401,6 +425,235 @@ class TestOperatorFileBytes:
             code, _, err = run_cli(capsys, command, str(path), *flags)
             assert code in (0, 1, 2, 64), (command, data)
             assert err.count("error: ") <= 1, (command, data)
+            assert err.count("\n") <= 1, (command, data)
+
+
+def json_parts(span, dim):
+    """The parts of a ``matrix`` field's text as ``json.loads`` and ``_parse_matrix`` read
+    them, as float64, or None where either raises."""
+    try:
+        return cli._parse_matrix(json.loads(span), dim).view(np.float64).ravel()
+    except (OperatorFileError, ValueError, RecursionError):
+        return None
+
+
+def assert_reads_as_json(span, dim):
+    """``matrix_parts`` of ``span`` gives the JSON read's bits or None, never other bits,
+    and None wherever the JSON read raises; returns what it gave."""
+    got = _text.matrix_parts(span, dim)
+    if got is not None:
+        want = json_parts(span, dim)
+        assert want is not None, span
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), span
+    return got
+
+
+def matrix_span(tokens, dim, style="compact"):
+    """A ``matrix`` field of ``dim`` rows of ``dim`` [re, im] pairs of the given texts,
+    row by row, with the separators and whitespace of ``style``."""
+    pairs = [f"[{tokens[k]},{tokens[k + 1]}]" for k in range(0, 2 * dim * dim, 2)]
+    text = "[" + ",".join("[" + ",".join(pairs[i * dim:(i + 1) * dim]) + "]" for i in range(dim)) + "]"
+    return SPAN_STYLES[style](text)
+
+
+SPAN_STYLES = {
+    "compact": lambda text: text,
+    "dumps": lambda text: text.replace(",", ", "),
+    "indent": lambda text: re.sub(r"([\[,])", r"\1\n  ", text).replace("]", "\n]"),
+    "crlf": lambda text: re.sub(r"([\[,])", "\\1\r\n\t", text).replace("]", " \r\n]"),
+}
+
+#: Texts of one part: floats as ``json.dumps`` writes them, integers, decimals
+#: of up to 24 fraction digits, and junk made of number characters.
+PART_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-(2**66), max_value=2**66).map(str),
+    st.builds(
+        "{}{}.{}".format, st.sampled_from(["", "-"]), st.integers(0, 9),
+        st.text("0123456789", min_size=1, max_size=24),
+    ),
+    st.text("0123456789-+.eE", min_size=1, max_size=5),
+)
+
+
+@st.composite
+def edited_spans(draw):
+    """A dim, and a ``matrix`` field of floats for that dim or a neighbouring one, with up to
+    three characters replaced, deleted or inserted."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.lists(st.floats(-2, 2), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    text = list(matrix_span([repr(v) for v in values], dim, draw(st.sampled_from(sorted(SPAN_STYLES)))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "delete":
+            del text[k]
+        else:
+            text[k:k + (edit == "replace")] = [draw(st.sampled_from("[],.-+0159eE \n\x0bx"))]
+    return draw(st.sampled_from([dim, dim + 1, max(1, dim - 1)])), "".join(text)
+
+
+def near_halfway(values):
+    """For each double x in (0, 10), the decimals nearest the midpoint of x and the next
+    double up, and one unit of the last digit either side: 18 fraction digits from 1 up,
+    19 significant digits below (at most 22 fraction digits), as the array pass takes them."""
+    texts = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        for x in values:
+            unit = decimal.Decimal(10) ** -min(22, 18 - min(0, math.floor(math.log10(x))))
+            mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
+            near = mid.quantize(unit)
+            texts += [f"{near + k * unit:f}" for k in (-1, 0, 1)]
+    return texts
+
+
+_RNG = np.random.default_rng(2024)
+
+#: Families of valid parts where a reader comes closest to wrong.
+PART_FAMILIES = {
+    "edges": [
+        "-0", "-0.0", "0", "0.0", "9007199254740993", "-9007199254740993", "5e-324",
+        "1e22", "1e23", "-1E+22", "1.7976931348623157e308", "2.2250738585072014e-308",
+        # Fractions whose digits, as an integer, lie at 2**64 or just below it.
+        "0.18446744073709551615", "0.18446744073709551616", "0.18439999999999999999",
+        "0.0018446744073709551615", "9.999999999999999999",
+    ],
+    "powers-of-two": [
+        repr(float(np.nextafter(2.0**e, to))) for e in range(-75, 4) for to in (0.0, 2.0**e, np.inf)
+    ],
+    "powers-of-ten": [
+        repr(float(np.nextafter(10.0**e, to))) for e in range(-22, 1) for to in (0.0, 10.0**e, np.inf)
+    ],
+    "long-fractions": [
+        f"{d}." + "".join(map(str, _RNG.integers(0, 10, k)))
+        for k in range(17, 24) for d in (0, 1, 9) for _ in range(6)
+    ] + ["0." + "0" * (k - 1) + "1" for k in range(17, 24)] + ["9." + "9" * k for k in range(17, 24)],
+    "near-halfway": near_halfway(
+        np.concatenate([_RNG.uniform(1, 10, 40), 10.0 ** _RNG.uniform(-6, 0, 60), [0.1, 1.0, 0.3]])
+    ),
+    "exponents": [
+        "1.5e-5", "1E5", "-2.5E-10", "1e0", "0e0", "-0e-0", "12.5e1", "7E-300", "-3.25e+2", "1e-7",
+    ],
+}
+
+#: An operator file's text, by form; every form is above the array-read crossover.
+FILE_FORMS = {
+    "dumps": json.dumps,
+    "indent": lambda data: json.dumps(data, indent=2),
+    "compact": lambda data: json.dumps(data, separators=(",", ":")),
+    "crlf": lambda data: json.dumps(data, indent=2).replace("\n", "\r\n"),
+    "matrix-first": lambda data: json.dumps(dict(reversed(list(data.items())))),
+    "escaped-key": lambda data: json.dumps(data).replace('"matrix"', '"m\\u0061trix"'),
+    "duplicate-key": lambda data: json.dumps(data)[:-1] + ', "matrix": 7}',
+    "duplicate-key-first": lambda data: json.dumps(data).replace('"matrix": ', '"matrix": 0, "matrix": '),
+    "nested-key": lambda data: json.dumps({**data, "extra": {"matrix": data["matrix"]}}),
+    "string-value": lambda data: json.dumps({**data, "kind": "matrix"}),
+    "bom": lambda data: "\ufeff" + json.dumps(data),
+    "number-after-field": lambda data: json.dumps(data)[:-1] + ".5}",
+    "exponent-after-field": lambda data: json.dumps(data)[:-1] + "e0}",
+    "no-closing-brace": lambda data: json.dumps(data)[:-1],
+}
+
+#: The forms that the array read takes; it leaves the others to the JSON read.
+ARRAY_FORMS = ["dumps", "indent", "compact", "crlf", "matrix-first"]
+
+
+def loaded(path):
+    """What ``load_operator_file`` gives: the matrix bits and flag, or the error message."""
+    try:
+        op = load_operator_file(str(path))
+    except OperatorFileError as err:
+        return str(err)
+    return op.matrix.view(np.uint64).tobytes(), op.antiunitary
+
+
+class TestMatrixParts:
+    """``matrix_parts`` gives the bits of ``json.loads`` + ``_parse_matrix``, or None."""
+
+    @settings(deadline=None)
+    @given(dim=st.integers(min_value=1, max_value=3), style=st.sampled_from(sorted(SPAN_STYLES)),
+           data=st.data())
+    def test_any_field(self, dim, style, data):
+        tokens = data.draw(st.lists(PART_TEXTS, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        assert_reads_as_json(matrix_span(tokens, dim, style), dim)
+
+    @settings(deadline=None)
+    @given(case=edited_spans())
+    def test_any_edited_field(self, case):
+        dim, span = case
+        assert_reads_as_json(span, dim)
+
+    @pytest.mark.parametrize("family", sorted(PART_FAMILIES))
+    @pytest.mark.parametrize("style", ["compact", "dumps"])
+    def test_families(self, family, style):
+        texts = PART_FAMILIES[family]
+        texts = texts + [t[1:] if t.startswith("-") else "-" + t for t in texts]
+        dim = math.isqrt(-(-len(texts) // 2) - 1) + 1
+        texts += ["0.5"] * (2 * dim * dim - len(texts))
+        assert assert_reads_as_json(matrix_span(texts, dim, style), dim) is not None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_json_dumps_floats_take_the_array_pass(self, monkeypatch, scale):
+        # With the one-at-a-time read left only exponent forms, the field still
+        # reads: every other part of a unitary, as json.dumps writes it, takes the array pass.
+        monkeypatch.setattr(_text, "_JSON_NUMBER", re.compile(rb"-?[0-9.]+e-[0-9]+"))
+        rows = matrix_pairs(random_unitary(24, seed=9) * scale)
+        assert assert_reads_as_json(json.dumps(rows), 24) is not None
+
+    def test_near_halfway_parts_take_the_array_pass(self, monkeypatch):
+        monkeypatch.setattr(_text, "_JSON_NUMBER", re.compile(rb"(?!)"))
+        texts = PART_FAMILIES["near-halfway"]
+        dim = math.isqrt(len(texts) // 2)
+        assert assert_reads_as_json(matrix_span(texts, dim, "dumps"), dim) is not None
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            "[[[1 2,3]]]", "[[[1,2\n5]]]", "[[[1,2\t.5]]]", "[[[1,2]]]]", "[[[1,2]]", "[[[1,2]],]",
+            "[[[1,2],]]", "[[1,2]]", "[[[1,2,3]]]", "[[[1],[2]]]", "[[[1,2]]]\n[", "[[[1,2]]] ]",
+            "[[[+1,2]]]", "[[[01,2]]]", "[[[1.,2]]]", "[[[.5,2]]]", "[[[NaN,2]]]", "[[[1e400,2]]]",
+            "[[[0x1,2]]]", "[[[1,2]]]\x00", "[[[1,\u0662]]]", '[[["1",2]]]', "[[[1,2\x0b]]]",
+        ],
+    )
+    def test_refuses_what_json_refuses(self, span):
+        assert json_parts(span, 1) is None
+        assert _text.matrix_parts(span, 1) is None
+
+    @pytest.mark.parametrize("block", range(12, 41))
+    def test_blocks_cut_at_every_comma(self, monkeypatch, block):
+        monkeypatch.setattr(_text, "BLOCK_BYTES", block)
+        tokens = ["0.5", "-1", "0.25", "-0.0", "1.5", "2e3", "-7.5", "0", "3"] * 6
+        for style in ("compact", "dumps"):
+            assert assert_reads_as_json(matrix_span(tokens[:18], 3, style), 3) is not None
+
+    @pytest.mark.parametrize("form", sorted(FILE_FORMS))
+    def test_file_forms(self, monkeypatch, tmp_path, form):
+        data = {"dim": 24, "kind": "unitary", "matrix": matrix_pairs(random_unitary(24, seed=4))}
+        path = tmp_path / "op.json"
+        path.write_bytes(FILE_FORMS[form](data).encode())
+        assert path.stat().st_size >= cli._ARRAY_READ_MIN
+        arrays = cli._array_read(path.read_text(encoding="utf-8"))
+        assert (arrays is not None) == (form in ARRAY_FORMS)
+        array_first = loaded(path)
+        monkeypatch.setattr(cli, "_ARRAY_READ_MIN", math.inf)
+        assert array_first == loaded(path)
+
+    def test_a_huge_dim_is_refused_in_little_memory(self, tmp_path):
+        rows = matrix_pairs(random_unitary(32, seed=1))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 10**9, "kind": "unitary", "matrix": rows}))
+        assert path.stat().st_size >= cli._ARRAY_READ_MIN
+        assert _text.matrix_parts(json.dumps(rows), 10**9) is None
+        tracemalloc.start()
+        try:
+            with pytest.raises(OperatorFileError) as info:
+                load_operator_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "matrix: expected 1000000000 rows"
+        assert peak < 4 * 2**20
 
 
 class TestParseSamples:
@@ -773,6 +1026,10 @@ class TestMalformedFilesInASubprocess:
             (name, ["reconstruct", write_matrix_text(tmp_path / f"{name}.json", text)])
             for name, text in texts
         ]
+        for name, key in (("newline-key", "a\nb"), ("tab-key", "\t")):
+            data = {"dim": 2, "kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], key: 1}
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            cases.append((name, ["reconstruct", str(tmp_path / f"{name}.json")]))
         identity = write_operator_file(tmp_path / "identity.json", np.eye(2), "unitary")
         cases.append(("negative-seed", ["conformance", identity, "--seed", "-1"]))
         cases.append(("absurd-trials", ["conformance", identity, "--trials", "9" * 23]))
