@@ -32,7 +32,9 @@ _JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)
 
 #: The separators before a part, little-endian: within a pair, between pairs
 #: of a row, between rows, and before the first part.
-_PAIR, _NEXT, _ROW, _OPEN = (int.from_bytes(gap, "little") for gap in (b",", b"],[", b"]],[[", b"[[["))
+_PAIR, _NEXT, _ROW, _OPEN = (
+    int.from_bytes(gap, "little") for gap in (b",", b"],[", b"]],[[", b"[[[")
+)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
@@ -226,10 +228,13 @@ def _records(buf: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buf, 0, (1,))
 
 
-def matrix_parts(span: str, dim: int) -> np.ndarray | None:
+def matrix_parts(
+    text: str, dim: int, start: int = 0, stop: int | None = None
+) -> np.ndarray | None:
     """The ``2 * dim**2`` float64 parts of a ``matrix`` field's text, or None.
 
-    ``span`` is the field from its ``[`` to its last ``]``.  The parts come
+    ``text[start:stop]`` is the field from its ``[`` to its last ``]``; the
+    bounds spare a large file's caller a copy of the field.  The parts come
     re, im, row by row, each with the bits that ``json.loads`` gives it
     (``float`` of the text, or of the ``int`` for an integer).  None means
     that this reader could not show that, and the caller reads the file as
@@ -259,17 +264,18 @@ def matrix_parts(span: str, dim: int) -> np.ndarray | None:
     after a comma and begun where the last part before it ended.  Nothing
     sized by ``dim`` is built before the parts are counted.
     """
+    end = len(text) if stop is None else stop
     count = 2 * dim * dim
-    if count > len(span) or not span.isascii():  # every part takes a character
+    if count > end - start or not text.isascii():  # every part takes a character
         return None
     masks, digit_masks, tens = _read_tables()
     pow10 = _tables()[4]
     period = 2 * dim
-    blocks, done, start, end = [], 0, 0, len(span)
+    blocks, done = [], 0
     while True:
-        stop = end if start + BLOCK_BYTES >= end else span.rfind(",", start, start + BLOCK_BYTES) + 1
-        text = span[start:stop].encode()
-        packed = text.replace(b" ", b"")
+        cut = end if start + BLOCK_BYTES >= end else text.rfind(",", start, start + BLOCK_BYTES) + 1
+        block = text[start:cut].encode()
+        packed = block.replace(b" ", b"")
         if b"\n" in packed or b"\r" in packed or b"\t" in packed:
             packed = packed.translate(None, b"\t\n\r")
         # The packed block, after 24 ASCII zeros (for the fraction words of
@@ -284,8 +290,8 @@ def matrix_parts(span: str, dim: int) -> np.ndarray | None:
         n = len(edges) >> 1
         if n == 0 or len(edges) & 1 or part[0] or done + n > count:
             return None
-        if len(packed) < len(text):  # no whitespace inside a part
-            raw = np.frombuffer(text, np.uint8)
+        if len(packed) < len(block):  # no whitespace inside a part
+            raw = np.frombuffer(block, np.uint8)
             apart = (raw > ord(" ")) & (raw != ord(",")) & ((raw | 6) != ord("_"))
             if np.count_nonzero(apart[1:] > apart[:-1]) != n:
                 return None
@@ -300,7 +306,7 @@ def matrix_parts(span: str, dim: int) -> np.ndarray | None:
         if done == 0:
             want[0] = _OPEN
         seps = _records(buf, 8)[gap].view(np.uint64) & masks.take(np.minimum(first - gap, 8))
-        if not (seps == want).all() or stop == end and packed[after[-1] - 24 :] != b"]]]":
+        if not (seps == want).all() or cut == end and packed[after[-1] - 24 :] != b"]]]":
             return None
 
         negative = buf[first] == ord("-")
@@ -339,7 +345,7 @@ def matrix_parts(span: str, dim: int) -> np.ndarray | None:
         fast &= np.abs(np.abs(t - j) - 0.5) >= 2.0**-30
         fast &= ((bits & np.uint64(2**52 - 1)) != 0) | (m == 0)
         x = q + j * ulp
-        x.view(np.uint64)[...] |= negative.astype(np.uint64) << np.uint64(63)
+        np.negative(x, out=x, where=negative)
 
         for i in np.flatnonzero(~fast).tolist():
             token = packed[first[i] - 24 : after[i] - 24]
@@ -354,7 +360,7 @@ def matrix_parts(span: str, dim: int) -> np.ndarray | None:
             x[i] = value
         blocks.append(x)
         done += n
-        if stop == end:
+        if cut == end:
             break
-        start += len(text.rstrip(b" \t\n\r,[]"))
+        start += len(block.rstrip(b" \t\n\r,[]"))
     return np.concatenate(blocks) if done == count else None

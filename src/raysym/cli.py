@@ -55,8 +55,8 @@ _NUMBER_TYPES = {int, float}
 #: 0.75x at 18 KB (dim 20) and 0.6x at 46 KB (dim 32).
 _ARRAY_READ_MIN = 1 << 14
 
-#: After the ``"matrix"`` key: the colon and the field's opening bracket.
-_MATRIX_VALUE = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
+#: The ``"matrix"`` key, its colon and the field's opening bracket.
+_MATRIX_KEY = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 
 
 class UsageError(Exception):
@@ -177,13 +177,12 @@ def _array_read(text: str) -> SymmetryOperator | None:
     refusal, error or defect over the bound gives None, and the caller reads
     the whole file as JSON, for the same operator or the same error.
     """
-    key = text.find('"matrix"')
-    value = _MATRIX_VALUE.match(text, key + 8) if key >= 0 else None
-    if value is None or text.count('"matrix"') != 1 or "\\" in text:
+    key = _MATRIX_KEY.search(text)
+    if key is None or text.count('"matrix"') != 1 or "\\" in text:
         return None
-    start = value.end() - 1
-    ends = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
-    stop = text.rfind("]", start, min(ends, default=len(text))) + 1
+    start = key.end() - 1
+    after = text.find('"', start)  # the next key, if any
+    stop = text.rfind("]", start, len(text) if after < 0 else after) + 1
     if not stop:
         return None
     try:
@@ -191,7 +190,7 @@ def _array_read(text: str) -> SymmetryOperator | None:
         dim, kind, antiunitary = _checked_fields(data)
         if type(data["matrix"]) is not int:  # "0" ran on into a longer number
             return None
-        parts = matrix_parts(text[start:stop], dim)
+        parts = matrix_parts(text, dim, start, stop)
         return None if parts is None else _operator(
             parts.view(np.complex128).reshape(dim, dim), kind, antiunitary
         )

@@ -452,7 +452,8 @@ def matrix_span(tokens, dim, style="compact"):
     """A ``matrix`` field of ``dim`` rows of ``dim`` [re, im] pairs of the given texts,
     row by row, with the separators and whitespace of ``style``."""
     pairs = [f"[{tokens[k]},{tokens[k + 1]}]" for k in range(0, 2 * dim * dim, 2)]
-    text = "[" + ",".join("[" + ",".join(pairs[i * dim:(i + 1) * dim]) + "]" for i in range(dim)) + "]"
+    rows = ("[" + ",".join(pairs[i * dim:(i + 1) * dim]) + "]" for i in range(dim))
+    text = "[" + ",".join(rows) + "]"
     return SPAN_STYLES[style](text)
 
 
@@ -482,7 +483,8 @@ def edited_spans(draw):
     three characters replaced, deleted or inserted."""
     dim = draw(st.integers(min_value=1, max_value=3))
     values = draw(st.lists(st.floats(-2, 2), min_size=2 * dim * dim, max_size=2 * dim * dim))
-    text = list(matrix_span([repr(v) for v in values], dim, draw(st.sampled_from(sorted(SPAN_STYLES)))))
+    style = draw(st.sampled_from(sorted(SPAN_STYLES)))
+    text = list(matrix_span([repr(v) for v in values], dim, style))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         k = draw(st.integers(min_value=0, max_value=len(text) - 1))
         edit = draw(st.sampled_from(["replace", "delete", "insert"]))
@@ -505,6 +507,23 @@ def near_halfway(values):
             mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
             near = mid.quantize(unit)
             texts += [f"{near + k * unit:f}" for k in (-1, 0, 1)]
+    return texts
+
+
+def nearest_midpoints(binades):
+    """Decimals F / 10**22 within 2.1e-16 ulp of a midpoint between two doubles, either
+    side, as close as a part of at most 22 fraction digits comes to one.
+
+    For x in [2**-b, 2**(1 - b)), b <= 22, the midpoint is c * 2**-(b + 53) with
+    c * 5**22 = F * 2**(b + 31) +- 1 and c odd in [2**53, 2**54).
+    """
+    texts = []
+    for b in binades:
+        modulus = 2 ** (b + 31)
+        for side in (1, -1):
+            c = side * pow(5**22, -1, modulus) % modulus
+            c += (2**53 - c + modulus - 1) // modulus * modulus  # odd, in [2**53, 2**54)
+            texts.append("0." + str((c * 5**22 - side) // modulus).zfill(22))
     return texts
 
 
@@ -532,6 +551,7 @@ PART_FAMILIES = {
     "near-halfway": near_halfway(
         np.concatenate([_RNG.uniform(1, 10, 40), 10.0 ** _RNG.uniform(-6, 0, 60), [0.1, 1.0, 0.3]])
     ),
+    "nearest-midpoints": nearest_midpoints(range(10, 23)),
     "exponents": [
         "1.5e-5", "1E5", "-2.5E-10", "1e0", "0e0", "-0e-0", "12.5e1", "7E-300", "-3.25e+2", "1e-7",
     ],
