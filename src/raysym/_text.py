@@ -86,9 +86,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _rounded(a: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> np.ndarray:
-    """``a * 10**k`` rounded half to even, as int64, exact where the product is at least 2**53."""
-    b, b_high, b_low = pow10[0][k], pow10[1][k], pow10[2][k]
+def _two_product(
+    a: np.ndarray, b: np.ndarray, b_high: np.ndarray, b_low: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's TwoProduct of ``a`` and ``b``, split as b_high + b_low: (fl(a * b), err).
+
+    a * b = p + err exactly where no step over- or underflows.
+    """
     p = a * b
     c = _SPLITTER * a
     a_high = c - (c - a)
@@ -97,6 +101,12 @@ def _rounded(a: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> np.ndarray:
     err += a_high * b_low
     err += a_low * b_high
     err += a_low * b_low
+    return p, err
+
+
+def _rounded(a: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> np.ndarray:
+    """``a * 10**k`` rounded half to even, as int64, exact where the product is at least 2**53."""
+    p, err = _two_product(a, pow10[0][k], pow10[1][k], pow10[2][k])
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
@@ -247,7 +257,7 @@ def matrix_parts(
       digits is x = M / 10**k, M = D * 10**k + F < 2**64, summed from 8
       digits a word (SWAR).  q = fl(fl(M) / 10**k) lies within 1.5 ulp(q)
       of x: fl(M) is off by 2**-53 relative, the quotient by half an ulp.
-      10**k is exact, so Dekker's TwoProduct on ``_tables``' Veltkamp split
+      10**k is exact, so ``_two_product`` on ``_tables``' Veltkamp split
       gives q * 10**k = p + err exactly; M - p is exact too (Sterbenz, with
       M split at bit 11 to stay exact above 2**53).  So t = (M - p - err) /
       (ulp(q) * 10**k), the error x - q in ulps, is off by a few units of
@@ -327,14 +337,7 @@ def matrix_parts(
 
         b, b_high, b_low = pow10.take(np.minimum(k, 22), axis=1)
         q = m.astype(np.float64) / b
-        p = q * b
-        c = _SPLITTER * q
-        q_high = c - (c - q)
-        q_low = q - q_high
-        err = q_high * b_high - p
-        err += q_high * b_low
-        err += q_low * b_high
-        err += q_low * b_low
+        p, err = _two_product(q, b, b_high, b_low)
         residual = (m & np.uint64(2**64 - 2048)).astype(np.float64) - p
         residual += (m & np.uint64(2047)).astype(np.float64)
         residual -= err

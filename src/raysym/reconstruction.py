@@ -12,6 +12,10 @@
    forces f to be the identity or complex conjugation, and that one probe
    decides which; conjugation makes the operator antiunitary.
 
+Each probe stage, and ``probe_automorphism``, builds the canonical rows of its
+probe rays, asks them, and scores the answer stacks in ``_scored_rows``.  Only
+``probe_automorphism``, whose points can repeat, deduplicates its rows.
+
 The operator has the phase-fixed image axes as columns.  It reproduces the
 oracle up to a global phase only if every scale r_i is 1 and the oracle meets
 the theorem's hypotheses, which the 2*dim probes alone cannot establish.
@@ -180,35 +184,12 @@ def _check_probe_index(dim: int, i: int) -> int:
     return i
 
 
-def _slice_probes(
-    oracle: RayMapOracle,
-    basis: BasisImages,
-    points: Sequence[complex],
-    axes: Sequence[int],
-    tol: Tolerances,
-) -> Iterator[complex]:
-    """``slice_coordinates`` at each ``points[j]`` on axis ``axes[j]``, yielded in order.
-
-    Points whose probe rays are equal on one axis share one ask, at the first.
-    A failing probe raises at its own turn, after every earlier value, so an
-    error the caller raises on an earlier value wins.
-    """
-    probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
+def _probe_rows(dim: int, points: Sequence[complex], axes: Sequence[int]) -> np.ndarray:
+    """Canonical reps of the probe rays e_1 + points[j] e_{axes[j]}, one row per point, in order."""
+    probes = np.zeros((len(points), dim), dtype=np.complex128)
     probes[:, 0] = 1.0
     probes[np.arange(len(points)), axes] = points
-    rows = canonical_rays(probes)
-    keys = [(i, row.tobytes()) for i, row in zip(axes, rows)]
-    first: dict[tuple[int, bytes], int] = {}
-    for j, key in enumerate(keys):
-        first.setdefault(key, j)
-    if len(first) < len(rows):  # copy only where some ray repeats
-        rows = rows[list(first.values())]
-    scored = _scored_rows(oracle._probe_answers(rows), basis, [i for i, _ in first], tol)
-    values: dict[tuple[int, bytes], complex] = {}
-    for key in keys:
-        if key not in values:
-            values[key] = next(scored)
-        yield values[key]
+    return canonical_rays(probes)
 
 
 def _scored_rows(
@@ -276,7 +257,8 @@ def slice_coordinates(
     integer in [1, dim - 1] (else TypeError or ValueError, before the ask).
     """
     i = _check_probe_index(basis.dim, i)
-    return next(_slice_probes(oracle, basis, [complex(z)], [i], tol))
+    rows = _probe_rows(basis.dim, [complex(z)], [i])
+    return next(_scored_rows(oracle._probe_answers(rows), basis, [i], tol))
 
 
 def fix_phases(
@@ -297,7 +279,8 @@ def fix_phases(
     scales = np.ones(dim)
     axes = range(1, dim)
     with _stage("fix_phases", basis.gram_defect):
-        for i, c in zip(axes, _slice_probes(oracle, basis, [1.0] * (dim - 1), axes, tol)):
+        answers = oracle._probe_answers(_probe_rows(dim, [1.0] * (dim - 1), axes))
+        for i, c in zip(axes, _scored_rows(answers, basis, axes, tol)):
             r = abs(c)
             if r <= tol.orth_tol:
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
@@ -351,7 +334,14 @@ def probe_automorphism(
     points = list(samples)
     for a, b in combinations_with_replacement(samples, 2):
         points += (a + b, a * b)
-    f = [c / r for c in _slice_probes(oracle, fixed_basis, points, [i] * len(points), tol)]
+    rows = _probe_rows(fixed_basis.dim, points, [i] * len(points))
+    # Points with equal probe rays share one ask, at the first; slot[j] is point j's ask.
+    seen: dict[bytes, int] = {}
+    slot = [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
+    distinct = rows[np.unique(slot, return_index=True)[1]]
+    answers = oracle._probe_answers(distinct)
+    asked = list(_scored_rows(answers, fixed_basis, [i] * len(distinct), tol))
+    f = [asked[s] / r for s in slot]
     values = tuple(zip(samples, f))
     pairs = iter(f[len(samples):])
     add_res = mult_res = 0.0

@@ -36,7 +36,7 @@ from raysym import (
     verify_reproduction,
 )
 import raysym.reconstruction
-from raysym.rays import Ray, canonical_rays, ray_function, sample_ray
+from raysym.rays import canonical_rays, ray_function, sample_ray
 from raysym.reconstruction import DEFAULT_PROBE_GRID
 
 from conftest import axis_vector, reference_apply
@@ -873,17 +873,14 @@ class TestMatrixOracleProbeStack:
         assert lazy_rays[-1] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
 
 
-def reference_slice_probes(oracle, basis, points, axes, tol):
-    """The per-row scorer: each distinct probe ray asked and scored alone, in order."""
-    probes = np.zeros((len(points), basis.dim), dtype=np.complex128)
-    probes[:, 0] = 1.0
-    probes[np.arange(len(points)), axes] = points
+def reference_scored_rows(stacks, basis, axes, tol):
+    """The per-row scorer: each answer row scored alone, in order, as its stack is taken."""
     adjoint = basis.columns.conj().T
-    asked = {}
-    for i, row in zip(axes, canonical_rays(probes)):
-        key = (i, row.tobytes())
-        if key not in asked:
-            b = adjoint.dot(oracle.image(Ray._from_canonical(row)).rep)
+    axes = iter(axes)
+    for w in stacks:
+        for row in w:
+            i = next(axes)
+            b = adjoint.dot(row)
             if abs(b[0]) <= tol.orth_tol:
                 raise SliceDegenerate(
                     f"image of the probe on axis {i} is orthogonal to the reference axis "
@@ -892,8 +889,7 @@ def reference_slice_probes(oracle, basis, points, axes, tol):
             for j in range(1, basis.dim):
                 if j != i and abs(b[j]) > tol.orth_tol:
                     raise CrossTalk(i, j, float(abs(b[j])))
-            asked[key] = complex(b[i] / b[0])
-        yield asked[key]
+            yield complex(b[i] / b[0])
 
 
 def scored(run):
@@ -950,7 +946,7 @@ class TestStackedScorer:
         fixed = fix_phases(clean, basis)
         plain = RayMapOracle(dim, dim, oracle.image)
         got = [self.stages(o, basis, fixed, tol) for o in (oracle, plain)]
-        monkeypatch.setattr(raysym.reconstruction, "_slice_probes", reference_slice_probes)
+        monkeypatch.setattr(raysym.reconstruction, "_scored_rows", reference_scored_rows)
         want = self.stages(plain, basis, fixed, tol)
         assert got == [want, want]
         if kind == "leak" and dim >= 3:
@@ -973,7 +969,7 @@ class TestStackedScorer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = [scored(run) for run in runs]
-            monkeypatch.setattr(raysym.reconstruction, "_slice_probes", reference_slice_probes)
+            monkeypatch.setattr(raysym.reconstruction, "_scored_rows", reference_scored_rows)
             want = [scored(run) for run in runs]
         message = "image of the probe on axis 1 is orthogonal to the reference axis (|b_1| = 0.000e+00)"
         assert got == want == [("SliceDegenerate", message, None)] * 2
