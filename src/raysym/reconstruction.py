@@ -199,7 +199,9 @@ def _scored_rows(
 
     Values have the bits of the scalar ``adjoint.dot(w)`` and ``b_i / b_1``.  The
     array abs may differ from the scalar abs in the last bit, so its thresholds
-    only preselect rows for ``_first_failure``.
+    only preselect rows for ``_first_failure``.  A failing row raises at its own
+    turn, after every earlier value, so an error the caller raises on an earlier
+    value wins.
     """
     n, dim = len(axes), basis.dim
     adjoint = basis.columns.conj().T
