@@ -1,19 +1,16 @@
-"""Count the lines, code lines and comment lines of Python modules.
+"""Count the lines, code lines and comment lines of the modules of src/raysym.
 
-    python3 perf/loc.py                 # every module of src/raysym, and the total
-    python3 perf/loc.py path/to/pkg file.py
+    python3 perf/loc.py
 
 A code line is non-blank, is not a comment line and lies outside every
 module, class and function docstring.  A comment line is one whose first
 non-blank character is ``#``.  Prints one tab-separated line per module,
-then the total: path, lines, code lines, comment lines.
+then the total: module, lines, code lines, comment lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,19 +40,14 @@ def count(source: str) -> tuple[int, int, int]:
     return len(lines), code, comments
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src" / "raysym"])
-    args = parser.parse_args(argv)
-    files = sorted(f for p in args.paths for f in (p.glob("*.py") if p.is_dir() else [p]))
+def main() -> None:
     total = [0, 0, 0]
-    for path in files:
+    for path in sorted((ROOT / "src" / "raysym").glob("*.py")):
         counts = count(path.read_text(encoding="utf-8"))
         total = [t + c for t, c in zip(total, counts)]
         print(path.name, *counts, sep="\t")
     print("total", *total, sep="\t")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
