@@ -14,11 +14,8 @@
 
 Each probe stage, and ``probe_automorphism``, builds the canonical rows of its
 probe rays, asks them, and scores the answer stacks in ``_scored_rows``.  Only
-``probe_automorphism``, whose points can repeat, deduplicates its rows.  The
-rays asked on one axis depend only on the dimension, the axis and the points,
-so ``slice_coordinates`` and ``probe_automorphism`` build each such probe plan,
-and its scorer set-up, once per process and keep it in a bounded cache; an
-oracle's answers are never cached.
+``probe_automorphism``, whose points can repeat, deduplicates its rows.  Each
+call builds its rows afresh; no row, plan or answer is kept between calls.
 
 The operator has the phase-fixed image axes as columns.  It reproduces the
 oracle up to a global phase only if every scale r_i is 1 and the oracle meets
@@ -27,7 +24,6 @@ the theorem's hypotheses, which the 2*dim probes alone cannot establish.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -98,13 +94,6 @@ class BasisImages:
     @property
     def dim(self) -> int:
         return self.columns.shape[0]
-
-    @functools.cached_property
-    def _adjoint(self) -> np.ndarray:
-        """``columns.conj().T``, read-only, formed on first use and kept."""
-        conj = self.columns.conj()
-        conj.flags.writeable = False
-        return conj.T
 
 
 @dataclass(frozen=True)
@@ -196,76 +185,42 @@ def _check_probe_index(dim: int, i: int) -> int:
     return i
 
 
-def _probe_rows(dim: int, points: Sequence[complex], axes: Sequence[int]) -> np.ndarray:
-    """Canonical reps of the probe rays e_1 + points[j] e_{axes[j]}, one row per point, in order."""
+def _probe_rows(dim: int, points: Sequence[complex], axes: int | Sequence[int]) -> np.ndarray:
+    """Canonical reps of the probe rays e_1 + points[j] e_{axes[j]}, one row per point, in order.
+
+    One int ``axes`` is the axis of every point.
+    """
     probes = np.zeros((len(points), dim), dtype=np.complex128)
     probes[:, 0] = 1.0
     probes[np.arange(len(points)), axes] = points
     return canonical_rays(probes)
 
 
-@functools.lru_cache(maxsize=32)
-def _probe_plan(dim: int, axis: int, points: bytes) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Distinct canonical probe rows on ``axis`` for complex128 ``points``, and each point's row.
-
-    Points with equal probe rays share the row of the first, so slot[j] is the
-    row of point j.  Read-only; nothing in it comes from an oracle or a basis,
-    and the last 32 plans are kept.  A non-finite point raises ValueError, which
-    is not cached.
-    """
-    values = np.frombuffer(points, dtype=np.complex128)
-    rows = _probe_rows(dim, values, [axis] * len(values))
-    seen: dict[bytes, int] = {}
-    slot = tuple(seen.setdefault(row.tobytes(), len(seen)) for row in rows)
-    distinct = rows[np.unique(slot, return_index=True)[1]]
-    distinct.flags.writeable = False
-    return distinct, slot
-
-
-#: ``_scored_rows``' set-up: flat index of each row's b_i, thresholds, unchecked marks.
-_Scoring = tuple[np.ndarray, np.ndarray, bytes]
-
-
-def _scoring(dim: int, axes: Sequence[int], orth_tol: float) -> _Scoring:
-    """``_scored_rows``' set-up for rows probing ``axes``, built afresh."""
-    n = len(axes)
-    coordinates = np.arange(0, n * dim, dim) + axes  # the flat index of each row's b_i
-    thresholds = np.full((n, dim), 0.5 * orth_tol)
-    thresholds[:, 0] = 2.0 * orth_tol
-    thresholds[np.arange(n), axes] = np.inf
-    # The marks of rows that pass unchecked: |b_1| alone above its threshold.
-    return coordinates, thresholds, (b"\x01" + bytes(dim - 1)) * n
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _axis_scoring(dim: int, axis: int, n: int, orth_tol: float) -> _Scoring:
-    """``_scoring`` of n rows on one axis, read-only; the last 32 are kept."""
-    coordinates, thresholds, unchecked = _scoring(dim, [axis] * n, orth_tol)
-    coordinates.flags.writeable = thresholds.flags.writeable = False
-    return coordinates, thresholds, unchecked
-
-
 def _scored_rows(
-    stacks: Iterator[np.ndarray],
-    basis: BasisImages,
-    axes: Sequence[int],
-    tol: Tolerances,
-    scoring: _Scoring,
+    stacks: Iterator[np.ndarray], basis: BasisImages, axes: Sequence[int], tol: Tolerances
 ) -> Iterator[complex]:
     """Slice coordinate b_i / b_1 of each answer row, stack by stack; row n probes ``axes[n]``.
 
-    ``scoring`` is ``_scoring(basis.dim, axes, tol.orth_tol)``.  Values have the
-    bits of the scalar ``adjoint.dot(w)`` and ``b_i / b_1``.  The array abs may
-    differ from the scalar abs in the last bit, so its thresholds only preselect
-    rows for ``_first_failure``.  A failing row raises at its own turn, after
-    every earlier value, so an error the caller raises on an earlier value wins.
+    Values have the bits of the scalar ``adjoint.dot(w)`` and ``b_i / b_1``.  The
+    array abs may differ from the scalar abs in the last bit, so its thresholds
+    only preselect rows for ``_first_failure``.  A failing row raises at its own
+    turn, after every earlier value, so an error the caller raises on an earlier
+    value wins.
     """
-    coordinates, thresholds, unchecked = scoring
-    b = np.empty((len(axes), basis.dim), dtype=np.complex128)
+    n, dim = len(axes), basis.dim
+    adjoint = basis.columns.conj().T
+    b = np.empty((n, dim), dtype=np.complex128)
+    coordinates = np.arange(0, n * dim, dim) + axes  # the flat index of each row's b_i
+    thresholds = np.full(n * dim, 0.5 * tol.orth_tol)
+    thresholds[::dim] = 2.0 * tol.orth_tol
+    thresholds[coordinates] = np.inf
+    thresholds = thresholds.reshape(n, dim)
+    # The marks of rows that pass unchecked: |b_1| alone above its threshold.
+    unchecked = (b"\x01" + bytes(dim - 1)) * n
     start = 0
     for w in stacks:
         stack = b[start:start + len(w)]
-        np.matmul(basis._adjoint, w[:, :, None], out=stack[:, :, None])
+        np.matmul(adjoint, w[:, :, None], out=stack[:, :, None])
         above = np.abs(stack) > thresholds[start:start + len(w)]
         stop, error = len(w), None
         if above.tobytes() != unchecked[:above.size]:
@@ -308,9 +263,8 @@ def slice_coordinates(
     integer in [1, dim - 1] (else TypeError or ValueError, before the ask).
     """
     i = _check_probe_index(basis.dim, i)
-    rows, _ = _probe_plan(basis.dim, i, np.complex128(complex(z)).tobytes())
-    scoring = _axis_scoring(basis.dim, i, 1, tol.orth_tol)
-    return next(_scored_rows(oracle._probe_answers(rows), basis, [i], tol, scoring))
+    rows = _probe_rows(basis.dim, [complex(z)], [i])
+    return next(_scored_rows(oracle._probe_answers(rows), basis, [i], tol))
 
 
 def fix_phases(
@@ -332,8 +286,7 @@ def fix_phases(
     axes = range(1, dim)
     with _stage("fix_phases", basis.gram_defect):
         answers = oracle._probe_answers(_probe_rows(dim, [1.0] * (dim - 1), axes))
-        scoring = _scoring(dim, axes, tol.orth_tol)
-        for i, c in zip(axes, _scored_rows(answers, basis, axes, tol, scoring)):
+        for i, c in zip(axes, _scored_rows(answers, basis, axes, tol)):
             r = abs(c)
             if r <= tol.orth_tol:
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
@@ -387,18 +340,27 @@ def probe_automorphism(
     points = list(samples)
     for a, b in combinations_with_replacement(samples, 2):
         points += (a + b, a * b)
+    rows = _probe_rows(fixed_basis.dim, points, i)
     # Points with equal probe rays share one ask, at the first; slot[j] is point j's ask.
-    distinct, slot = _probe_plan(fixed_basis.dim, i, np.array(points).tobytes())
-    axes = [i] * len(distinct)
-    scoring = _axis_scoring(fixed_basis.dim, i, len(distinct), tol.orth_tol)
-    asked = list(_scored_rows(oracle._probe_answers(distinct), fixed_basis, axes, tol, scoring))
+    # A void view lists each row's bytes; the keys, in order of first occurrence, are asked.
+    keys = rows.view(f"V{rows[0].nbytes}").ravel().tolist()
+    seen: dict[bytes, int] = {}
+    slot = [seen.setdefault(key, len(seen)) for key in keys]
+    distinct = np.frombuffer(b"".join(seen), dtype=np.complex128).reshape(len(seen), -1)
+    answers = oracle._probe_answers(distinct)
+    asked = list(_scored_rows(answers, fixed_basis, [i] * len(distinct), tol))
     f = [asked[s] / r for s in slot]
     values = tuple(zip(samples, f))
     pairs = iter(f[len(samples):])
     add_res = mult_res = 0.0
     for fa, fb in combinations_with_replacement(f[:len(samples)], 2):
-        add_res = max(add_res, abs(next(pairs) - (fa + fb)))
-        mult_res = max(mult_res, abs(next(pairs) - fa * fb))
+        # max(res, x), without its call: a NaN x leaves res as it is
+        x = abs(next(pairs) - (fa + fb))
+        if x > add_res:
+            add_res = x
+        x = abs(next(pairs) - fa * fb)
+        if x > mult_res:
+            mult_res = x
     return ProbeResult(
         index=i,
         values=values,

@@ -292,18 +292,6 @@ class TestDerivedFields:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BasisImages(columns=np.ones(shape), gram_defect=0.0)
 
-    @pytest.mark.parametrize("dim", [2, 5, 64])
-    def test_the_adjoint_is_formed_once_with_the_bits_of_conj_t(self, dim):
-        oracle = induced_map(SymmetryOperator(random_unitary(dim, seed=dim)))
-        result = reconstruct(oracle, dim)
-        adjoint = result.basis.__dict__["_adjoint"]  # classify_automorphism formed it
-        probe_automorphism(oracle, result.basis, (0.5j, 2.0))
-        assert result.basis._adjoint is adjoint
-        want = result.basis.columns.conj().T
-        assert adjoint.tobytes("A") == want.tobytes("A") and adjoint.strides == want.strides
-        with pytest.raises(ValueError, match="read-only"):
-            adjoint[0, 0] = 0.0
-
 
 class TestMapBasis:
     def test_identity_images_are_the_axes(self):
@@ -742,6 +730,24 @@ class TestProbeDeduplication:
                 # the same probe ray, while -0j leaves a -0.0 in the canonical one
                 assert (len(got_rays), len(want_rays)) == (4, 24)
 
+    def test_a_repeat_in_one_process_asks_and_returns_the_same(self):
+        # Nothing is kept between calls: a repeat, after other oracles and other
+        # points, asks the same rays in the same order and gives the same bits.
+        u = random_unitary(3, seed=8)
+        oracles = [induced_map(SymmetryOperator(u, antiunitary=anti)) for anti in (False, True)]
+        oracles.append(RayMapOracle(3, 3, oracles[1].image))
+        fixed = [fix_phases(o, map_basis(o, 3)) for o in oracles]
+        runs = [
+            (o, basis, samples)
+            for samples in (DEFAULT_PROBE_GRID, (0.0,), (-0.0,))
+            for o, basis in zip(oracles, fixed)
+        ]
+        first = [probe_outcome(o, basis, samples, 1, probe_automorphism) for o, basis, samples in runs]
+        again = [probe_outcome(o, basis, samples, 1, probe_automorphism) for o, basis, samples in runs]
+        assert again == first
+        # 0 asks one ray; in -0.0's, the product -0j leaves a -0.0
+        assert [len(rays) for _, rays in first] == [121] * 3 + [1] * 3 + [2] * 3
+
     @pytest.mark.parametrize("dim", [3, 8])
     def test_a_leak_raises_the_same_cross_talk_after_a_prefix_of_the_asks(self, dim):
         # axis and unit probes pass; a probe point of modulus above 1.5 leaks onto axis 3
@@ -885,11 +891,8 @@ class TestMatrixOracleProbeStack:
         assert lazy_rays[-1] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
 
 
-def reference_scored_rows(stacks, basis, axes, tol, scoring):
-    """The per-row scorer: each answer row scored alone, in order, as its stack is taken.
-
-    ``scoring``, the stacked scorer's set-up, is not read.
-    """
+def reference_scored_rows(stacks, basis, axes, tol):
+    """The per-row scorer: each answer row scored alone, in order, as its stack is taken."""
     adjoint = basis.columns.conj().T
     axes = iter(axes)
     for w in stacks:
@@ -1007,176 +1010,6 @@ class TestStackedScorer:
         assert len(set(rays)) == (1 if wrap else 2)
         with pytest.raises(SliceDegenerate):
             slice_coordinates(oracle, basis, 1.0, 2, tol)
-
-
-#: The probe-plan cache and the one-axis scorer set-up cache of the slice probes.
-PLAN_CACHES = (raysym.reconstruction._probe_plan, raysym.reconstruction._axis_scoring)
-
-
-def clear_plan_caches():
-    for cache in PLAN_CACHES:
-        cache.cache_clear()
-
-
-class TestProbePlanCache:
-    """Probe plans and scorer set-ups are built once per process; answers are never cached."""
-
-    @staticmethod
-    def probes(oracle, fixed, tol, slice_probe, probe, before):
-        """Fingerprint of every slice probe and automorphism probe, with the rays each asked.
-
-        ``before`` runs before each probe; a cold run clears the caches there.
-        """
-        recorded, log = counting_oracle(oracle)
-        axes = sorted({1, fixed.dim - 1})
-        runs = [
-            lambda z=z, i=i: slice_probe(recorded, fixed, z, i, tol)
-            for z in EDGE_SAMPLES
-            for i in axes
-        ]
-        runs += [
-            lambda samples=samples, i=i: probe(recorded, fixed, samples, i, tol)
-            for samples in (DEFAULT_PROBE_GRID, (1, 1, 0.0, -0.0), EDGE_SAMPLES)
-            for i in axes
-        ]
-        outcomes = []
-        for run in runs:
-            before()
-            log.clear()
-            outcomes.append((scored(run), list(dict.fromkeys(log))))
-        return outcomes
-
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    @pytest.mark.parametrize("kind", ["unitary", "antiunitary", "plain", "leak-loose"])
-    def test_cold_and_warm_give_the_reference_values_errors_and_asks(self, dim, kind):
-        u = random_unitary(dim, seed=500 + dim)
-        clean = oracle = induced_map(SymmetryOperator(u, antiunitary=(kind == "antiunitary")))
-        tol = DEFAULT_TOLERANCES
-        if kind == "plain":
-            oracle = RayMapOracle(dim, dim, clean.image)
-        elif kind == "leak-loose":
-            # probes on axis 1 leak onto the last axis, the more the larger |z|
-            shear = np.eye(dim, dtype=np.complex128)
-            if dim >= 3:
-                shear[-1, 1] = 1e-5
-            oracle, tol = general_induced_map(u @ shear), LEAK_PROBE_TOL
-        fixed = fix_phases(clean, map_basis(clean, dim))
-        want = self.probes(oracle, fixed, tol, reference_slice_coordinates,
-                           reference_probe_automorphism, lambda: None)
-        probes = (slice_coordinates, probe_automorphism)
-        cold = self.probes(oracle, fixed, tol, *probes, clear_plan_caches)
-        filling = self.probes(oracle, fixed, tol, *probes, lambda: None)
-        hits = raysym.reconstruction._probe_plan.cache_info().hits
-        warm = self.probes(oracle, fixed, tol, *probes, lambda: None)
-        # every probe of the warm pass found its plan
-        assert raysym.reconstruction._probe_plan.cache_info().hits - hits == len(warm)
-        assert cold == filling == warm == want
-        if kind == "leak-loose" and dim >= 3:
-            assert "CrossTalk" in {outcome[0][0] for outcome in want}
-
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_two_oracles_share_a_plan_but_never_an_answer(self, warm):
-        u = random_unitary(3, seed=8)
-        oracles = [induced_map(SymmetryOperator(u, antiunitary=anti)) for anti in (False, True)]
-        oracles.append(RayMapOracle(3, 3, oracles[1].image))
-        fixed = [fix_phases(o, map_basis(o, 3)) for o in oracles]
-        clear_plan_caches()
-        if warm:
-            identity = identity_oracle(3)
-            probe_automorphism(identity, fix_phases(identity, map_basis(identity, 3)))
-        got = []
-        for o, basis in zip(oracles, fixed):
-            before = [cache.cache_info() for cache in PLAN_CACHES]
-            got.append(probe_fingerprint(probe_automorphism(o, basis)))
-            after = [cache.cache_info() for cache in PLAN_CACHES]
-            shared = warm or o is not oracles[0]
-            for b, a in zip(before, after):
-                assert (a.hits - b.hits, a.currsize - b.currsize) == ((1, 0) if shared else (0, 1))
-        want = [probe_fingerprint(reference_probe_automorphism(o, basis, DEFAULT_PROBE_GRID, 1))
-                for o, basis in zip(oracles, fixed)]
-        assert got == want
-        # the linear map reads f(z) = z, the antilinear ones conj(z)
-        values = [probe_automorphism(o, basis).values for o, basis in zip(oracles, fixed)]
-        for k, table in enumerate(values):
-            for z, f_z in table:
-                assert f_z == pytest.approx(z if k == 0 else z.conjugate(), abs=1e-12)
-
-    def test_writing_to_a_cached_array_raises(self):
-        clear_plan_caches()
-        oracle = identity_oracle(3)
-        fixed = fix_phases(oracle, map_basis(oracle, 3))
-        probe_automorphism(oracle, fixed, (0.5, 1j), 2)
-        slice_coordinates(oracle, fixed, 1j, 1)
-        rows, slot = raysym.reconstruction._probe_plan(3, 1, np.complex128(1j).tobytes())
-        scoring = raysym.reconstruction._axis_scoring(3, 1, 1, DEFAULT_TOLERANCES.orth_tol)
-        arrays = [rows, *scoring[:2]]
-        # each was a hit: the arrays are the ones the probes used
-        assert [cache.cache_info().hits for cache in PLAN_CACHES] == [1, 1]
-        assert type(slot) is tuple
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-            with pytest.raises(ValueError, match="read-only"):
-                array.reshape(-1)[0] = 0
-
-    def test_signed_zeros_axes_and_tolerances_each_get_their_own_plan(self):
-        clear_plan_caches()
-        oracle = identity_oracle(3)
-        fixed = fix_phases(oracle, map_basis(oracle, 3))
-        loose = Tolerances(orth_tol=1e-6)
-        for samples in ((0,), (-0.0,)):
-            for i in (1, 2):
-                for tol in (DEFAULT_TOLERANCES, loose):
-                    probe_automorphism(oracle, fixed, samples, i, tol)
-        plans, scorings = (cache.cache_info() for cache in PLAN_CACHES)
-        # (0,) asks one ray and (-0.0,) two, the product -0j leaving a -0.0 in its
-        # ray: 2 point sets x 2 axes plans, and 2 row counts x 2 axes x 2 tolerances
-        assert (plans.currsize, plans.hits) == (4, 4)
-        assert (scorings.currsize, scorings.hits) == (8, 0)
-        plan = raysym.reconstruction._probe_plan
-        zero, signed = (
-            plan(3, 1, np.array([z, z + z, z * z]).tobytes()) for z in (0j, complex(-0.0))
-        )
-        assert (len(zero[0]), zero[1]) == (1, (0, 0, 0))
-        assert (len(signed[0]), signed[1]) == (2, (0, 0, 1))
-        on_axis = [plan(3, i, np.complex128(1j).tobytes())[0] for i in (1, 2)]
-        assert on_axis[0].tolist() != on_axis[1].tolist()
-        scoring = raysym.reconstruction._axis_scoring
-        thresholds = [scoring(3, 1, 1, tol.orth_tol)[1] for tol in (DEFAULT_TOLERANCES, loose)]
-        assert thresholds[0].tolist() == [[2e-9, np.inf, 0.5e-9]]
-        assert thresholds[1].tolist() == [[2e-6, np.inf, 0.5e-6]]
-
-    @pytest.mark.parametrize(
-        "samples, z", [((1.0, 1e308, 2.0), 1e308 * 2.0), ((float("inf"),), float("inf")),
-                       ((1.0, complex("nan")), complex(1.0, np.nan))]
-    )
-    def test_a_non_finite_point_raises_the_same_error_on_a_warm_cache(self, samples, z):
-        oracle, asked = counting_oracle(identity_oracle(3))
-        fixed = fix_phases(oracle, map_basis(oracle, 3))
-        clear_plan_caches()
-        errors = []
-        for _ in range(3):
-            probe_automorphism(oracle, fixed)
-            slice_coordinates(oracle, fixed, 1j, 1)
-            asked.clear()
-            with pytest.raises(ValueError) as probe_info:
-                probe_automorphism(oracle, fixed, samples, 1)
-            with pytest.raises(ValueError) as slice_info:
-                slice_coordinates(oracle, fixed, z, 1)
-            assert asked == []
-            errors.append((str(probe_info.value), str(slice_info.value)))
-        assert errors == [("vector components must be finite",) * 2] * 3
-
-    def test_the_caches_stay_within_their_bound(self):
-        clear_plan_caches()
-        for dim in range(2, 41):
-            oracle = identity_oracle(dim)
-            fixed = reconstruct(oracle, dim).basis
-            for i in sorted({1, dim - 1}):
-                probe_automorphism(oracle, fixed, i=i)
-        for cache in PLAN_CACHES:
-            info = cache.cache_info()
-            assert info.maxsize == 32 and info.currsize == info.maxsize
 
 
 class TestReconstruct:
