@@ -8,24 +8,21 @@ preservation guarantees.  Every check reports a :class:`ConformanceReport`.
 How the library asks an oracle: ``RayMapOracle._asked`` is the one place
 that calls ``image``, once per row of a canonical stack, in order, as each
 row is taken, with the row as a read-only Ray made with no constructor
-frame.  A stage asks each distinct ray once, through one of two methods:
-
-- ``_images`` answers a stack (a block of a sampled check or of
-  reproduction, or ``map_basis``'s axes).  Each answer's vector is copied
-  into one stack as it arrives, so no answer's Ray is kept, and the answers
-  still pending are canonicalized in one ``canonical_rays`` pass, with the
-  bits and errors of each answer's own ``rep``.
-- ``_probe_answers`` yields answer stacks for a stage's distinct slice-probe
-  rays, each scored in one pass with the bits of a row-by-row scoring.  A
-  plain oracle yields one-ray stacks, so a failing probe asks no ray after it.
+frame.  ``_images`` is the one way a stack is asked: a block of a sampled
+check or of reproduction, ``map_basis``' axes, or a slice-probe stage's
+distinct probe rays.  Every row of the stack is asked before any answer is
+scored.  Each answer's vector is copied into one stack as it arrives, so no
+answer's Ray is kept, and the answers still pending are canonicalized in one
+``canonical_rays`` pass, with the bits and errors of each answer's own
+``rep``.
 
 A matrix oracle prescales its matrix once, by ``Ray``'s power-of-two rule, so
 every answer is finite and nonzero at any scale.  A lone answer is a pending
 ``_Product``, whose ``rep`` canonicalizes one BLAS ``dot`` of the asked rep,
-conjugated first only when antiunitary.  A stack, probe rays included, is
-asked with no answer read and answered by one stacked product, whose rows
-have each lone ``dot``'s bits; since no answer raises, only the rays asked
-past a failing probe differ from a plain oracle's.
+conjugated first only when antiunitary.  A stack is asked with no answer
+read and answered by one stacked product, whose rows have each lone
+``dot``'s bits: the rays asked, and the bits of each answer, are those of a
+plain oracle over the matrix oracle's own ``image``.
 """
 
 from __future__ import annotations
@@ -196,10 +193,6 @@ class RayMapOracle:
         stack.flags.writeable = False
         return stack
 
-    def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """Answer-rep stacks of distinct probe rays; here one row each, asked as it is taken."""
-        return (answer.rep[None] for answer in self._asked(rows))
-
     def __repr__(self) -> str:
         return f"RayMapOracle({self.label}, {self.dim_in} -> {self.dim_out})"
 
@@ -283,9 +276,6 @@ class _MatrixOracle(RayMapOracle):
         for _ in self._asked(rows):
             pass
         return _product_rays(self._matrix, rows, self._conj)
-
-    def _probe_answers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        return iter((self._images(rows),))
 
 
 def _product_rays(m: np.ndarray, x: np.ndarray, conj: bool) -> np.ndarray:

@@ -13,9 +13,10 @@
    decides which; conjugation makes the operator antiunitary.
 
 Each probe stage, and ``probe_automorphism``, builds the canonical rows of its
-probe rays, asks them, and scores the answer stacks in ``_scored_rows``.  Only
-``probe_automorphism``, whose points can repeat, deduplicates its rows.  Each
-call builds its rows afresh; no row, plan or answer is kept between calls.
+probe rays, asks them as one stack with ``oracle._images``, and then scores
+that stack in ``_scored_rows``; so a stage asks all its rays, pass or fail.
+Only ``probe_automorphism``, whose points can repeat, deduplicates its rows.
+Each call builds its rows afresh; no row, plan or answer is kept between calls.
 
 The operator has the phase-fixed image axes as columns.  It reproduces the
 oracle up to a global phase only if every scale r_i is 1 and the oracle meets
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -197,39 +198,30 @@ def _probe_rows(dim: int, points: Sequence[complex], axes: int | Sequence[int]) 
 
 
 def _scored_rows(
-    stacks: Iterator[np.ndarray], basis: BasisImages, axes: Sequence[int], tol: Tolerances
-) -> Iterator[complex]:
-    """Slice coordinate b_i / b_1 of each answer row, stack by stack; row n probes ``axes[n]``.
+    answers: np.ndarray, basis: BasisImages, axes: Sequence[int], tol: Tolerances
+) -> tuple[list[complex], RaySymError | None]:
+    """Slice coordinates b_i / b_1 of the answer rows before the first failing row, and its error.
 
-    Values have the bits of the scalar ``adjoint.dot(w)`` and ``b_i / b_1``.  The
-    array abs may differ from the scalar abs in the last bit, so its thresholds
-    only preselect rows for ``_first_failure``.  A failing row raises at its own
-    turn, after every earlier value, so an error the caller raises on an earlier
-    value wins.
+    Row n of the answer stack probes ``axes[n]``.  Values have the bits of the
+    scalar ``basis.columns.conj().T.dot(w)`` and ``b_i / b_1``.  The array abs
+    may differ from the scalar abs in the last bit, so its thresholds only
+    preselect rows for ``_first_failure``.  The caller raises the error after
+    it has read the values, so an error it raises on an earlier value wins.
+    Each caller asks the whole stack before this scores it, so an exception
+    the oracle raises on any ray of the stage wins over every scoring error.
     """
     n, dim = len(axes), basis.dim
-    adjoint = basis.columns.conj().T
-    b = np.empty((n, dim), dtype=np.complex128)
+    b = np.matmul(basis.columns.conj().T, answers[:, :, None])[:, :, 0]
     coordinates = np.arange(0, n * dim, dim) + axes  # the flat index of each row's b_i
     thresholds = np.full(n * dim, 0.5 * tol.orth_tol)
     thresholds[::dim] = 2.0 * tol.orth_tol
     thresholds[coordinates] = np.inf
-    thresholds = thresholds.reshape(n, dim)
-    # The marks of rows that pass unchecked: |b_1| alone above its threshold.
-    unchecked = (b"\x01" + bytes(dim - 1)) * n
-    start = 0
-    for w in stacks:
-        stack = b[start:start + len(w)]
-        np.matmul(adjoint, w[:, :, None], out=stack[:, :, None])
-        above = np.abs(stack) > thresholds[start:start + len(w)]
-        stop, error = len(w), None
-        if above.tobytes() != unchecked[:above.size]:
-            stop, error = _first_failure(stack, above, axes[start:start + len(w)], tol)
-        end = start + stop
-        yield from (b.take(coordinates[start:end]) / stack[:stop, 0]).tolist()
-        if error is not None:
-            raise error
-        start = end
+    above = np.abs(b) > thresholds.reshape(n, dim)
+    stop, error = n, None
+    # Rows pass unchecked when |b_1| alone is above its threshold.
+    if above.tobytes() != (b"\x01" + bytes(dim - 1)) * n:
+        stop, error = _first_failure(b, above, axes, tol)
+    return (b.take(coordinates[:stop]) / b[:stop, 0]).tolist(), error
 
 
 def _first_failure(
@@ -264,7 +256,10 @@ def slice_coordinates(
     """
     i = _check_probe_index(basis.dim, i)
     rows = _probe_rows(basis.dim, [complex(z)], [i])
-    return next(_scored_rows(oracle._probe_answers(rows), basis, [i], tol))
+    values, error = _scored_rows(oracle._images(rows), basis, [i], tol)
+    if error is not None:
+        raise error
+    return values[0]
 
 
 def fix_phases(
@@ -272,26 +267,29 @@ def fix_phases(
     basis: BasisImages,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BasisImages:
-    """Probe z = 1 on axes 1 to dim - 1 (dim - 1 rays) and absorb the probe phases.
+    """Probe z = 1 on axes 1 to dim - 1 and absorb the probe phases; asks dim - 1 rays.
 
     Column i is multiplied by the unit phase w_i of the probe value
     c_i = r_i w_i, so that later probes read r_i f(z).  Raises DegenerateProbe
     when r_i <= tol.orth_tol, besides slice_coordinates' errors.  Returns the
     phase-fixed basis with the scales r_i (scales[0] = 1); the given basis's
-    scales are not read.
+    scales are not read.  All dim - 1 rays are asked, even when a probe fails.
     """
     dim = basis.dim
     columns = basis.columns.copy()
     scales = np.ones(dim)
     axes = range(1, dim)
     with _stage("fix_phases", basis.gram_defect):
-        answers = oracle._probe_answers(_probe_rows(dim, [1.0] * (dim - 1), axes))
-        for i, c in zip(axes, _scored_rows(answers, basis, axes, tol)):
+        answers = oracle._images(_probe_rows(dim, [1.0] * (dim - 1), axes))
+        values, error = _scored_rows(answers, basis, axes, tol)
+        for i, c in zip(axes, values):
             r = abs(c)
             if r <= tol.orth_tol:
                 raise DegenerateProbe(f"unit probe on axis {i} returned magnitude {r:.3e}")
             columns[:, i] *= c / r
             scales[i] = r
+        if error is not None:
+            raise error
     return BasisImages(columns=columns, gram_defect=basis.gram_defect, scales=scales)
 
 
@@ -327,10 +325,11 @@ def probe_automorphism(
     Tabulates f(z) = slice coordinate / ``fixed_basis.scales[i]`` at every
     sample, and probes a+b and a*b for every unordered pair of samples (a sample
     with itself included) for the worst residuals |f(a+b) - f(a) - f(b)| and
-    |f(ab) - f(a) f(b)|.  Asks one ray per distinct probe ray: 121 for
-    DEFAULT_PROBE_GRID.  Before any ask it raises TypeError or ValueError unless
-    ``i`` is an integer in [1, dim - 1], and ValueError for no sample or a
-    non-finite point.  Pointwise probes cannot certify the hypotheses.
+    |f(ab) - f(a) f(b)|.  Asks one ray per distinct probe ray, pass or fail:
+    121 for DEFAULT_PROBE_GRID.  Before any ask it raises TypeError or
+    ValueError unless ``i`` is an integer in [1, dim - 1], and ValueError for
+    no sample or a non-finite point.  Pointwise probes cannot certify the
+    hypotheses.
     """
     i = _check_probe_index(fixed_basis.dim, i)
     r = float(fixed_basis.scales[i])
@@ -347,8 +346,9 @@ def probe_automorphism(
     seen: dict[bytes, int] = {}
     slot = [seen.setdefault(key, len(seen)) for key in keys]
     distinct = np.frombuffer(b"".join(seen), dtype=np.complex128).reshape(len(seen), -1)
-    answers = oracle._probe_answers(distinct)
-    asked = list(_scored_rows(answers, fixed_basis, [i] * len(distinct), tol))
+    asked, error = _scored_rows(oracle._images(distinct), fixed_basis, [i] * len(distinct), tol)
+    if error is not None:
+        raise error
     f = [asked[s] / r for s in slot]
     values = tuple(zip(samples, f))
     pairs = iter(f[len(samples):])

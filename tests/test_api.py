@@ -222,3 +222,6 @@ def test_readme_example_runs_and_holds_its_comments():
     assert raysym.gauge_residual(plain_result.operator.matrix, namespace["u3"]) < 1e-12
     assert raysym.verify_reproduction(plain_result.operator, plain) < 1e-12
     assert raysym.check_orthogonality_preservation(plain, trials=50, seed=1).passed is True
+    plain_probe = namespace["plain_probe"]
+    assert max(abs(f - z) for z, f in plain_probe.values) < 1e-12
+    assert max(plain_probe.additivity_residual, plain_probe.multiplicativity_residual) < 1e-12

@@ -703,8 +703,14 @@ class TestProbeDeduplication:
         want, want_rays = probe_outcome(oracle, fixed, samples, i, reference_probe_automorphism)
         got, got_rays = probe_outcome(oracle, fixed, samples, i, probe_automorphism)
         assert got == want
-        # each distinct ray of the reference's asks, once, in order of first occurrence
-        assert got_rays == list(dict.fromkeys(want_rays))
+        # The probe rays depend on dim, samples and i alone: a clean reference run asks them all.
+        clean = identity_oracle(dim)
+        clean_fixed = fix_phases(clean, map_basis(clean, dim))
+        _, every_ray = probe_outcome(clean, clean_fixed, samples, i, reference_probe_automorphism)
+        # each distinct ray of the reference's asks, once, in order of first occurrence, pass or
+        # fail; a failing reference stopped partway through those asks
+        assert got_rays == list(dict.fromkeys(every_ray))
+        assert want_rays == every_ray[: len(want_rays)]
         return got, got_rays, want_rays
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -762,7 +768,8 @@ class TestProbeDeduplication:
             oracle, dim, DEFAULT_PROBE_GRID, 1
         )
         assert got[0] == "CrossTalk" and got[2:4] == (1, 2)
-        assert len(got_rays) < len(want_rays) < 168
+        # the reference stopped at the leak; the stack asked all 121 distinct rays first
+        assert len(want_rays) < 168 and len(got_rays) == 121
 
     @pytest.mark.parametrize("i", [1.0, 2.0, np.float64(1.0), 1 + 0j])
     def test_an_index_of_no_integral_type_is_refused_before_any_ask(self, i, image_calls):
@@ -807,10 +814,11 @@ LEAK_PROBE_TOL = Tolerances(orth_tol=7.5e-6, recon_tol=1e-4)
 
 
 class TestMatrixOracleProbeStack:
-    """A matrix oracle asks its slice probes as one stack; a plain callable asks them lazily.
+    """A matrix oracle and a plain callable ask each stage's rays as the same one stack.
 
     The plain oracle wraps the matrix oracle's own ``image``, so both answer
-    every ray with the same bits, and only the ask path differs.
+    every ray with the same bits; only the matrix oracle answers a stack by one
+    stacked product.
     """
 
     @staticmethod
@@ -850,7 +858,9 @@ class TestMatrixOracleProbeStack:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     @pytest.mark.parametrize("antiunitary", [False, True])
-    def test_same_bits_and_asks_as_the_lazy_path(self, dim, antiunitary, monkeypatch):
+    def test_a_plain_oracle_asks_the_same_stacks_and_rays_with_the_same_bits(
+        self, dim, antiunitary, monkeypatch
+    ):
         oracle = induced_map(SymmetryOperator(random_unitary(dim, seed=40 + dim), antiunitary))
         plain = RayMapOracle(dim, dim, oracle.image)
         rays, stacks = self.log_asks(monkeypatch)
@@ -865,10 +875,11 @@ class TestMatrixOracleProbeStack:
         # fix_phases' dim - 1 unit probes, classify_automorphism's one ray, and
         # 121 and 4 rays per probed axis.
         axes = len({1, dim - 1})
-        assert got_stacks == [dim, dim - 1, 1, *[121] * axes, *[4] * axes]
-        assert stacks == [dim]
+        assert got_stacks == stacks == [dim, dim - 1, 1, *[121] * axes, *[4] * axes]
 
-    def test_a_leak_partway_through_the_stack_raises_the_lazy_path_error(self, monkeypatch):
+    def test_a_leak_partway_through_the_stack_raises_the_same_error_after_every_ask(
+        self, monkeypatch
+    ):
         oracle = general_induced_map(leak_probe_3())
         plain = RayMapOracle(3, 3, oracle.image)
         fixed = reconstruct(oracle, 3, LEAK_PROBE_TOL).basis
@@ -880,34 +891,32 @@ class TestMatrixOracleProbeStack:
                 probe_automorphism(probed, fixed, tol=LEAK_PROBE_TOL)
             err = info.value
             outcomes.append(((str(err), err.index, err.leak_index, bits([err.magnitude])), rays[:]))
-        (stacked, stacked_rays), (lazy, lazy_rays) = outcomes
-        assert stacked == lazy
+        (stacked, stacked_rays), (plain_error, plain_rays) = outcomes
+        assert stacked == plain_error
         message = "probe on axis 1 leaks onto axis 2 (component magnitude 8.165e-06)"
         assert stacked[:3] == (message, 1, 2)
         assert err.magnitude == pytest.approx(8.16496580886632e-06, rel=1e-9)
-        # the lazy path stops at the sixth sample, 1+i; the stack asked all 121 rays first
-        assert len(lazy_rays) == 6 and len(stacked_rays) == 121
-        assert stacked_rays[:6] == lazy_rays
-        assert lazy_rays[-1] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
+        # the leak is the sixth sample's, 1+i; both oracles were asked all 121 rays first
+        assert stacked_rays == plain_rays and len(plain_rays) == 121
+        assert plain_rays[5] == canonical_ray(np.array([1.0, 1.0 + 1.0j, 0.0])).rep.tobytes()
 
 
-def reference_scored_rows(stacks, basis, axes, tol):
-    """The per-row scorer: each answer row scored alone, in order, as its stack is taken."""
+def reference_scored_rows(answers, basis, axes, tol):
+    """The per-row scorer: each answer row scored alone, in order, up to the first failing row."""
     adjoint = basis.columns.conj().T
-    axes = iter(axes)
-    for w in stacks:
-        for row in w:
-            i = next(axes)
-            b = adjoint.dot(row)
-            if abs(b[0]) <= tol.orth_tol:
-                raise SliceDegenerate(
-                    f"image of the probe on axis {i} is orthogonal to the reference axis "
-                    f"(|b_1| = {abs(b[0]):.3e})"
-                )
-            for j in range(1, basis.dim):
-                if j != i and abs(b[j]) > tol.orth_tol:
-                    raise CrossTalk(i, j, float(abs(b[j])))
-            yield complex(b[i] / b[0])
+    values = []
+    for i, row in zip(axes, answers):
+        b = adjoint.dot(row)
+        if abs(b[0]) <= tol.orth_tol:
+            return values, SliceDegenerate(
+                f"image of the probe on axis {i} is orthogonal to the reference axis "
+                f"(|b_1| = {abs(b[0]):.3e})"
+            )
+        for j in range(1, basis.dim):
+            if j != i and abs(b[j]) > tol.orth_tol:
+                return values, CrossTalk(i, j, float(abs(b[j])))
+        values.append(complex(b[i] / b[0]))
+    return values, None
 
 
 def scored(run):
@@ -1006,10 +1015,75 @@ class TestStackedScorer:
             fix_phases(oracle, basis, tol)
         message = "[stage fix_phases] unit probe on axis 1 returned magnitude 1.000e-04"
         assert str(info.value) == message
-        # the stack asked both unit probes; a plain oracle no ray past the refused one
-        assert len(set(rays)) == (1 if wrap else 2)
+        # either oracle was asked both unit probes before any was scored
+        assert len(set(rays)) == 2
         with pytest.raises(SliceDegenerate):
             slice_coordinates(oracle, basis, 1.0, 2, tol)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_an_oracle_error_on_a_later_ray_wins_over_an_earlier_scoring_error(self, fails):
+        # Every probe on axis 1 leaks onto axis 2, so a stage's first row fails its
+        # scoring.  When ``fails``, the oracle itself raises on the stage's last ray:
+        # fix_phases' probe on axis 3, and the probe of z = 1/16 on axis 1.
+        class OracleDown(Exception):
+            pass
+
+        def fn(ray):
+            rep = ray.rep
+            if fails and rep[0] != 0 and (rep[3] != 0 or 0 < abs(rep[1]) < 0.1 * abs(rep[0])):
+                raise OracleDown("no answer")
+            out = rep.copy()
+            if rep[0] != 0 and rep[1] != 0:
+                out[2] += 1e-3
+            return canonical_ray(out)
+
+        oracle = RayMapOracle(4, 4, fn, label="leak-then-down")
+        fixed = fix_phases(identity_oracle(4), map_basis(identity_oracle(4), 4))
+        runs = [
+            lambda: fix_phases(oracle, map_basis(oracle, 4)),
+            # distinct rays z = 2, 1/4, 4, 9/4, 1/2 and 1/16, in that order
+            lambda: probe_automorphism(oracle, fixed, (2.0, 0.25), 1),
+        ]
+        for run in runs:
+            with pytest.raises(OracleDown if fails else CrossTalk) as info:
+                run()
+            if not fails:
+                assert (info.value.index, info.value.leak_index) == (1, 2)
+
+
+class TestAskCounts:
+    """Each stage asks all its rays as one stack, so its stated count holds, pass or fail."""
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_each_stage_asks_its_stated_count_for_any_oracle(self, dim, plain, image_calls):
+        u = random_unitary(dim, seed=60 + dim)
+
+        def oracle(leak):
+            # the probes on axis 1 leak onto the last axis, the more the larger |z|
+            shear = np.eye(dim, dtype=np.complex128)
+            shear[-1, 1] = leak
+            m = u @ shear
+            if plain:
+                return RayMapOracle(dim, dim, lambda r: canonical_ray(m @ r.rep), label="plain")
+            return general_induced_map(m)
+
+        def asks(run):
+            """The rays ``run`` asks, and the stage and axis of its CrossTalk, if any."""
+            image_calls[0] = 0
+            try:
+                run()
+            except CrossTalk as err:
+                return image_calls[0], err.stage, err.index
+            return image_calls[0], None, None
+
+        assert asks(lambda: reconstruct(oracle(0.0), dim)) == (2 * dim, None, None)
+        # the unit probe on axis 1 leaks 3.5e-9: fix_phases fails after all its dim - 1 asks
+        assert asks(lambda: reconstruct(oracle(5e-9), dim)) == (dim + dim - 1, "fix_phases", 1)
+        # the default grid on axis 1 leaks at 1+i, its sixth distinct ray of 121
+        leaky = oracle(1e-5)
+        fixed = reconstruct(leaky, dim, LEAK_PROBE_TOL).basis
+        assert asks(lambda: probe_automorphism(leaky, fixed, tol=LEAK_PROBE_TOL)) == (121, None, 1)
 
 
 class TestReconstruct:
